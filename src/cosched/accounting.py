@@ -19,8 +19,6 @@ class MessageLedger:
     bytes_total: int = 0
     count_total: int = 0
     bytes_by_phase: dict[str, int] = field(default_factory=dict)
-    count_by_phase: dict[str, int] = field(default_factory=dict)
-    per_iteration_counts: list[int] = field(default_factory=list)
 
     def record(self, phase: str, count: int, nbytes: int) -> None:
         if count < 0 or nbytes < 0:
@@ -28,7 +26,6 @@ class MessageLedger:
         self.bytes_total += nbytes
         self.count_total += count
         self.bytes_by_phase[phase] = self.bytes_by_phase.get(phase, 0) + nbytes
-        self.count_by_phase[phase] = self.count_by_phase.get(phase, 0) + count
 
 
 @dataclass

@@ -37,18 +37,6 @@ class Allocation:
     supply: SupplyTable
     unallocatable: set[int]
 
-    def requests_for_agent(self, agent_id: int) -> set[int]:
-        for nb in self.neighborhoods:
-            if agent_id in nb.agents:
-                return nb.requests
-        return set()
-
-    def neighborhood_of(self, agent_id: int) -> Neighborhood | None:
-        for nb in self.neighborhoods:
-            if agent_id in nb.agents:
-                return nb
-        return None
-
 
 def partition_agents(
     satellites: list[SatelliteSpec], neighborhood_size: int

@@ -10,6 +10,14 @@ All positions are Earth-fixed (ECEF) kilometers; all times are seconds since
 the start of the scheduling horizon. A per-scenario ``epoch_offset_s`` shifts
 the constellation along its orbits and the Earth in its rotation, which is
 how randomized horizon starts are realized.
+
+Access windows (targets) and downlink passes (stations) come from one path.
+A ground point is visible when it lies inside an off-nadir cone and at or
+above a minimum elevation; targets use the satellite's sensor cone and the
+horizon, stations a 180° cone and their antenna mask. Per satellite, each
+point is scanned on a ``step_s`` time grid, and then every rising and falling
+edge of every point is bisected in lockstep, one propagation per halving,
+until each bracket is at most 1 s wide.
 """
 
 from __future__ import annotations
@@ -182,18 +190,30 @@ def off_nadir_deg(sat_pos: np.ndarray, point_ecef: np.ndarray) -> np.ndarray:
 
 
 def elevation_deg(sat_pos: np.ndarray, point_ecef: np.ndarray) -> np.ndarray:
-    """Elevation of the satellite above the local horizon of a ground point."""
-    up = point_ecef / np.linalg.norm(point_ecef)
+    """Elevation of the satellite above the local horizon of one ground point."""
+    return _elevation_deg(sat_pos, point_ecef, point_ecef / np.linalg.norm(point_ecef))
+
+
+def _elevation_deg(sat_pos: np.ndarray, point_ecef: np.ndarray, up: np.ndarray) -> np.ndarray:
     rel = sat_pos - point_ecef
     sinel = np.sum(rel * up, axis=-1) / np.linalg.norm(rel, axis=-1)
     return np.degrees(np.arcsin(np.clip(sinel, -1.0, 1.0)))
 
 
-def target_visible(sat_pos: np.ndarray, point_ecef: np.ndarray, max_off_nadir_deg: float) -> np.ndarray:
-    """Boolean visibility: within the off-nadir cone and above the local horizon."""
+def visible(
+    sat_pos: np.ndarray,
+    point_ecef: np.ndarray,
+    up: np.ndarray,
+    max_off_nadir_deg: float | np.ndarray,
+    min_elevation_deg: float | np.ndarray,
+) -> np.ndarray:
+    """Within the off-nadir cone and at or above the minimum elevation.
+
+    ``up`` is the point's unit radial vector. Arguments broadcast row-wise, so
+    one call scans one point over a time grid or many (time, point) pairs.
+    """
     within = off_nadir_deg(sat_pos, point_ecef) <= max_off_nadir_deg
-    los = elevation_deg(sat_pos, point_ecef) >= 0.0
-    return within & los
+    return within & (_elevation_deg(sat_pos, point_ecef, up) >= min_elevation_deg)
 
 
 def time_grid(horizon: TimeInterval, step_s: float) -> np.ndarray:
@@ -206,98 +226,51 @@ def time_grid(horizon: TimeInterval, step_s: float) -> np.ndarray:
     return times
 
 
-def mask_to_windows(mask, times, predicate, horizon: TimeInterval, tol_s: float = 1.0):
-    """Extract maximal true-runs of ``mask`` and bisect their edges to <= tol_s.
+def _ground(latlons) -> tuple[np.ndarray, np.ndarray]:
+    """ECEF positions and unit up vectors of ground points given as (lat, lon)."""
+    ecef = np.array([latlon_to_ecef(lat, lon) for lat, lon in latlons])
+    return ecef, np.array([p / np.linalg.norm(p) for p in ecef])
 
-    ``predicate(t)`` must be the scalar truth of the same condition that
-    produced ``mask`` on ``times``. Edges abutting the horizon are pinned to
-    the horizon boundary (no refinement possible beyond it).
+
+def _satellite_windows(
+    plane: OrbitalPlane, slot: int, points: tuple, times: np.ndarray, epoch_offset_s: float
+) -> list[list[TimeInterval]]:
+    """Visibility windows of one satellite over every ground point.
+
+    ``points`` holds row-aligned arrays: ECEF position, unit up vector, cone
+    and minimum elevation. Each point is scanned on ``times``; then every
+    rising and falling edge of every point is bisected in lockstep until its
+    bracket is at most 1 s wide. A rising edge keeps its visible (late) end, a
+    falling edge its visible (early) end; runs touching the first or last
+    sample end there.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        return []
-    edges = np.flatnonzero(np.diff(mask.astype(np.int8)))
-    run_starts = [0] if mask[0] else []
-    run_ends = []
-    for e in edges:
-        if mask[e]:  # true -> false
-            run_ends.append(e)
-        else:  # false -> true
-            run_starts.append(e + 1)
-    if mask[-1]:
-        run_ends.append(len(mask) - 1)
-
-    def bisect(lo, hi, want_rising):
-        # invariant: predicate(lo) != predicate(hi); returns the true-side edge
-        while hi - lo > tol_s:
-            mid = 0.5 * (lo + hi)
-            if bool(predicate(mid)) == want_rising:
-                hi = mid
-            else:
-                lo = mid
-        return hi if want_rising else lo
+    ecef, up, cone, min_el = points
+    pos = propagate(plane, slot, times, epoch_offset_s)
+    mask = np.empty((len(ecef), len(times)), dtype=bool)
+    for j in range(len(ecef)):
+        mask[j] = visible(pos, ecef[j], up[j], cone[j], min_el[j])
+    k, e = np.nonzero(mask[:, 1:] != mask[:, :-1])
+    rising = ~mask[k, e]
+    lo, hi = times[e], times[e + 1]
+    while True:
+        live = np.flatnonzero(hi - lo > 1.0)
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        kl = k[live]
+        pos = propagate(plane, slot, mid, epoch_offset_s)
+        to_hi = visible(pos, ecef[kl], up[kl], cone[kl], min_el[kl]) == rising[live]
+        hi[live[to_hi]] = mid[to_hi]
+        lo[live[~to_hi]] = mid[~to_hi]
+    edge = np.where(rising, hi, lo)
 
     windows = []
-    for i0, i1 in zip(run_starts, run_ends):
-        if i0 == 0:
-            w_start = times[0]
-        else:
-            # rising edge between times[i0-1] (false) and times[i0] (true)
-            t = bisect(times[i0 - 1], times[i0], want_rising=True)
-            w_start = t
-        if i1 == len(times) - 1:
-            w_end = times[-1]
-        else:
-            t = bisect(times[i1], times[i1 + 1], want_rising=False)
-            w_end = t
-        w_start = max(w_start, horizon.start)
-        w_end = min(w_end, horizon.end)
-        if w_end > w_start:
-            windows.append(TimeInterval(w_start, w_end))
+    for j in range(len(ecef)):
+        mine = k == j
+        starts = ([times[0]] if mask[j, 0] else []) + list(edge[mine & rising])
+        ends = list(edge[mine & ~rising]) + ([times[-1]] if mask[j, -1] else [])
+        windows.append([TimeInterval(a, b) for a, b in zip(starts, ends) if b > a])
     return windows
-
-
-def access_windows(
-    plane: OrbitalPlane,
-    sat: SatelliteSpec,
-    target: Target,
-    horizon: TimeInterval,
-    step_s: float = 10.0,
-    epoch_offset_s: float = 0.0,
-) -> list[TimeInterval]:
-    """Maximal intervals during which the target lies inside the sensor cone."""
-    times = time_grid(horizon, step_s)
-    tgt = latlon_to_ecef(target.latitude_deg, target.longitude_deg)
-    pos = propagate(plane, sat.slot, times, epoch_offset_s)
-    mask = target_visible(pos, tgt, sat.max_off_nadir_deg)
-
-    def pred(t):
-        p = propagate(plane, sat.slot, np.array([t]), epoch_offset_s)
-        return bool(target_visible(p, tgt, sat.max_off_nadir_deg)[0])
-
-    return mask_to_windows(mask, times, pred, horizon)
-
-
-def downlink_windows(
-    plane: OrbitalPlane,
-    sat: SatelliteSpec,
-    station: GroundStation,
-    horizon: TimeInterval,
-    step_s: float = 10.0,
-    epoch_offset_s: float = 0.0,
-) -> list[tuple[TimeInterval, float]]:
-    """Ground-station passes with their capacities (duration x downlink rate)."""
-    times = time_grid(horizon, step_s)
-    stn = latlon_to_ecef(station.latitude_deg, station.longitude_deg)
-    pos = propagate(plane, sat.slot, times, epoch_offset_s)
-    mask = elevation_deg(pos, stn) >= station.min_elevation_deg
-
-    def pred(t):
-        p = propagate(plane, sat.slot, np.array([t]), epoch_offset_s)
-        return bool(elevation_deg(p, stn)[0] >= station.min_elevation_deg)
-
-    wins = mask_to_windows(mask, times, pred, horizon)
-    return [(w, w.duration * station.downlink_rate_bps) for w in wins]
 
 
 def batch_access_windows(
@@ -307,29 +280,18 @@ def batch_access_windows(
     step_s: float = 10.0,
     epoch_offset_s: float = 0.0,
 ) -> dict[tuple[int, int], list[TimeInterval]]:
-    """Access windows for every (satellite, target) pair.
-
-    Equivalent to calling :func:`access_windows` per pair, but propagates each
-    satellite's position grid once and sweeps all targets against it.
-    """
+    """Maximal intervals during which each target lies inside each satellite's
+    sensor cone and above its horizon."""
     times = time_grid(horizon, step_s)
+    ecef, up = _ground((t.latitude_deg, t.longitude_deg) for t in targets)
+    min_el = np.zeros(len(targets))
     out: dict[tuple[int, int], list[TimeInterval]] = {}
-    tgt_ecef = {t.target_id: latlon_to_ecef(t.latitude_deg, t.longitude_deg) for t in targets}
     for sat in constellation.satellites():
+        points = (ecef, up, np.full(len(targets), sat.max_off_nadir_deg), min_el)
         plane = constellation.planes[sat.plane_index]
-        pos = propagate(plane, sat.slot, times, epoch_offset_s)
-        for target in targets:
-            tgt = tgt_ecef[target.target_id]
-            mask = target_visible(pos, tgt, sat.max_off_nadir_deg)
-            if not mask.any():
-                out[(sat.agent_id, target.target_id)] = []
-                continue
-
-            def pred(t, plane=plane, slot=sat.slot, tgt=tgt, lim=sat.max_off_nadir_deg):
-                p = propagate(plane, slot, np.array([t]), epoch_offset_s)
-                return bool(target_visible(p, tgt, lim)[0])
-
-            out[(sat.agent_id, target.target_id)] = mask_to_windows(mask, times, pred, horizon)
+        wins = _satellite_windows(plane, sat.slot, points, times, epoch_offset_s)
+        for target, w in zip(targets, wins):
+            out[(sat.agent_id, target.target_id)] = w
     return out
 
 
@@ -340,15 +302,24 @@ def batch_downlink_windows(
     step_s: float = 10.0,
     epoch_offset_s: float = 0.0,
 ) -> dict[int, list[tuple[TimeInterval, float]]]:
-    """Merged, time-sorted station passes per satellite."""
+    """Merged, time-sorted station passes per satellite, each with its
+    capacity (duration x downlink rate).
+
+    A station antenna is not a sensor cone: its 180° cone admits every
+    direction, so only the minimum elevation applies.
+    """
+    times = time_grid(horizon, step_s)
+    ecef, up = _ground((s.latitude_deg, s.longitude_deg) for s in stations)
+    points = (ecef, up, np.full(len(stations), 180.0), np.array([s.min_elevation_deg for s in stations]))
     out: dict[int, list[tuple[TimeInterval, float]]] = {}
     for sat in constellation.satellites():
         plane = constellation.planes[sat.plane_index]
-        passes: list[tuple[TimeInterval, float]] = []
-        for station in stations:
-            passes.extend(
-                downlink_windows(plane, sat, station, horizon, step_s, epoch_offset_s)
-            )
+        wins = _satellite_windows(plane, sat.slot, points, times, epoch_offset_s)
+        passes = [
+            (w, w.duration * station.downlink_rate_bps)
+            for station, ws in zip(stations, wins)
+            for w in ws
+        ]
         passes.sort(key=lambda wc: (wc[0].start, wc[0].end))
         out[sat.agent_id] = passes
     return out

@@ -11,6 +11,7 @@ up front and are benchmarking tools only.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -118,14 +119,10 @@ def branch_and_bound(
     runs out, the best solution found is returned flagged unproven, never
     silently claimed optimal.
     """
-    import sys
-
     order = sorted(
         (rid for rid in inst.request_ids if inst.candidates.get(rid)),
         key=lambda rid: (len(inst.candidates[rid]), rid),
     )
-    if sys.getrecursionlimit() < len(order) + 100:
-        sys.setrecursionlimit(len(order) + 100)
     states = _fresh_states(inst)
     best_count = -1
     best_schedules: dict[int, list[Task]] = {}
@@ -159,10 +156,15 @@ def branch_and_bound(
                 st.remove(task)
         dfs(i + 1, satisfied)  # skip branch
 
+    # the search recurses once per request; the caller's limit comes back after
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, len(order) + 100))
     try:
         dfs(0, 0)
     except BudgetExhausted:
         pass
+    finally:
+        sys.setrecursionlimit(limit)
     result = OracleResult(
         satisfied=best_count,
         proven_optimal=not exhausted,

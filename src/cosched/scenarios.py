@@ -269,7 +269,9 @@ def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
 
     The scenario seed is the configured base plus the index; every stream
     (targets, campaign, volumes, dynamics, epoch) is derived from it by a
-    fixed label so the pieces stay independent.
+    fixed label so the pieces stay independent. The assembled problem is
+    checked with :meth:`DynamicProblem.validate`, so every generated or
+    loaded scenario satisfies its structural invariants.
     """
     config.validate()
     seed = config.scenario_seed + index
@@ -287,8 +289,9 @@ def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
         campaign, volatility, horizon, random.Random(f"dynamics:{seed}")
     )
     problem = _assemble_problem(
-        constellation, targets, campaign, initial, events, horizon, seed, config
+        constellation, targets, campaign, initial, events, horizon, epoch_offset, seed, config
     )
+    problem.validate()
     return Scenario(
         config=config,
         index=index,
@@ -308,10 +311,10 @@ def _assemble_problem(
     initial: set[int],
     events: list[ChangeEvent],
     horizon: TimeInterval,
+    epoch_offset: float,
     seed: int,
     config: ScenarioConfig,
 ) -> DynamicProblem:
-    epoch_offset = random.Random(f"epoch:{seed}").uniform(0.0, DAY_S)
     sats = constellation.satellites()
     access = geometry.batch_access_windows(
         constellation, targets, horizon, config.scan_step_s, epoch_offset

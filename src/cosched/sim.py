@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .accounting import MessageLedger, OpCounter
-from .geometry import Target
+from .geometry import SatelliteSpec, Target
 from .intervals import TimeInterval
 from .problem import DynamicProblem, check_constraints, dynamic_utility
 from .solvers import (
@@ -180,6 +180,7 @@ def run(
     ctx.iteration_hook = hook
     solver: Solver = make_solver(solver_name, ctx, cfg)
 
+    agents = {a.agent_id: a for a in problem.agents}
     t0 = time.perf_counter()
     snapshots: list[set[int]] = []
     for t, snap in enumerate(problem.snapshots):
@@ -188,7 +189,7 @@ def run(
         ctx.event_index = t
         solver.on_event(t, snap.start, snap.active)
         if check_feasibility:
-            _assert_feasible(ctx)
+            _assert_feasible(ctx, agents)
         snapshots.append(_capture_snapshot(ctx, snap.active))
     wall = time.perf_counter() - t0
 
@@ -214,12 +215,11 @@ def run(
     return RunResult(metrics=metrics, snapshots=snapshots, final_schedules=final)
 
 
-def _assert_feasible(ctx: RunContext) -> None:
+def _assert_feasible(ctx: RunContext, agents: dict[int, SatelliteSpec]) -> None:
     for aid, st in ctx.states.items():
-        agent = next(a for a in ctx.satellites if a.agent_id == aid)
         verdict = check_constraints(
             st.schedule.tasks(),
-            agent.memory_bytes,
+            agents[aid].memory_bytes,
             ctx.problem.downlinks_by_agent.get(aid, []),
         )
         if not verdict:
@@ -227,16 +227,6 @@ def _assert_feasible(ctx: RunContext) -> None:
                 f"agent {aid} schedule infeasible after event {ctx.event_index}: "
                 f"{verdict.reason} ({verdict.detail})"
             )
-
-
-@dataclass
-class Gap:
-    percent_points: float
-    reference: str  # "optimal" or "lower-bound"
-
-
-def optimality_gap(solver_pct: float, oracle_pct: float, proven: bool) -> Gap:
-    return Gap(oracle_pct - solver_pct, "optimal" if proven else "lower-bound")
 
 
 def stability_drops(trace: list[TraceRow], num_events: int) -> list[float]:

@@ -16,10 +16,9 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .accounting import MessageLedger, OpCounter, message_bytes
-from .decomposition import Allocation, gnd
+from .decomposition import gnd
 from .geometry import SatelliteSpec, Target
-from .intervals import TimeInterval
-from .problem import Downlink, DynamicProblem, Request, Task
+from .problem import Downlink, DynamicProblem, Task
 
 SOLVER_NAMES = ("random", "greedy", "dnss", "0nss", "ddsa", "0dsa")
 
@@ -408,7 +407,6 @@ class NssSolver(Solver):
             n=self.cfg.gnd_n,
             neighborhood_size=self.cfg.neighborhood_size,
         )
-        self.last_allocation: Allocation = alloc
         if not self.incremental:
             self._clear_mutable_state()
         # iteration 0: state carried into the event, before any repair work

@@ -4,32 +4,45 @@ import numpy as np
 import pytest
 
 from cosched.geometry import (
+    DEFAULT_STATIONS,
     EARTH_ROT_RAD_S,
     Constellation,
     GroundStation,
     OrbitalPlane,
-    SatelliteSpec,
     Target,
-    access_windows,
-    downlink_windows,
+    batch_access_windows,
+    batch_downlink_windows,
     elevation_deg,
     latlon_to_ecef,
     off_nadir_deg,
     planet_constellation,
     propagate,
-    target_visible,
     time_grid,
+    visible,
     walker_constellation,
 )
 from cosched.intervals import TimeInterval, disjoint_sorted
+from cosched.scenarios import build_constellation, preset, sample_targets
 
 POLAR = OrbitalPlane(inclination_deg=90.0, altitude_km=500.0, raan_deg=0.0, count=1)
 EQUATORIAL = OrbitalPlane(inclination_deg=0.0, altitude_km=500.0, raan_deg=0.0, count=1)
 DAY = TimeInterval(0.0, 86400.0)
 
 
-def sat(plane, max_off_nadir=45.0):
-    return SatelliteSpec(agent_id=0, plane_index=0, slot=0, max_off_nadir_deg=max_off_nadir, memory_bytes=1.25e11)
+def one_sat(plane, max_off_nadir=45.0):
+    return Constellation("one", (plane,), max_off_nadir_deg=max_off_nadir, memory_bytes=1.25e11)
+
+
+def access(plane, max_off_nadir, target):
+    """One day's access windows of the single satellite of ``plane`` over one target."""
+    out = batch_access_windows(one_sat(plane, max_off_nadir), [target], DAY)
+    assert list(out) == [(0, target.target_id)]
+    return out[(0, target.target_id)]
+
+
+def sees(sat_pos, point, max_off_nadir):
+    """Target visibility: inside the sensor cone and above the horizon."""
+    return visible(sat_pos, point, point / np.linalg.norm(point), max_off_nadir, 0.0)
 
 
 def ecef_to_eci(pos, t):
@@ -78,7 +91,7 @@ def test_ground_speed_bounds_position_change():
 
 def test_pole_target_invisible_from_equatorial_orbit():
     tgt = Target(0, 90.0, 0.0)
-    assert access_windows(EQUATORIAL, sat(EQUATORIAL, 60.0), tgt, DAY) == []
+    assert access(EQUATORIAL, 60.0, tgt) == []
 
 
 def test_nadir_point_has_zero_off_nadir_and_90_elevation():
@@ -86,44 +99,115 @@ def test_nadir_point_has_zero_off_nadir_and_90_elevation():
     ground = pos / np.linalg.norm(pos) * 6378.137
     assert off_nadir_deg(pos, ground) == pytest.approx(0.0, abs=1e-6)
     assert elevation_deg(pos, ground) == pytest.approx(90.0, abs=1e-6)
-    assert bool(target_visible(pos, ground, 5.0))
+    assert bool(sees(pos, ground, 5.0))
 
 
 def test_target_beyond_horizon_not_visible():
     pos = propagate(EQUATORIAL, 0, 0.0)
     antipode = latlon_to_ecef(0.0, 180.0)
     # wide cone but the planet is in the way
-    assert not bool(target_visible(pos, antipode, 89.0))
+    assert not bool(sees(pos, antipode, 89.0))
+
+
+def subpoint(plane, slot, t, epoch_offset_s):
+    """(lat, lon) directly below a satellite at time ``t``."""
+    x, y, z = propagate(plane, slot, t, epoch_offset_s)
+    return math.degrees(math.asin(z / math.hypot(x, y, z))), math.degrees(math.atan2(y, x))
+
+
+def assert_matches_dense(windows, dense, pos_at, seen):
+    """Windows agree with visibility ``seen(positions)`` sampled every second:
+    same run count, visible midpoints, and every hit inside a window (1 s slack)."""
+    assert disjoint_sorted(windows)
+    mask = seen(pos_at(dense))
+    runs = int(np.sum(mask[1:] & ~mask[:-1])) + int(mask[0])
+    assert len(windows) == runs
+    for w in windows:
+        assert bool(seen(pos_at(0.5 * (w.start + w.end))))
+    hits = dense[mask]
+    starts = np.array([w.start for w in windows]) - 1.0
+    ends = np.array([w.end for w in windows]) + 1.0
+    i = np.searchsorted(starts, hits, side="right") - 1
+    assert np.all(i >= 0) and np.all(hits <= ends[i])
 
 
 def test_access_windows_match_dense_sampling():
     tgt = Target(0, 40.0, -100.0)
-    s = sat(POLAR, 60.0)
-    windows = access_windows(POLAR, s, tgt, DAY)
+    windows = access(POLAR, 60.0, tgt)
     assert windows, "mid-latitude target should be seen by a polar satellite"
-    assert disjoint_sorted(windows)
     for w in windows:
         assert DAY.contains(w)
-
     point = latlon_to_ecef(tgt.latitude_deg, tgt.longitude_deg)
-    dense = np.arange(0.0, 86400.0, 1.0)
-    mask = target_visible(propagate(POLAR, 0, dense), point, 60.0)
-    runs = int(np.sum(mask[1:] & ~mask[:-1])) + int(mask[0])
-    assert len(windows) == runs
-    # every dense-sample hit falls inside a reported window (1 s edge slack)
-    hits = dense[mask]
-    for t in hits:
-        assert any(w.start - 1.0 <= t <= w.end + 1.0 for w in windows)
-    # window edges are refined to within 1 s of the visibility flip
-    for w in windows:
-        mid = 0.5 * (w.start + w.end)
-        assert bool(target_visible(propagate(POLAR, 0, mid), point, 60.0))
+    assert_matches_dense(
+        windows,
+        np.arange(0.0, 86400.0, 1.0),
+        lambda t: propagate(POLAR, 0, t),
+        lambda p: sees(p, point, 60.0),
+    )
+
+
+def test_batch_windows_match_dense_sampling_per_pair():
+    """Every (satellite, point) column of one batch call matches its own dense
+    scan, so no edge is credited to another satellite or point."""
+    cfg = preset("tiny")
+    constellation = build_constellation(cfg)
+    horizon = TimeInterval(0.0, 21600.0)
+    epoch = 1234.5
+    plane0 = constellation.planes[0]
+    targets = sample_targets(cfg, 7)[:6]
+    # sub-points of satellite 0 at the horizon ends pin windows to both ends
+    targets.append(Target(100, *subpoint(plane0, 0, horizon.start, epoch)))
+    targets.append(Target(101, *subpoint(plane0, 0, horizon.end, epoch)))
+    stations = list(DEFAULT_STATIONS)
+    access_out = batch_access_windows(constellation, targets, horizon, 10.0, epoch)
+    passes_out = batch_downlink_windows(constellation, stations, horizon, 10.0, epoch)
+
+    assert access_out[(0, 100)][0].start == horizon.start
+    assert access_out[(0, 101)][-1].end == horizon.end
+    assert all(passes_out.values()), "every satellite should pass a station in 6 h"
+
+    dense = np.arange(horizon.start, horizon.end + 1.0, 1.0)
+    cone = constellation.max_off_nadir_deg
+    station_points = [latlon_to_ecef(st.latitude_deg, st.longitude_deg) for st in stations]
+    for sat in constellation.satellites():
+        plane = constellation.planes[sat.plane_index]
+
+        def pos_at(t, plane=plane, slot=sat.slot):
+            return propagate(plane, slot, t, epoch)
+
+        for tgt in targets:
+            point = latlon_to_ecef(tgt.latitude_deg, tgt.longitude_deg)
+            assert_matches_dense(
+                access_out[(sat.agent_id, tgt.target_id)],
+                dense,
+                pos_at,
+                lambda p, point=point: sees(p, point, cone),
+            )
+
+        # merged passes: each belongs to exactly one station and carries its rate
+        passes = passes_out[sat.agent_id]
+        owners = []
+        for w, cap in passes:
+            mid = pos_at(0.5 * (w.start + w.end))
+            (k,) = [
+                k for k, st in enumerate(stations)
+                if elevation_deg(mid, station_points[k]) >= st.min_elevation_deg
+            ]
+            owners.append(k)
+            assert cap == w.duration * stations[k].downlink_rate_bps
+        for k, st in enumerate(stations):
+            assert_matches_dense(
+                [w for (w, _), o in zip(passes, owners) if o == k],
+                dense,
+                pos_at,
+                lambda p, k=k, st=st: elevation_deg(p, station_points[k]) >= st.min_elevation_deg,
+            )
 
 
 def test_wider_sensor_cone_contains_narrow_cone_windows():
     tgt = Target(0, 40.0, -100.0)
-    narrow = access_windows(POLAR, sat(POLAR, 30.0), tgt, DAY)
-    wide = access_windows(POLAR, sat(POLAR, 60.0), tgt, DAY)
+    narrow = access(POLAR, 30.0, tgt)
+    wide = access(POLAR, 60.0, tgt)
     assert narrow, "need at least one pass to make the test meaningful"
     for w in narrow:
         assert any(
@@ -133,13 +217,12 @@ def test_wider_sensor_cone_contains_narrow_cone_windows():
 
 def test_access_windows_deterministic():
     tgt = Target(0, 40.0, -100.0)
-    s = sat(POLAR, 60.0)
-    assert access_windows(POLAR, s, tgt, DAY) == access_windows(POLAR, s, tgt, DAY)
+    assert access(POLAR, 60.0, tgt) == access(POLAR, 60.0, tgt)
 
 
 def test_downlink_capacity_is_duration_times_rate():
     station = GroundStation("fairbanks", 64.86, -147.85, 5.0, 62.5e6)
-    passes = downlink_windows(POLAR, sat(POLAR), station, DAY)
+    passes = batch_downlink_windows(one_sat(POLAR), [station], DAY)[0]
     assert passes, "polar orbit must see a high-latitude station daily"
     for window, cap in passes:
         assert cap == pytest.approx(window.duration * 62.5e6)

@@ -1,9 +1,12 @@
 import itertools
 import random
+import sys
 
 import pytest
 
+from cosched.geometry import SatelliteSpec
 from cosched.oracle import (
+    CollapsedInstance,
     branch_and_bound,
     collapse,
     greedy_bound,
@@ -12,7 +15,7 @@ from cosched.oracle import (
     uplink_bytes,
     verify_schedules,
 )
-from cosched.problem import MB, check_constraints, static_utility
+from cosched.problem import MB, Task, check_constraints, static_utility
 from cosched.solvers import ScheduleState
 
 from conftest import make_problem
@@ -94,6 +97,29 @@ def test_budget_exhaustion_yields_unproven_bound(rng):
     assert res.satisfied <= full.satisfied
 
 
+def test_branch_and_bound_restores_recursion_limit():
+    """A search deeper than the caller's recursion limit raises the limit for
+    its own run only."""
+    n = 960  # one recursion level per request: deeper than a 1000-frame limit
+    tasks = {i: Task(i, i, 0, 10.0 * i, 10.0 * i + 5.0, MB) for i in range(n)}
+    inst = CollapsedInstance(
+        request_ids=frozenset(tasks),
+        tasks=tasks,
+        candidates={i: [t] for i, t in tasks.items()},
+        agents={0: SatelliteSpec(0, 0, 0, 45.0, 1e15)},
+        downlinks_by_agent={},
+    )
+    caller = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        res = branch_and_bound(inst)
+        after = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(caller)
+    assert after == 1000
+    assert res.proven_optimal and res.satisfied == n
+
+
 def test_oracle_schedules_verified_and_sandwich_holds(rng):
     for _ in range(20):
         problem, _ = make_problem(
@@ -123,8 +149,6 @@ def test_swo_deterministic(rng):
 
 
 def test_uplink_bytes_formula():
-    from cosched.problem import Task
-
     schedules = {
         0: [Task(0, 0, 0, 0.0, 63.0, MB), Task(1, 1, 0, 100.0, 163.0, MB)],
         1: [],

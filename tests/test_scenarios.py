@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from cosched import geometry
+from cosched.intervals import TimeInterval
 from cosched.scenarios import (
     ConfigError,
     PRESETS,
@@ -78,6 +80,16 @@ def test_scenario_label_and_validation():
     assert sc.label == "tiny-003"
     sc.problem.validate()
     assert len(sc.problem.agents) == 8
+
+
+def test_generation_rejects_overlapping_downlinks(monkeypatch):
+    def overlapping(constellation, *args):
+        passes = [(TimeInterval(100.0, 400.0), 1e9), (TimeInterval(300.0, 600.0), 1e9)]
+        return {s.agent_id: passes for s in constellation.satellites()}
+
+    monkeypatch.setattr(geometry, "batch_downlink_windows", overlapping)
+    with pytest.raises(ValueError, match="overlapping downlinks"):
+        generate_scenario(preset("tiny", target_count=2), 0)
 
 
 def test_save_load_roundtrip(tmp_path):

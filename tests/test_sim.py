@@ -1,7 +1,7 @@
 import dataclasses
 
 from cosched.problem import check_constraints
-from cosched.sim import RunMetrics, TraceRow, optimality_gap, run, stability_drops
+from cosched.sim import RunMetrics, TraceRow, run, stability_drops
 from cosched.solvers import SolverConfig
 
 from conftest import make_problem
@@ -81,12 +81,6 @@ def test_stability_drop_arithmetic():
         TraceRow(2, 0, 9, 90.0, 0, 0),
     ]
     assert stability_drops(trace, 2) == [50.0, 0.0]
-
-
-def test_optimality_gap_reference():
-    g = optimality_gap(95.0, 100.0, proven=True)
-    assert g.percent_points == 5.0 and g.reference == "optimal"
-    assert optimality_gap(95.0, 97.0, proven=False).reference == "lower-bound"
 
 
 def test_zero_variants_discard_then_recover(rng):
