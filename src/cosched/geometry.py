@@ -18,6 +18,17 @@ horizon, stations a 180° cone and their antenna mask. Per satellite, each
 point is scanned on a ``step_s`` time grid, and then every rising and falling
 edge of every point is bisected in lockstep, one propagation per halving,
 until each bracket is at most 1 s wide.
+
+The scan evaluates ``visible`` only where it can pass. A point is visible
+only while the Earth-central angle λ between it and the satellite is at most
+λ_max. With orbit radius r, Earth radius R, cone η and minimum elevation ε,
+the elevation limit gives λ_el = arccos(R cos ε / r) − ε, and, when η < 90°,
+r sin η / R < 1 and ε ≥ 0, the cone limit gives λ_cone = arcsin(r sin η / R)
+− η; λ_max is the smaller of those that apply. The cone limit needs ε ≥ 0:
+below the horizon the cone's far-side intersection with the Earth can pass.
+Samples with cos λ below cos λ_max, padded far beyond rounding error, are
+invisible without evaluating ``visible``, so the windows are exactly those
+of the full scan.
 """
 
 from __future__ import annotations
@@ -232,23 +243,54 @@ def _ground(latlons) -> tuple[np.ndarray, np.ndarray]:
     return ecef, np.array([p / np.linalg.norm(p) for p in ecef])
 
 
+def _max_central_angle(radius_km: float, cone_deg: np.ndarray, min_el_deg: np.ndarray) -> np.ndarray:
+    """Largest Earth-central angle (rad) at which each ground point can pass
+    ``visible`` from an orbit of radius ``radius_km``."""
+    eps = np.radians(min_el_deg)
+    eta = np.radians(cone_deg)
+    lam = np.arccos(EARTH_RADIUS_KM * np.cos(eps) / radius_km) - eps
+    # the cone limit holds on the near side only, which ε ≥ 0 guarantees
+    s = radius_km * np.sin(eta) / EARTH_RADIUS_KM
+    cone_limits = (cone_deg < 90.0) & (s < 1.0) & (min_el_deg >= 0.0)
+    lam_cone = np.arcsin(np.where(cone_limits, s, 0.0)) - eta
+    return np.where(cone_limits, np.minimum(lam, lam_cone), lam)
+
+
+def _scan(pos: np.ndarray, radius_km: float, points: tuple) -> np.ndarray:
+    """Visibility of each ground point (rows) from each satellite position
+    (columns) on a circular orbit of radius ``radius_km``.
+
+    ``visible`` runs only on the positions whose central angle to the point
+    is within the point's λ_max (see the module docstring) plus 1e-6 rad,
+    with a further 1e-6 off its cosine; every other entry is False. The
+    result equals ``visible`` over every position, bit for bit.
+    """
+    ecef, up, cone, min_el = points
+    shat = pos / np.linalg.norm(pos, axis=1, keepdims=True)
+    lam_max = _max_central_angle(radius_km, cone, min_el)
+    cos_min = np.cos(np.minimum(lam_max + 1e-6, np.pi)) - 1e-6
+    mask = np.zeros((len(ecef), len(pos)), dtype=bool)
+    for j in range(len(ecef)):
+        cand = np.flatnonzero(shat @ up[j] >= cos_min[j])
+        mask[j, cand] = visible(pos[cand], ecef[j], up[j], cone[j], min_el[j])
+    return mask
+
+
 def _satellite_windows(
     plane: OrbitalPlane, slot: int, points: tuple, times: np.ndarray, epoch_offset_s: float
 ) -> list[list[TimeInterval]]:
     """Visibility windows of one satellite over every ground point.
 
     ``points`` holds row-aligned arrays: ECEF position, unit up vector, cone
-    and minimum elevation. Each point is scanned on ``times``; then every
-    rising and falling edge of every point is bisected in lockstep until its
-    bracket is at most 1 s wide. A rising edge keeps its visible (late) end, a
-    falling edge its visible (early) end; runs touching the first or last
-    sample end there.
+    and minimum elevation. Each point is scanned on ``times``, evaluating
+    ``visible`` only on the samples within the point's central-angle bound
+    λ_max (``_scan``). Then every rising and falling edge of every point is
+    bisected in lockstep until its bracket is at most 1 s wide. A rising edge
+    keeps its visible (late) end, a falling edge its visible (early) end; runs
+    touching the first or last sample end there.
     """
     ecef, up, cone, min_el = points
-    pos = propagate(plane, slot, times, epoch_offset_s)
-    mask = np.empty((len(ecef), len(times)), dtype=bool)
-    for j in range(len(ecef)):
-        mask[j] = visible(pos, ecef[j], up[j], cone[j], min_el[j])
+    mask = _scan(propagate(plane, slot, times, epoch_offset_s), plane.radius_km, points)
     k, e = np.nonzero(mask[:, 1:] != mask[:, :-1])
     rising = ~mask[k, e]
     lo, hi = times[e], times[e + 1]

@@ -5,6 +5,7 @@ import pytest
 
 from cosched.geometry import (
     DEFAULT_STATIONS,
+    EARTH_RADIUS_KM,
     EARTH_ROT_RAD_S,
     Constellation,
     GroundStation,
@@ -20,6 +21,7 @@ from cosched.geometry import (
     time_grid,
     visible,
     walker_constellation,
+    _scan,
 )
 from cosched.intervals import TimeInterval, disjoint_sorted
 from cosched.scenarios import build_constellation, preset, sample_targets
@@ -201,6 +203,68 @@ def test_batch_windows_match_dense_sampling_per_pair():
                 dense,
                 pos_at,
                 lambda p, k=k, st=st: elevation_deg(p, station_points[k]) >= st.min_elevation_deg,
+            )
+
+
+def test_pruned_scan_matches_visible_on_every_sample():
+    """The central-angle prefilter only skips samples ``visible`` rejects,
+    whatever the orbit, point, cone (narrow, wider than the horizon, or a
+    station's 180°) and minimum elevation (including below the horizon)."""
+    rng = np.random.default_rng(20261018)
+    times = time_grid(DAY, 10.0)
+    n = 40
+    lat = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n)))
+    lat[:2] = 90.0, -90.0
+    lon = rng.uniform(-180.0, 180.0, n)
+    ecef = np.array([latlon_to_ecef(a, b) for a, b in zip(lat, lon)])
+    up = ecef / np.linalg.norm(ecef, axis=1, keepdims=True)
+    for _ in range(16):
+        plane = OrbitalPlane(
+            inclination_deg=rng.uniform(0.0, 180.0),
+            altitude_km=rng.uniform(200.0, 3000.0),
+            raan_deg=rng.uniform(0.0, 360.0),
+            count=1,
+        )
+        pos = propagate(plane, 0, times, rng.uniform(0.0, 86400.0))
+        cone = np.where(rng.random(n) < 0.2, 180.0, rng.uniform(1e-3, 90.0 - 1e-3, n))
+        min_el = rng.uniform(-30.0, 40.0, n)
+        mask = _scan(pos, plane.radius_km, (ecef, up, cone, min_el))
+        full = np.array([visible(pos, ecef[j], up[j], cone[j], min_el[j]) for j in range(n)])
+        assert np.array_equal(mask, full)
+        assert full.any()
+
+
+def test_windows_match_dense_sampling_without_cone_limit():
+    """Windows where the scan bound drops the cone limit: a station masked
+    below the horizon, and a sensor cone wider than the horizon cone."""
+    horizon = TimeInterval(0.0, 21600.0)
+    plane = OrbitalPlane(inclination_deg=70.0, altitude_km=500.0, raan_deg=20.0, count=2)
+    assert 80.0 > math.degrees(math.asin(EARTH_RADIUS_KM / plane.radius_km))
+    constellation = Constellation("wide", (plane,), max_off_nadir_deg=80.0, memory_bytes=1.25e11)
+    station = GroundStation("low", 60.0, 10.0, min_elevation_deg=-2.0, downlink_rate_bps=62.5e6)
+    targets = [Target(i, lat, lon) for i, (lat, lon) in enumerate([(55.0, 5.0), (-30.0, 150.0), (90.0, 0.0)])]
+    access_out = batch_access_windows(constellation, targets, horizon)
+    passes_out = batch_downlink_windows(constellation, [station], horizon)
+    assert all(access_out.values()), "every satellite should see every target in 6 h"
+
+    dense = np.arange(horizon.start, horizon.end + 1.0, 1.0)
+    station_point = latlon_to_ecef(station.latitude_deg, station.longitude_deg)
+    for sat in constellation.satellites():
+        def pos_at(t, slot=sat.slot):
+            return propagate(plane, slot, t)
+
+        passes = [w for w, _ in passes_out[sat.agent_id]]
+        assert passes
+        assert_matches_dense(
+            passes, dense, pos_at, lambda p: elevation_deg(p, station_point) >= -2.0
+        )
+        for tgt in targets:
+            point = latlon_to_ecef(tgt.latitude_deg, tgt.longitude_deg)
+            assert_matches_dense(
+                access_out[(sat.agent_id, tgt.target_id)],
+                dense,
+                pos_at,
+                lambda p, point=point: sees(p, point, 80.0),
             )
 
 
