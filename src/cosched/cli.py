@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True, help="results directory")
     b.add_argument("--solvers", help=f"comma-separated subset of {','.join(SOLVER_NAMES)}")
     b.add_argument("--oracle", choices=("bnb", "swo", "none"))
-    b.add_argument("--fixed-iterations", action="store_true", help="disable early convergence exit")
+    b.add_argument("--fixed-iterations", action="store_true", help="run all max_iters search rounds; never stop early")
     b.add_argument("--require-optimal", action="store_true", help="exit 4 if the exact oracle ran out of budget")
     b.set_defaults(func=cmd_bench)
 

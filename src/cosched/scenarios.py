@@ -30,7 +30,7 @@ from .problem import (
 )
 from .solvers import SOLVER_NAMES, SolverConfig
 
-SCENARIO_FORMAT_VERSION = 1
+SCENARIO_FORMAT_VERSION = 2
 DAY_S = 86400.0
 
 
@@ -55,7 +55,6 @@ class ScenarioConfig:
     scenario_seed: int = 2005
     repair_seed: int = 1
     solver_seed: int = 1234
-    gnd_seed: int = 2
     random_solver_seed: int = 2023
     # solver hyperparameters
     p_u: float = 0.7
@@ -108,7 +107,6 @@ class ScenarioConfig:
             solver_seed=self.solver_seed,
             repair_seed=self.repair_seed,
             random_solver_seed=self.random_solver_seed,
-            gnd_seed=self.gnd_seed,
             gnd_n=self.gnd_n,
             neighborhood_size=self.neighborhood_size,
             run_all_iterations=self.run_all_iterations,

@@ -45,10 +45,8 @@ class RunMetrics:
     satisfaction_pct: float
     message_bytes: int
     message_count: int
-    bytes_by_phase: dict[str, int]
     constraint_checks: int
     rng_draws: int
-    serializations: int
     iterations_total: int
     wall_time_s: float
     trace: list[TraceRow] = field(default_factory=list)
@@ -61,10 +59,8 @@ class RunMetrics:
             "satisfaction_pct": self.satisfaction_pct,
             "message_bytes": self.message_bytes,
             "message_count": self.message_count,
-            "bytes_by_phase": dict(sorted(self.bytes_by_phase.items())),
             "constraint_checks": self.constraint_checks,
             "rng_draws": self.rng_draws,
-            "serializations": self.serializations,
             "iterations_total": self.iterations_total,
             "trace": [
                 [r.event, r.iteration, r.satisfied, r.satisfaction_pct, r.message_bytes, r.op_count]
@@ -201,10 +197,8 @@ def run(
         satisfaction_pct=100.0 * satisfied / total if total else 100.0,
         message_bytes=ctx.ledger.bytes_total,
         message_count=ctx.ledger.count_total,
-        bytes_by_phase=dict(ctx.ledger.bytes_by_phase),
         constraint_checks=ctx.ops.constraint_checks,
         rng_draws=ctx.ops.rng_draws,
-        serializations=ctx.ops.serializations,
         iterations_total=sum(1 for _ in trace),
         wall_time_s=wall,
         trace=trace,

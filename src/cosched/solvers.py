@@ -4,9 +4,12 @@ All solvers share one event-driven interface: ``on_event`` is invoked once at
 the start of the run and once per problem change, and must leave every
 agent's schedule feasible. The iterative solvers advance in synchronous
 rounds; messages sent in round i are readable in round i+1, and every message
-is charged to the ledger with its exact byte size. Per-agent RNG streams are
-derived from the solver seed so parallel and sequential execution of a round
-produce identical results.
+is charged to the ledger with its exact byte size. A search group stops
+after the first round that changes no member's scheduled request set, since
+the next round would re-send the same payloads (``run_all_iterations`` runs
+all ``max_iters`` rounds instead). Per-agent RNG streams are derived from the
+solver seed so parallel and sequential execution of a round produce identical
+results.
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ class SolverConfig:
     solver_seed: int = 1234
     repair_seed: int = 1
     random_solver_seed: int = 2023
-    gnd_seed: int = 2
     gnd_n: int = 2
     neighborhood_size: int = 10
-    run_all_iterations: bool = False  # disable early convergence exit
+    run_all_iterations: bool = False  # run all max_iters rounds, never stop early
 
 
 class ScheduleState:
@@ -256,39 +258,34 @@ class SearchGroup:
 
     agents: tuple[int, ...]
     requests: frozenset[int]
-    converged: bool = False
 
 
-def synchronous_search(groups: list[SearchGroup], ctx: RunContext, cfg: SolverConfig, phase: str) -> int:
+def synchronous_search(groups: list[SearchGroup], ctx: RunContext, cfg: SolverConfig) -> int:
     """Iterate all groups in lockstep for up to max_iters rounds.
 
     Each round: agents exchange their executed set and previously scheduled
     set with every other group member (charged to the ledger), then update
     each of their requests with the stochastic scheme and try insertions.
-    A group stops early once a full round changes nothing, unless
-    run_all_iterations is set. Returns the number of rounds executed.
+    A group stops after the first round that changes no member's scheduled
+    request set: ``executed`` cannot change during a search, so the next
+    round would re-send byte-identical payloads. With run_all_iterations
+    every group runs all max_iters rounds. Returns the number of rounds
+    executed.
     """
     for st in ctx.states.values():
         st.scheduled_last = set(st.schedule.by_request)
-    for g in groups:
-        g.converged = False
 
     rounds = 0
-    for it in range(cfg.max_iters):
-        live = [g for g in groups if not g.converged]
-        if not live:
-            break
+    live = list(groups)
+    while live and rounds < cfg.max_iters:
         rounds += 1
-        for g in live:
-            _search_round(g, ctx, cfg, phase)
-        ctx.record_iteration(it + 1)
-        if cfg.run_all_iterations:
-            for g in groups:
-                g.converged = False
+        live = [g for g in live if _search_round(g, ctx, cfg) or cfg.run_all_iterations]
+        ctx.record_iteration(rounds)
     return rounds
 
 
-def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig, phase: str) -> None:
+def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig) -> bool:
+    """One round for one group; True if any member's scheduled set changed."""
     states = ctx.states
     members = group.agents
     # message exchange: each member broadcasts (executed, scheduled-last-round)
@@ -304,12 +301,10 @@ def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig, phase:
         group_executed |= st.executed & group.requests
         fanout = len(members) - 1
         if fanout > 0:
-            ctx.ledger.record(phase, fanout, fanout * message_bytes(len(payload)))
-            ctx.ops.serializations += fanout
+            ctx.ledger.record(fanout, fanout * message_bytes(len(payload)))
     for a in members:
         states[a].known_executed |= group_executed
 
-    changed = False
     for a in members:
         st = states[a]
         mine = [rid for rid in ctx.agent_requests.get(a, []) if rid in group.requests]
@@ -318,37 +313,27 @@ def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig, phase:
         own_payload = payloads[a]
         for rid in mine:
             w = counts.get(rid, 0) - (1 if rid in own_payload else 0)
-            was = rid in st.assigned
-            now_assigned = stochastic_update(
-                rid in group_executed, was, w, cfg.p_u, st.rng, ctx.ops
-            )
-            if now_assigned != was:
-                changed = True
-                if now_assigned:
-                    st.assigned.add(rid)
-                else:
-                    st.assigned.discard(rid)
-            if now_assigned:
+            if stochastic_update(
+                rid in group_executed, rid in st.assigned, w, cfg.p_u, st.rng, ctx.ops
+            ):
+                st.assigned.add(rid)
                 if not st.schedule.has_request(rid):
-                    if schedule_insert(
-                        st, rid, ctx.candidates.get((a, rid), []), ctx.now, ctx.ops
-                    ):
-                        changed = True
-            elif rid in group_executed:
-                # unassignment alone never evicts a scheduled task; only a
-                # request executed elsewhere in the group is dropped here
-                task = st.schedule.by_request.get(rid)
-                if task is not None and task.task_id not in st.schedule.frozen:
-                    st.schedule.remove(task)
-                    changed = True
+                    schedule_insert(st, rid, ctx.candidates.get((a, rid), []), ctx.now, ctx.ops)
+            else:
+                st.assigned.discard(rid)
+                if rid in group_executed:
+                    # unassignment alone never evicts a scheduled task; only a
+                    # request executed elsewhere in the group is dropped here
+                    task = st.schedule.by_request.get(rid)
+                    if task is not None and task.task_id not in st.schedule.frozen:
+                        st.schedule.remove(task)
+    changed = False
     for a in members:
         st = states[a]
         new_sched = set(st.schedule.by_request)
-        if new_sched != st.scheduled_last:
-            changed = True
+        changed |= new_sched != st.scheduled_last
         st.scheduled_last = new_sched
-    if not changed:
-        group.converged = True
+    return changed
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +364,6 @@ class Solver:
                 if task.task_id not in st.schedule.frozen:
                     st.schedule.remove(task)
             st.assigned = set()
-            st.scheduled_last = set()
 
 
 class NssSolver(Solver):
@@ -417,7 +401,7 @@ class NssSolver(Solver):
             for a in nb.agents:
                 repair(ctx.states[a], allowed, ctx, self._repair_rng(event_index, a))
             groups.append(SearchGroup(nb.agents, frozenset(nb.requests)))
-        synchronous_search(groups, ctx, self.cfg, phase="search")
+        synchronous_search(groups, ctx, self.cfg)
 
 
 class DsaSolver(Solver):
@@ -439,7 +423,7 @@ class DsaSolver(Solver):
         for a in sorted(ctx.states):
             repair(ctx.states[a], allowed, ctx, self._repair_rng(event_index, a))
         group = SearchGroup(tuple(sorted(ctx.states)), frozenset(active))
-        synchronous_search([group], ctx, self.cfg, phase="search")
+        synchronous_search([group], ctx, self.cfg)
 
 
 class GreedySolver(Solver):

@@ -113,6 +113,20 @@ def test_load_detects_drifted_record(tmp_path):
         load_scenario(path)
 
 
+def test_version_one_file_is_an_unsupported_format(tmp_path):
+    """Format 1 carried the unused ``gnd_seed``; such a file is refused by
+    its version, not by the field the current config no longer has."""
+    sc = generate_scenario(preset("tiny"), 0)
+    path = tmp_path / "tiny-000.json"
+    save_scenario(sc, path)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 1
+    doc["config"]["gnd_seed"] = 2
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="unsupported scenario format 1"):
+        load_scenario(path)
+
+
 def test_solver_config_reflects_overrides():
     c = preset("tiny", p_u=0.5, max_iters=7)
     sc = c.solver_config()

@@ -7,13 +7,19 @@ from cosched.accounting import message_bytes
 from cosched.geometry import SatelliteSpec
 from cosched.problem import MB, Downlink, Task, check_constraints
 from cosched.sim import build_context, run
+from cosched import solvers
+from cosched.accounting import MessageLedger, OpCounter
 from cosched.solvers import (
     SOLVER_NAMES,
+    AgentState,
+    RunContext,
     ScheduleState,
+    SearchGroup,
     SolverConfig,
     SolverInvariantError,
     schedule_insert,
     stochastic_update,
+    synchronous_search,
 )
 
 from conftest import make_problem
@@ -23,8 +29,8 @@ def agent(memory=1000 * MB):
     return SatelliteSpec(0, 0, 0, 45.0, memory)
 
 
-def task(tid, rid, start, end, vol=10 * MB):
-    return Task(tid, rid, 0, start, end, vol)
+def task(tid, rid, start, end, vol=10 * MB, agent_id=0):
+    return Task(tid, rid, agent_id, start, end, vol)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +273,107 @@ def test_message_count_matches_group_size_formula(rng):
     n = len(problem.agents)
     m = run(problem, targets, "ddsa", c).metrics
     assert m.message_count == n_events * c.max_iters * n * (n - 1)
+
+
+# ---------------------------------------------------------------------------
+# the stop rule: a group stops at the first round that changes no schedule
+
+
+def search_context(holdings, executed=None, now=0.0):
+    """A search context over hand-placed tasks, without a problem behind it.
+
+    ``holdings`` maps agent -> (scheduled tasks, other candidate tasks); an
+    agent is assigned exactly the requests it holds, as after a repair.
+    """
+    ops = OpCounter()
+    states, candidates, agent_requests = {}, {}, {}
+    for a, (held, others) in holdings.items():
+        spec = SatelliteSpec(a, 0, a, 45.0, 1000 * MB)
+        st = AgentState(a, ScheduleState(spec, [], ops), rng=random.Random(f"stop:{a}"))
+        for t in held:
+            st.schedule.insert(t)
+        st.assigned = set(st.schedule.by_request)
+        st.executed = set((executed or {}).get(a, ()))
+        st.known_executed = set(st.executed)
+        states[a] = st
+        for t in sorted(held + others, key=lambda t: (t.start, t.task_id)):
+            candidates.setdefault((a, t.request_id), []).append(t)
+        agent_requests[a] = sorted({rid for (b, rid) in candidates if b == a})
+    return RunContext(
+        problem=None, targets={}, satellites=[], states=states, candidates=candidates,
+        agent_requests=agent_requests, request_agents={}, ledger=MessageLedger(), ops=ops,
+        now=now,
+    )
+
+
+def scheduled_sets(ctx):
+    return {a: frozenset(st.schedule.by_request) for a, st in ctx.states.items()}
+
+
+def test_search_stops_after_one_round_when_repair_left_nothing_to_insert():
+    """Every held request is assigned and uncontested, so the stochastic
+    update flips most of them off; that changes no schedule, and request 4
+    (its only window already started) and agent 1's contested copy of
+    request 1 cannot be inserted. The first round changes nothing."""
+    ctx = search_context(
+        {
+            0: ([task(0, 1, 100, 110), task(1, 2, 200, 210), task(2, 3, 300, 310)],
+                [task(3, 4, 10, 20)]),
+            1: ([task(4, 5, 100, 110, agent_id=1), task(5, 6, 200, 210, agent_id=1)],
+                [task(6, 1, 400, 410, agent_id=1)]),
+        },
+        now=50.0,
+    )
+    before = scheduled_sets(ctx)
+    group = SearchGroup((0, 1), frozenset(range(1, 7)))
+    assert synchronous_search([group], ctx, SolverConfig(max_iters=10)) == 1
+    assert scheduled_sets(ctx) == before
+    assert ctx.ledger.count_total == 2  # one round, one message each way
+
+
+def test_search_stops_one_round_after_the_last_schedule_change():
+    """Round 1 inserts agent 0's free request 2 and drops its copy of
+    request 3, which agent 1 already executed; round 2 changes nothing."""
+    ctx = search_context(
+        {
+            0: ([task(0, 1, 100, 110), task(1, 3, 300, 310)], [task(2, 2, 200, 210)]),
+            1: ([], [task(3, 3, 300, 310, agent_id=1)]),
+        },
+        executed={1: [3]},
+    )
+    history = [scheduled_sets(ctx)]
+    ctx.iteration_hook = lambda event, it: history.append(scheduled_sets(ctx))
+    group = SearchGroup((0, 1), frozenset({1, 2, 3}))
+    assert synchronous_search([group], ctx, SolverConfig(max_iters=10)) == 2
+    assert history[1] == {0: frozenset({1, 2}), 1: frozenset()}
+    assert history[2] == history[1] != history[0]
+
+
+def test_iterative_solvers_stop_at_the_first_unchanged_round(rng, monkeypatch):
+    """Over whole runs, every round but the last changes some schedule, and
+    the last changes none unless the round cap ended the search."""
+    searches = []
+    original = solvers.synchronous_search
+
+    def spy(groups, ctx, cfg):
+        history = [scheduled_sets(ctx)]
+        hook = ctx.iteration_hook
+        ctx.iteration_hook = lambda e, it: (history.append(scheduled_sets(ctx)), hook(e, it))
+        rounds = original(groups, ctx, cfg)
+        ctx.iteration_hook = hook
+        searches.append((rounds, cfg.max_iters, history))
+        return rounds
+
+    monkeypatch.setattr(solvers, "synchronous_search", spy)
+    for _ in range(4):
+        problem, targets = make_problem(rng, n_agents=5, n_requests=14, n_events=2)
+        for name in ("dnss", "0nss", "ddsa", "0dsa"):
+            run(problem, targets, name, cfg())
+    assert searches
+    for rounds, cap, history in searches:
+        assert len(history) == rounds + 1
+        assert all(history[k] != history[k - 1] for k in range(1, rounds))
+        assert rounds == cap or history[rounds] == history[rounds - 1]
 
 
 def test_message_bytes_are_header_plus_payload(rng):
