@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .oracle import run_oracle
@@ -26,7 +26,7 @@ from .scenarios import (
     save_scenario,
 )
 from .sim import RunResult, run
-from .solvers import SOLVER_NAMES, SolverInvariantError
+from .solvers import SOLVER_NAMES, SolverConfig, SolverInvariantError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,17 +46,12 @@ def _load_config(args) -> ScenarioConfig:
         raise ConfigError("either --preset or --config is required")
     overrides = {}
     for field in ("target_count", "horizon_s", "volatility", "periodicity", "oracle"):
-        value = getattr(args, field.replace("-", "_"), None)
+        value = getattr(args, field)
         if value is not None:
             overrides[field] = value
-    if getattr(args, "solvers", None):
+    if args.solvers:
         overrides["solvers"] = args.solvers.split(",")
-    if getattr(args, "fixed_iterations", False):
-        overrides["run_all_iterations"] = True
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg
 
@@ -193,10 +188,11 @@ def _format_table(rows: list[dict]) -> str:
 
 def cmd_replay(args) -> int:
     record = json.loads(Path(args.run).read_text())
+    try:
+        solver_cfg = SolverConfig(**record["solver_config"])
+    except TypeError as exc:
+        raise ConfigError(f"solver_config: {exc}") from None
     sc = load_scenario(record["scenario_file"])
-    solver_cfg = sc.config.solver_config()
-    for key, value in record["solver_config"].items():
-        setattr(solver_cfg, key, value)
     result = run(sc.problem, sc.targets, record["solver"], solver_cfg)
     fresh = result.to_record()
     if fresh != record["run"]:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from .geometry import SatelliteSpec, Target
 from .problem import Request
 
+TILE_DEG = 10.0  # lat/lon tile edge that picks a request's bias agent
+
 
 @dataclass
 class Neighborhood:
@@ -26,15 +28,8 @@ class Neighborhood:
 
 
 @dataclass
-class SupplyTable:
-    per_plane: dict[tuple[int, int], int]  # (request, plane) -> satellite count
-    total: dict[int, int]  # request -> summed supply
-
-
-@dataclass
 class Allocation:
     neighborhoods: list[Neighborhood]
-    supply: SupplyTable
     unallocatable: set[int]
 
 
@@ -64,47 +59,22 @@ def partition_agents(
     return neighborhoods
 
 
-def compute_supply(
-    request_ids: list[int],
-    candidates: dict[int, set[int]],
-    plane_of: dict[int, int],
-) -> SupplyTable:
-    """Per-plane and total counts of satellites able to serve each request.
-
-    ``candidates[r]`` is the set of agents with at least one candidate task
-    for r; the total is a proxy for the request's degree in the constraint
-    graph.
-    """
-    per_plane: dict[tuple[int, int], int] = {}
-    total: dict[int, int] = {}
-    for rid in request_ids:
-        agents = candidates.get(rid, set())
-        t = 0
-        for agent_id in agents:
-            key = (rid, plane_of[agent_id])
-            per_plane[key] = per_plane.get(key, 0) + 1
-            t += 1
-        total[rid] = t
-    return SupplyTable(per_plane, total)
-
-
 def allocate(
     requests: dict[int, Request],
     targets: dict[int, Target],
     neighborhoods: list[Neighborhood],
-    supply: SupplyTable,
     candidates: dict[int, set[int]],
     n: int,
-    *,
-    tile_deg: float = 10.0,
 ) -> Allocation:
     """Assign each request to its top-n neighborhoods by supply/conflict ratio.
 
+    ``candidates[r]`` is the set of agents with at least one candidate task
+    for r; a neighborhood's supply is the number of its members in that set.
     Requests are processed in ascending total supply (scarce requests claim
     uncontested neighborhoods first). Within a neighborhood a request is
-    biased to one member agent by hashing its target's lat/lon tile; the bias
-    is diagnostic and deterministic. Requests with zero supply everywhere are
-    reported as unallocatable rather than dropped.
+    biased to one member agent by hashing its target's ``TILE_DEG`` lat/lon
+    tile; the bias is diagnostic and deterministic. Requests with zero supply
+    everywhere are reported as unallocatable rather than dropped.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -118,8 +88,8 @@ def allocate(
     by_nid = {nb.nid: nb for nb in neighborhoods}
     unallocatable: set[int] = set()
 
-    order = sorted(requests, key=lambda rid: (supply.total.get(rid, 0), rid))
-    lon_tiles = int(math.ceil(360.0 / tile_deg))
+    order = sorted(requests, key=lambda rid: (len(candidates.get(rid, ())), rid))
+    lon_tiles = int(math.ceil(360.0 / TILE_DEG))
     for rid in order:
         req = requests[rid]
         cand = candidates.get(rid, set())
@@ -144,11 +114,11 @@ def allocate(
             allocated_intervals[nid].append((req.start, req.end))
             tgt = targets[req.target_id]
             tile = (
-                int((tgt.latitude_deg + 90.0) // tile_deg) * lon_tiles
-                + int((tgt.longitude_deg + 180.0) % 360.0 // tile_deg)
+                int((tgt.latitude_deg + 90.0) // TILE_DEG) * lon_tiles
+                + int((tgt.longitude_deg + 180.0) % 360.0 // TILE_DEG)
             )
             nb.bias[rid] = nb.agents[tile % len(nb.agents)]
-    return Allocation(neighborhoods, supply, unallocatable)
+    return Allocation(neighborhoods, unallocatable)
 
 
 def gnd(
@@ -159,12 +129,7 @@ def gnd(
     *,
     n: int = 2,
     neighborhood_size: int = 10,
-    tile_deg: float = 10.0,
 ) -> Allocation:
-    """Full decomposition: partition agents, estimate supply, allocate requests."""
+    """Full decomposition: partition agents, then allocate requests."""
     neighborhoods = partition_agents(satellites, neighborhood_size)
-    plane_of = {s.agent_id: s.plane_index for s in satellites}
-    supply = compute_supply(sorted(requests), candidates, plane_of)
-    return allocate(
-        requests, targets, neighborhoods, supply, candidates, n, tile_deg=tile_deg
-    )
+    return allocate(requests, targets, neighborhoods, candidates, n)

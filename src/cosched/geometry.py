@@ -53,7 +53,6 @@ class OrbitalPlane:
     altitude_km: float
     raan_deg: float
     count: int
-    phase0_deg: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.inclination_deg <= 180.0:
@@ -77,7 +76,7 @@ class OrbitalPlane:
 
     def slot_phase_rad(self, slot: int) -> float:
         # evenly spaced true anomalies, 360/count apart
-        return math.radians(self.phase0_deg + 360.0 * slot / self.count)
+        return math.radians(360.0 * slot / self.count)
 
 
 @dataclass(frozen=True)
@@ -150,10 +149,10 @@ class Target:
             raise ValueError("latitude outside [-90, 90]")
 
 
-def latlon_to_ecef(lat_deg: float, lon_deg: float, radius_km: float = EARTH_RADIUS_KM) -> np.ndarray:
+def latlon_to_ecef(lat_deg: float, lon_deg: float) -> np.ndarray:
     lat = math.radians(lat_deg)
     lon = math.radians(lon_deg)
-    return radius_km * np.array(
+    return EARTH_RADIUS_KM * np.array(
         [math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)]
     )
 
@@ -369,25 +368,21 @@ def batch_downlink_windows(
 
 # Constellations modeled after operational low-Earth-orbit systems. The paper
 # sources give plane counts and inclinations; altitudes are our defaults.
-def planet_constellation(altitude_km: float = 475.0) -> Constellation:
+def planet_constellation() -> Constellation:
     planes = []
     for i in range(2):
-        planes.append(OrbitalPlane(95.0, altitude_km, raan_deg=180.0 * i, count=95))
+        planes.append(OrbitalPlane(95.0, 475.0, raan_deg=180.0 * i, count=95))
     for i in range(2):
-        planes.append(
-            OrbitalPlane(52.0, altitude_km, raan_deg=90.0 + 180.0 * i, count=5)
-        )
+        planes.append(OrbitalPlane(52.0, 475.0, raan_deg=90.0 + 180.0 * i, count=5))
     return Constellation("planet", tuple(planes), max_off_nadir_deg=60.0, memory_bytes=125e9)
 
 
-def walker_constellation(altitude_km: float = 500.0) -> Constellation:
+def walker_constellation() -> Constellation:
     planes = []
     for i in range(6):
-        planes.append(OrbitalPlane(88.0, altitude_km, raan_deg=30.0 * i, count=14))
+        planes.append(OrbitalPlane(88.0, 500.0, raan_deg=30.0 * i, count=14))
     for i in range(2):
-        planes.append(
-            OrbitalPlane(51.6, altitude_km, raan_deg=15.0 + 90.0 * i, count=12)
-        )
+        planes.append(OrbitalPlane(51.6, 500.0, raan_deg=15.0 + 90.0 * i, count=12))
     return Constellation("walker", tuple(planes), max_off_nadir_deg=45.0, memory_bytes=125e9)
 
 

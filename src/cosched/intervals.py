@@ -36,9 +36,6 @@ class TimeInterval:
     def contains(self, other: "TimeInterval") -> bool:
         return self.start <= other.start and other.end <= self.end
 
-    def contains_time(self, t: float) -> bool:
-        return self.start <= t <= self.end
-
 
 def disjoint_sorted(intervals: list[TimeInterval]) -> bool:
     """True iff intervals are sorted by start and pairwise non-overlapping."""

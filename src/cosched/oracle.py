@@ -15,7 +15,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .accounting import message_bytes
 from .geometry import SatelliteSpec
 from .problem import Downlink, DynamicProblem, Task, check_constraints
 from .solvers import ScheduleState
@@ -69,11 +68,6 @@ def _schedules(states: dict[int, ScheduleState]) -> dict[int, list[Task]]:
     return {aid: st.tasks() for aid, st in states.items() if len(st) > 0}
 
 
-def uplink_bytes(schedules: dict[int, list[Task]]) -> int:
-    """Byte volume a ground station would uplink to distribute these schedules."""
-    return sum(message_bytes(len(tasks)) for tasks in schedules.values())
-
-
 def verify_schedules(inst: CollapsedInstance, schedules: dict[int, list[Task]]) -> None:
     for aid, tasks in schedules.items():
         verdict = check_constraints(
@@ -90,10 +84,6 @@ class OracleResult:
     schedules: dict[int, list[Task]]
     nodes: int = 0
     rounds: int = 0
-
-    @property
-    def scheduled_task_ids(self) -> set[int]:
-        return {t.task_id for tasks in self.schedules.values() for t in tasks}
 
     def satisfaction_pct(self, total_requests: int) -> float:
         if total_requests == 0:
@@ -205,22 +195,16 @@ def greedy_bound(inst: CollapsedInstance) -> OracleResult:
     return result
 
 
-def swo(
-    inst: CollapsedInstance,
-    *,
-    rounds: int = 50,
-    jump: int | None = None,
-) -> OracleResult:
+def swo(inst: CollapsedInstance, *, rounds: int = 50) -> OracleResult:
     """Squeaky wheel optimization: iterated greedy with priority promotion.
 
     Starts from the greedy order (so the result never falls below the greedy
-    baseline); after each round every unsatisfied request jumps forward a
-    fixed number of positions. Returns the best round, a valid lower bound on
-    the optimum.
+    baseline); after each round every unsatisfied request jumps forward
+    ceil(requests / 10) positions. Returns the best round, a valid lower
+    bound on the optimum.
     """
     priority = greedy_priority(inst)
-    if jump is None:
-        jump = max(1, math.ceil(len(inst.request_ids) / 10))
+    jump = max(1, math.ceil(len(inst.request_ids) / 10))
     best_count = -1
     best_schedules: dict[int, list[Task]] = {}
     done = 0
@@ -249,11 +233,10 @@ def run_oracle(
     *,
     node_budget: int = 2_000_000,
     time_budget_s: float = 120.0,
-    swo_rounds: int = 50,
 ) -> OracleResult:
     inst = collapse(problem)
     if mode == "bnb":
         return branch_and_bound(inst, node_budget=node_budget, time_budget_s=time_budget_s)
     if mode == "swo":
-        return swo(inst, rounds=swo_rounds)
+        return swo(inst)
     raise ValueError(f"unknown oracle mode {mode!r}")

@@ -18,6 +18,10 @@ from .intervals import TimeInterval
 
 TASK_DURATION_S = 63.0
 MB = 1e6
+# per-task data volume: a normal draw, resampled below the floor
+TASK_MEAN_VOLUME_BYTES = 50 * MB
+TASK_SD_VOLUME_BYTES = 10 * MB
+TASK_MIN_VOLUME_BYTES = 1 * MB
 
 
 class MalformedScheduleError(Exception):
@@ -234,7 +238,7 @@ def check_constraints(
 
 
 def static_utility(
-    scheduled_task_ids: set[int], tasks: dict[int, Task], request_ids: frozenset[int]
+    task_ids: set[int], tasks: dict[int, Task], request_ids: frozenset[int]
 ) -> int:
     """Number of requests with at least one scheduled task.
 
@@ -242,7 +246,7 @@ def static_utility(
     """
     satisfied = {
         tasks[tid].request_id
-        for tid in scheduled_task_ids
+        for tid in task_ids
         if tasks[tid].request_id in request_ids
     }
     return len(satisfied)
@@ -290,21 +294,15 @@ def generate_tasks(
     windows_by_target: dict[int, list[TimeInterval]],
     rng,
     *,
-    duration_s: float = TASK_DURATION_S,
-    stride_s: float | None = None,
     id_start: int = 0,
-    mean_volume_bytes: float = 50 * MB,
-    sd_volume_bytes: float = 10 * MB,
-    min_volume_bytes: float = 1 * MB,
 ) -> list[Task]:
     """Candidate tasks for one agent: tile each access window overlapping a
-    request window from its start, advancing by ``stride_s`` per candidate.
+    request window from its start with back-to-back ``TASK_DURATION_S`` tasks.
 
     Data volumes are drawn from a truncated normal (resampled below the
     floor). Iteration order is fixed by request id then window order, so task
     ids and volumes are deterministic for a given RNG state.
     """
-    stride = duration_s if stride_s is None else stride_s
     tasks: list[Task] = []
     next_id = id_start
     for req in sorted(requests, key=lambda r: r.request_id):
@@ -314,22 +312,22 @@ def generate_tasks(
                 continue
             t0 = overlap.start
             # tolerance absorbs float noise from window refinement
-            while t0 + duration_s <= overlap.end + 1e-9:
-                vol = rng.gauss(mean_volume_bytes, sd_volume_bytes)
-                while vol < min_volume_bytes:
-                    vol = rng.gauss(mean_volume_bytes, sd_volume_bytes)
+            while t0 + TASK_DURATION_S <= overlap.end + 1e-9:
+                vol = rng.gauss(TASK_MEAN_VOLUME_BYTES, TASK_SD_VOLUME_BYTES)
+                while vol < TASK_MIN_VOLUME_BYTES:
+                    vol = rng.gauss(TASK_MEAN_VOLUME_BYTES, TASK_SD_VOLUME_BYTES)
                 tasks.append(
                     Task(
                         task_id=next_id,
                         request_id=req.request_id,
                         agent_id=agent_id,
                         start=t0,
-                        end=t0 + duration_s,
+                        end=t0 + TASK_DURATION_S,
                         volume_bytes=vol,
                     )
                 )
                 next_id += 1
-                t0 += stride
+                t0 += TASK_DURATION_S
     return tasks
 
 
@@ -338,8 +336,6 @@ def generate_campaign(
     horizon: TimeInterval,
     periodicity_range: tuple[int, int],
     rng,
-    *,
-    id_start: int = 0,
 ) -> list[Request]:
     """Periodic observation requests: each target is sampled a periodicity p
     and asked to be observed once within each of p evenly spaced intervals."""
@@ -347,15 +343,13 @@ def generate_campaign(
     if lo < 1 or hi < lo:
         raise GenerationError(f"empty periodicity range [{lo}, {hi}]")
     requests: list[Request] = []
-    next_id = id_start
     for target in sorted(targets, key=lambda t: t.target_id):
         p = rng.randint(lo, hi)
         width = horizon.duration / p
         for k in range(p):
             start = horizon.start + k * width
             end = horizon.start + (k + 1) * width if k < p - 1 else horizon.end
-            requests.append(Request(next_id, target.target_id, start, end))
-            next_id += 1
+            requests.append(Request(len(requests), target.target_id, start, end))
     return requests
 
 

@@ -32,6 +32,7 @@ from .solvers import SOLVER_NAMES, SolverConfig
 
 SCENARIO_FORMAT_VERSION = 2
 DAY_S = 86400.0
+PLANE_FIELDS = ("inclination_deg", "altitude_km", "raan_deg", "count")
 
 
 class ConfigError(Exception):
@@ -42,7 +43,7 @@ class ConfigError(Exception):
 class ScenarioConfig:
     name: str = "custom"
     constellation: str = "planet"  # planet | walker | custom
-    custom_planes: list[dict] | None = None  # inclination/altitude/raan/count
+    custom_planes: list[dict] | None = None  # PLANE_FIELDS of each plane
     max_off_nadir_deg: float | None = None  # None: constellation default
     memory_bytes: float = 125e9
     target_count: int = 634
@@ -72,6 +73,19 @@ class ScenarioConfig:
             raise ConfigError(f"constellation: unknown value {self.constellation!r}")
         if self.constellation == "custom" and not self.custom_planes:
             raise ConfigError("custom_planes: required when constellation='custom'")
+        for i, plane in enumerate(self.custom_planes or []):
+            where = f"custom_planes[{i}]"
+            if not isinstance(plane, dict) or set(plane) != set(PLANE_FIELDS):
+                raise ConfigError(f"{where}: expected exactly the keys {list(PLANE_FIELDS)}")
+            try:
+                OrbitalPlane(**plane)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+        if self.memory_bytes <= 0:
+            raise ConfigError(f"memory_bytes: must be positive, got {self.memory_bytes}")
+        off_nadir = self.max_off_nadir_deg
+        if off_nadir is not None and not 0.0 < off_nadir < 90.0:
+            raise ConfigError(f"max_off_nadir_deg: must be null or lie in (0, 90), got {off_nadir}")
         if self.target_count < 1 and not self.targets_path:
             raise ConfigError(f"target_count: must be >= 1, got {self.target_count}")
         if self.horizon_s <= 0:
@@ -201,17 +215,11 @@ def build_constellation(config: ScenarioConfig) -> Constellation:
     elif config.constellation == "walker":
         base = geometry.walker_constellation()
     else:
-        planes = tuple(
-            OrbitalPlane(
-                inclination_deg=p["inclination_deg"],
-                altitude_km=p["altitude_km"],
-                raan_deg=p["raan_deg"],
-                count=p["count"],
-            )
-            for p in config.custom_planes
-        )
-        base = Constellation("custom", planes, config.max_off_nadir_deg or 45.0, config.memory_bytes)
-    off_nadir = config.max_off_nadir_deg or base.max_off_nadir_deg
+        planes = tuple(OrbitalPlane(**p) for p in config.custom_planes)
+        base = Constellation("custom", planes, 45.0, config.memory_bytes)
+    off_nadir = config.max_off_nadir_deg
+    if off_nadir is None:
+        off_nadir = base.max_off_nadir_deg
     return Constellation(base.name, base.planes, off_nadir, config.memory_bytes)
 
 

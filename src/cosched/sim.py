@@ -51,8 +51,8 @@ class RunMetrics:
     wall_time_s: float
     trace: list[TraceRow] = field(default_factory=list)
 
-    def to_record(self, include_wall_time: bool = False) -> dict:
-        rec = {
+    def to_record(self) -> dict:
+        return {
             "solver": self.solver,
             "satisfied": self.satisfied,
             "total_requests": self.total_requests,
@@ -67,9 +67,6 @@ class RunMetrics:
                 for r in self.trace
             ],
         }
-        if include_wall_time:
-            rec["wall_time_s"] = self.wall_time_s
-        return rec
 
 
 @dataclass
@@ -155,8 +152,6 @@ def run(
     targets: list[Target],
     solver_name: str,
     cfg: SolverConfig | None = None,
-    *,
-    check_feasibility: bool = True,
 ) -> RunResult:
     """Replay the change-event timeline under one solver; fully deterministic."""
     cfg = cfg or SolverConfig()
@@ -184,8 +179,7 @@ def run(
             _advance(ctx, problem.snapshots[t - 1].start, snap.start)
         ctx.event_index = t
         solver.on_event(t, snap.start, snap.active)
-        if check_feasibility:
-            _assert_feasible(ctx, agents)
+        _assert_feasible(ctx, agents)
         snapshots.append(_capture_snapshot(ctx, snap.active))
     wall = time.perf_counter() - t0
 

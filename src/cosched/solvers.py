@@ -190,7 +190,7 @@ def stochastic_update(executed: bool, assigned: bool, w: int, p_u: float, rng, o
     return rng.random() < 1.0 / w
 
 
-def schedule_insert(state: AgentState, request_id: int, candidates: list[Task], now: float, ops: OpCounter | None = None) -> bool:
+def schedule_insert(state: AgentState, request_id: int, candidates: list[Task], now: float) -> bool:
     """Try to place a task for the request, allowing one displacement.
 
     Candidates are tried in ascending start order. If a candidate does not
@@ -244,8 +244,7 @@ def repair(state: AgentState, allowed: set[int], ctx: RunContext, rng: random.Ra
         and t.start >= ctx.now
     ]
     rng.shuffle(pool)
-    if ctx.ops is not None:
-        ctx.ops.rng_draws += len(pool)
+    ctx.ops.rng_draws += len(pool)
     for task in pool:
         if not sched.has_request(task.request_id) and sched.can_insert(task):
             sched.insert(task)
@@ -318,7 +317,7 @@ def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig) -> boo
             ):
                 st.assigned.add(rid)
                 if not st.schedule.has_request(rid):
-                    schedule_insert(st, rid, ctx.candidates.get((a, rid), []), ctx.now, ctx.ops)
+                    schedule_insert(st, rid, ctx.candidates.get((a, rid), []), ctx.now)
             else:
                 st.assigned.discard(rid)
                 if rid in group_executed:
@@ -342,7 +341,6 @@ def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig) -> boo
 
 class Solver:
     name = "base"
-    communicates = True
 
     def __init__(self, ctx: RunContext, cfg: SolverConfig):
         self.ctx = ctx
@@ -430,7 +428,6 @@ class GreedySolver(Solver):
     """Single ascending-start insertion pass per agent; no communication."""
 
     name = "greedy"
-    communicates = False
 
     def on_event(self, event_index: int, now: float, active: frozenset[int]) -> None:
         ctx = self.ctx
@@ -462,7 +459,6 @@ class RandomSolver(GreedySolver):
     """Greedy transition but with a seeded shuffled insertion order."""
 
     name = "random"
-    communicates = False
 
     def _pass_order(self, agent_id: int, active: frozenset[int]) -> list[Task]:
         pool = [

@@ -228,7 +228,7 @@ def test_07_feasibility_invariants():
         )
         cfg = SolverConfig(neighborhood_size=2, max_iters=6)
         for name in SOLVER_NAMES:
-            res = run(problem, targets, name, cfg, check_feasibility=False)
+            res = run(problem, targets, name, cfg)
             for scheduled in res.snapshots:
                 by_agent: dict[int, list] = {}
                 for tid in scheduled:

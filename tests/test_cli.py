@@ -1,9 +1,11 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from cosched.cli import EXIT_CONFIG, EXIT_OK, main
+from cosched.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+from cosched.scenarios import load_scenario, preset
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +99,88 @@ def test_bad_solver_list_is_config_error(workspace, tmp_path):
         ["bench", "--scenarios", str(scen), "--out", str(tmp_path), "--solvers", "tabu"]
     )
     assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"custom_planes": [{"inclination_deg": 97.0, "altitude_km": 500.0, "raan_deg": 0.0}]},
+         "custom_planes[0]"),
+        ({"memory_bytes": 0}, "memory_bytes"),
+        ({"constellation": "walker", "max_off_nadir_deg": 0.0}, "max_off_nadir_deg"),
+    ],
+    ids=["plane-without-count", "zero-memory", "zero-off-nadir"],
+)
+def test_malformed_config_file_is_config_error(tmp_path, capsys, changes, field):
+    data = preset("tiny").to_dict()
+    data.update(changes)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    rc = main(["generate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["max_iter", "gnd_seed"])
+def test_replay_rejects_unknown_solver_config_key(workspace, tmp_path, key):
+    _, out = workspace
+    record = json.loads((out / "tiny-000_dnss.json").read_text())
+    record["solver_config"][key] = 3
+    path = tmp_path / "tiny-000_dnss.json"
+    path.write_text(json.dumps(record))
+    assert main(["replay", "--run", str(path)]) == EXIT_CONFIG
+
+
+@pytest.fixture(scope="module")
+def contended_runs(tmp_path_factory):
+    """Greedy and dnss records on a tiny scenario with 20 targets: unlike
+    tiny-000 with 10, some agent has candidate tasks that overlap."""
+    root = tmp_path_factory.mktemp("contended")
+    scen, out = root / "scenarios", root / "results"
+    gen = ["generate", "--preset", "tiny", "--target-count", "20", "--out", str(scen)]
+    assert main(gen) == EXIT_OK
+    bench = ["bench", "--scenarios", str(scen), "--out", str(out), "--solvers", "greedy,dnss",
+             "--oracle", "none"]
+    assert main(bench) == EXIT_OK
+    assert main(["verify", "--runs", str(out)]) == EXIT_OK
+    return out
+
+
+def _overstate_utility(record):
+    record["run"]["metrics"]["satisfied"] += 1
+
+
+def _add_overlapping_task(record):
+    """Add to some agent's final schedule a task that overlaps a scheduled one."""
+    problem = load_scenario(record["scenario_file"]).problem
+    for aid, ids in record["run"]["final_schedules"].items():
+        scheduled = [problem.tasks[t] for t in ids]
+        for task in problem.tasks_by_agent[int(aid)]:
+            if task.task_id not in ids and any(task.interval.overlaps(s.interval) for s in scheduled):
+                ids.append(task.task_id)
+                return
+    raise AssertionError("no overlapping task to add")
+
+
+def _greedy_sends_messages(record):
+    record["run"]["metrics"]["message_bytes"] = 25
+
+
+@pytest.mark.parametrize(
+    "solver, tamper",
+    [("dnss", _overstate_utility), ("dnss", _add_overlapping_task), ("greedy", _greedy_sends_messages)],
+    ids=["satisfied-plus-one", "overlapping-task", "greedy-message-bytes"],
+)
+def test_verify_rejects_tampered_record(contended_runs, tmp_path, capsys, solver, tamper):
+    runs = tmp_path / "results"
+    shutil.copytree(contended_runs, runs)
+    path = runs / f"tiny-000_{solver}.json"
+    record = json.loads(path.read_text())
+    tamper(record)
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["verify", "--runs", str(runs)]) == EXIT_INVARIANT
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.endswith(": ok")] == [
+        f"tiny-000_{other}.json: ok" for other in ("dnss", "greedy") if other != solver
+    ]

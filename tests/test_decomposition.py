@@ -1,6 +1,6 @@
 import pytest
 
-from cosched.decomposition import allocate, compute_supply, gnd, partition_agents
+from cosched.decomposition import gnd, partition_agents
 from cosched.geometry import SatelliteSpec, Target
 from cosched.problem import Request
 
@@ -49,16 +49,6 @@ def test_partition_rejects_nonpositive_size():
         partition_agents(sats([3]), 0)
 
 
-def test_supply_counts_candidate_agents_per_plane():
-    agents = sats([2, 3])
-    plane_of = {s.agent_id: s.plane_index for s in agents}
-    candidates = {0: {0, 2, 3}, 1: set(), 2: {4}}
-    supply = compute_supply([0, 1, 2], candidates, plane_of)
-    assert supply.total == {0: 3, 1: 0, 2: 1}
-    assert supply.per_plane[(0, 0)] == 1 and supply.per_plane[(0, 1)] == 2
-    assert (1, 0) not in supply.per_plane
-
-
 def mk_requests(windows):
     return {i: Request(i, i, s, e) for i, (s, e) in enumerate(windows)}
 
@@ -74,6 +64,16 @@ def test_allocation_prefers_higher_supply_neighborhood():
     alloc = gnd(reqs, mk_targets(1), agents, candidates, n=1, neighborhood_size=2)
     assert alloc.neighborhoods[1].requests == {0}
     assert alloc.neighborhoods[0].requests == set()
+
+
+def test_scarce_requests_are_allocated_first():
+    # request 1 can only go to nb0; placed first, it pushes the overlapping
+    # request 0 to nb1. In request-id order both would land in nb0.
+    agents = sats([2, 2])  # nb0 = {0,1}, nb1 = {2,3}
+    reqs = mk_requests([(0, 100), (50, 150)])
+    candidates = {0: {0, 1, 2, 3}, 1: {0}}
+    alloc = gnd(reqs, mk_targets(2), agents, candidates, n=1, neighborhood_size=2)
+    assert [nb.requests for nb in alloc.neighborhoods] == [{1}, {0}]
 
 
 def test_temporal_conflicts_divert_to_empty_neighborhood():

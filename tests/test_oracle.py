@@ -12,7 +12,6 @@ from cosched.oracle import (
     greedy_bound,
     run_oracle,
     swo,
-    uplink_bytes,
     verify_schedules,
 )
 from cosched.problem import MB, Task, check_constraints, static_utility
@@ -146,16 +145,6 @@ def test_swo_deterministic(rng):
     a, b = swo(inst), swo(inst)
     assert a.satisfied == b.satisfied
     assert a.schedules == b.schedules
-
-
-def test_uplink_bytes_formula():
-    schedules = {
-        0: [Task(0, 0, 0, 0.0, 63.0, MB), Task(1, 1, 0, 100.0, 163.0, MB)],
-        1: [],
-        2: [Task(2, 2, 2, 0.0, 63.0, MB)],
-    }
-    # one message per agent: 16-byte header + 9 bytes per carried task
-    assert uplink_bytes(schedules) == (16 + 18) + 16 + (16 + 9)
 
 
 def test_run_oracle_dispatch(rng):
