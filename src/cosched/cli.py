@@ -14,7 +14,13 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .oracle import run_oracle
-from .problem import check_constraints, dynamic_utility
+from .problem import (
+    DynamicProblem,
+    MalformedScheduleError,
+    Task,
+    check_constraints,
+    dynamic_utility,
+)
 from .scenarios import (
     ConfigError,
     PRESETS,
@@ -202,6 +208,20 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
+def _agent_tasks(problem: DynamicProblem, aid: int, task_ids: list[int]) -> list[Task]:
+    """The recorded task ids of one agent's schedule, resolved against the
+    scenario; an id the scenario lacks or gives to another agent is malformed."""
+    tasks = []
+    for tid in task_ids:
+        task = problem.tasks.get(tid)
+        if task is None:
+            raise MalformedScheduleError(f"unknown task id {tid}")
+        if task.agent_id != aid:
+            raise MalformedScheduleError(f"task id {tid} belongs to agent {task.agent_id}")
+        tasks.append(task)
+    return tasks
+
+
 def cmd_verify(args) -> int:
     run_files = sorted(Path(args.runs).glob("*_*.json"))
     run_files = [p for p in run_files if not p.name.endswith("_oracle.json")]
@@ -232,10 +252,18 @@ def cmd_verify(args) -> int:
         agents = {a.agent_id: a for a in problem.agents}
         for aid_str, task_ids in record["run"]["final_schedules"].items():
             aid = int(aid_str)
-            tasks = [problem.tasks[t] for t in task_ids]
-            verdict = check_constraints(
-                tasks, agents[aid].memory_bytes, problem.downlinks_by_agent.get(aid, [])
-            )
+            try:
+                if aid not in agents:
+                    raise MalformedScheduleError("no such agent in the scenario")
+                verdict = check_constraints(
+                    _agent_tasks(problem, aid, task_ids),
+                    agents[aid].memory_bytes,
+                    problem.downlinks_by_agent.get(aid, []),
+                )
+            except MalformedScheduleError as exc:
+                print(f"{path.name}: agent {aid} malformed schedule: {exc}")
+                ok = False
+                continue
             if not verdict:
                 print(f"{path.name}: agent {aid} infeasible: {verdict.reason}")
                 ok = False

@@ -190,6 +190,13 @@ def check_constraints(
     Verifies: no duplicate tasks (structural), no two tasks overlap, no task
     overlaps a downlink, and per-downlink data volume within
     min(memory, downlink capacity). The verdict names the first violation.
+
+    The downlink stage is one merge sweep over the start-sorted tasks and
+    downlinks: a pointer skips every downlink that ends at or before the
+    current task's start (task starts never decrease, so no later task can
+    overlap it either), and only downlinks starting before the task's end
+    are tested. This holds for overlapping downlink lists too, and reports
+    the same first (task, downlink) pair as testing every pair would.
     """
     seen: set[int] = set()
     agent_ids = set()
@@ -203,20 +210,26 @@ def check_constraints(
 
     ordered = sorted(tasks, key=lambda t: (t.start, t.task_id))
     for a, b in zip(ordered, ordered[1:]):
-        if a.interval.overlaps(b.interval):
+        if max(a.start, b.start) < min(a.end, b.end):
             return Verdict(
                 False, "processing-conflict", f"tasks {a.task_id} and {b.task_id} overlap"
             )
 
     dls = sorted(downlinks, key=lambda d: d.start)
+    k = 0
     for t in ordered:
-        for d in dls:
-            if t.interval.overlaps(d.interval):
+        while k < len(dls) and dls[k].end <= t.start:
+            k += 1
+        j = k
+        while j < len(dls) and dls[j].start < t.end:
+            d = dls[j]
+            if max(t.start, d.start) < min(t.end, d.end):
                 return Verdict(
                     False,
                     "downlink-conflict",
                     f"task {t.task_id} overlaps downlink {d.downlink_id}",
                 )
+            j += 1
 
     dl_starts = [d.start for d in dls]
     loads: dict[int, float] = {}
@@ -272,7 +285,7 @@ def executed_task_ids(
                     f"snapshot {t} schedules task {tid} of inactive request "
                     f"{task.request_id}"
                 )
-            if task.interval.overlaps(window):
+            if max(task.start, window.start) < min(task.end, window.end):
                 executed.add(tid)
     return executed
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .accounting import MessageLedger, OpCounter
 from .geometry import SatelliteSpec, Target
-from .intervals import TimeInterval
 from .problem import DynamicProblem, check_constraints, dynamic_utility
 from .solvers import (
     AgentState,
@@ -120,10 +119,9 @@ def _advance(ctx: RunContext, window_start: float, now: float) -> None:
     A task in a schedule at the change time ran during the elapsed static
     window; it becomes an immutable fact for the rest of the run.
     """
-    elapsed = TimeInterval(window_start, now)
     for st in ctx.states.values():
         for task in st.schedule.tasks():
-            if task.start < now and task.interval.overlaps(elapsed):
+            if task.start < now and max(task.start, window_start) < min(task.end, now):
                 st.schedule.frozen.add(task.task_id)
                 st.executed.add(task.request_id)
                 st.known_executed.add(task.request_id)

@@ -184,3 +184,60 @@ def test_verify_rejects_tampered_record(contended_runs, tmp_path, capsys, solver
     assert [line for line in lines if line.endswith(": ok")] == [
         f"tiny-000_{other}.json: ok" for other in ("dnss", "greedy") if other != solver
     ]
+
+
+
+def _first_schedule(record):
+    return next((a, ids) for a, ids in record["run"]["final_schedules"].items() if ids)
+
+
+def _repeat_task_id(record):
+    aid, ids = _first_schedule(record)
+    ids.append(ids[0])
+    return aid, f"duplicate task id {ids[0]}"
+
+
+def _unknown_task_id(record):
+    aid, ids = _first_schedule(record)
+    tid = max(load_scenario(record["scenario_file"]).problem.tasks) + 1
+    ids.append(tid)
+    return aid, f"unknown task id {tid}"
+
+
+def _other_agents_task_id(record):
+    aid, ids = _first_schedule(record)
+    problem = load_scenario(record["scenario_file"]).problem
+    other = next(t for t in problem.tasks.values() if t.agent_id != int(aid))
+    ids.append(other.task_id)
+    return aid, f"task id {other.task_id} belongs to agent {other.agent_id}"
+
+
+def _unknown_agent(record):
+    schedules = record["run"]["final_schedules"]
+    aid = str(max(int(a) for a in schedules) + 1)
+    schedules[aid] = []
+    return aid, "no such agent in the scenario"
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_repeat_task_id, _unknown_task_id, _other_agents_task_id, _unknown_agent],
+    ids=["repeated-task-id", "unknown-task-id", "other-agents-task-id", "unknown-agent"],
+)
+def test_verify_reports_malformed_schedule(contended_runs, tmp_path, capsys, tamper):
+    """A final schedule that repeats, invents or borrows a task id, or belongs
+    to no agent of the scenario, is a failed record, not a crash."""
+    runs = tmp_path / "results"
+    shutil.copytree(contended_runs, runs)
+    path = runs / "tiny-000_dnss.json"
+    record = json.loads(path.read_text())
+    aid, detail = tamper(record)
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["verify", "--runs", str(runs)]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"tiny-000_dnss.json: agent {aid} malformed schedule: {detail}",
+        "tiny-000_greedy.json: ok",
+    ]
+    assert captured.err == "1 run(s) failed verification\n"

@@ -15,6 +15,7 @@ from cosched.problem import (
     MalformedScheduleError,
     Request,
     Task,
+    Verdict,
     build_snapshots,
     check_constraints,
     downlink_bucket,
@@ -132,6 +133,105 @@ def test_random_schedules_verdict_matches_bruteforce(rng):
                 cap = memory if b == len(dls) else min(memory, dls[b].capacity_bytes)
                 ok = ok and load <= cap
         assert bool(check_constraints(tasks, memory, dls)) == ok
+
+
+def nested_loop_check_constraints(tasks, memory_bytes, downlinks):
+    """Reference: the O(tasks x downlinks) check the merge sweep replaced."""
+    seen: set[int] = set()
+    agent_ids = set()
+    for t in tasks:
+        if t.task_id in seen:
+            raise MalformedScheduleError(f"duplicate task id {t.task_id}")
+        seen.add(t.task_id)
+        agent_ids.add(t.agent_id)
+    if len(agent_ids) > 1:
+        raise MalformedScheduleError(f"schedule mixes agents {sorted(agent_ids)}")
+
+    ordered = sorted(tasks, key=lambda t: (t.start, t.task_id))
+    for a, b in zip(ordered, ordered[1:]):
+        if a.interval.overlaps(b.interval):
+            return Verdict(
+                False, "processing-conflict", f"tasks {a.task_id} and {b.task_id} overlap"
+            )
+
+    dls = sorted(downlinks, key=lambda d: d.start)
+    for t in ordered:
+        for d in dls:
+            if t.interval.overlaps(d.interval):
+                return Verdict(
+                    False,
+                    "downlink-conflict",
+                    f"task {t.task_id} overlaps downlink {d.downlink_id}",
+                )
+
+    dl_starts = [d.start for d in dls]
+    loads: dict[int, float] = {}
+    for t in ordered:
+        b = downlink_bucket(t.end, dl_starts)
+        loads[b] = loads.get(b, 0.0) + t.volume_bytes
+    for b, load in sorted(loads.items()):
+        cap = memory_bytes if b == len(dls) else min(memory_bytes, dls[b].capacity_bytes)
+        if load > cap:
+            where = "end of horizon" if b == len(dls) else f"downlink {dls[b].downlink_id}"
+            return Verdict(
+                False, "capacity", f"{load:.0f} B before {where} exceeds {cap:.0f} B"
+            )
+    return Verdict(True)
+
+
+def random_schedule(rng):
+    """Up to 40 tasks and 15 downlinks on a 7 s grid, so that many intervals
+    abut. Tasks run back to back with gaps (now and then one overlaps its
+    predecessor); downlinks are either a disjoint chain or independently
+    placed and overlapping. Some downlinks are shorter than a task, so one
+    task can straddle two, and a few intervals have zero length."""
+    unit = 7.0
+    n = rng.randint(0, 40)
+    ids = rng.sample(range(100), n)
+    tasks = []
+    clock = rng.randint(0, 30)
+    for i in range(n):
+        clock += rng.choice((0, 0, 1, 3, 8, 20)) - (4 if rng.random() < 0.01 else 0)
+        length = 0 if rng.random() < 0.05 else 9
+        tasks.append(
+            task(ids[i], ids[i], clock * unit, (clock + length) * unit, rng.uniform(1, 80) * MB)
+        )
+        clock += length
+    span = max(clock, 60)
+
+    dls = []
+    overlapping = rng.random() < 0.3
+    clock = rng.randint(0, 40)
+    for j in range(rng.randint(0, 15)):
+        length = rng.choice((0, 2, 4, 4, 12, 30))
+        if overlapping:
+            start = rng.randint(0, span)
+        else:
+            start = clock + rng.choice((0, 1, 6, 25, 60))
+            clock = start + length
+        dls.append(
+            Downlink(j, 0, start * unit, (start + length) * unit, rng.uniform(40, 600) * MB)
+        )
+    rng.shuffle(dls)
+    return tasks, rng.uniform(60, 1000) * MB, dls
+
+
+def test_merge_sweep_verdict_matches_nested_loop(rng):
+    """Same (feasible, reason, detail) as the nested-loop check, including
+    overlapping downlink lists, straddling tasks and abutting intervals."""
+    reasons: dict[str | None, int] = {}
+    for _ in range(3000):
+        tasks, memory, dls = random_schedule(rng)
+        got = check_constraints(tasks, memory, dls)
+        want = nested_loop_check_constraints(tasks, memory, dls)
+        assert (got.feasible, got.reason, got.detail) == (
+            want.feasible,
+            want.reason,
+            want.detail,
+        )
+        reasons[want.reason] = reasons.get(want.reason, 0) + 1
+    for reason in (None, "processing-conflict", "downlink-conflict", "capacity"):
+        assert reasons.get(reason, 0) >= 100, reasons
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,22 @@
 import dataclasses
 
-from cosched.problem import check_constraints
+import pytest
+
+from cosched import sim
+from cosched.geometry import SatelliteSpec
+from cosched.intervals import TimeInterval
+from cosched.problem import (
+    MB,
+    ChangeEvent,
+    Downlink,
+    DynamicProblem,
+    Request,
+    Task,
+    build_snapshots,
+    check_constraints,
+)
 from cosched.sim import RunMetrics, TraceRow, run, stability_drops
-from cosched.solvers import SolverConfig
+from cosched.solvers import Solver, SolverConfig, SolverInvariantError
 
 from conftest import make_problem
 
@@ -91,3 +105,61 @@ def test_zero_variants_discard_then_recover(rng):
         drops_inc = stability_drops(run(problem, targets, inc, c).metrics.trace, 2)
         drops_zero = stability_drops(run(problem, targets, zero, c).metrics.trace, 2)
         assert sum(drops_inc) <= sum(drops_zero) + 1e-9
+
+
+def two_agent_problem() -> DynamicProblem:
+    """Agent 1 has 100 MB of memory and downlinks at [100, 150] and
+    [600, 650]; one change event at t=50, before any task starts."""
+    horizon = TimeInterval(0.0, 1000.0)
+    agents = [SatelliteSpec(a, 0, a, 45.0, 100 * MB) for a in (0, 1)]
+    spans = {
+        10: (200.0, 263.0, 60 * MB),  # feasible on its own
+        11: (230.0, 293.0, 10 * MB),  # overlaps task 10
+        12: (620.0, 683.0, 10 * MB),  # overlaps the second downlink
+        13: (300.0, 363.0, 60 * MB),  # 120 MB with task 10 before the second downlink
+    }
+    tasks = {tid: Task(tid, tid, 1, s, e, v) for tid, (s, e, v) in spans.items()}
+    requests = {tid: Request(tid, tid, 0.0, 1000.0) for tid in tasks}
+    downlinks = [Downlink(0, 1, 100.0, 150.0, 500 * MB), Downlink(1, 1, 600.0, 650.0, 500 * MB)]
+    return DynamicProblem(
+        horizon=horizon,
+        agents=agents,
+        requests=requests,
+        tasks=tasks,
+        tasks_by_agent={0: [], 1: sorted(tasks.values(), key=lambda t: t.start)},
+        downlinks_by_agent={0: [], 1: downlinks},
+        snapshots=build_snapshots(set(tasks), [ChangeEvent(50.0, (), ())], horizon),
+    )
+
+
+@pytest.mark.parametrize(
+    "bad_task, message",
+    [
+        (11, "processing-conflict (tasks 10 and 11 overlap)"),
+        (12, "downlink-conflict (task 12 overlaps downlink 1)"),
+        (13, "capacity (120000000 B before downlink 1 exceeds 100000000 B)"),
+    ],
+)
+def test_harness_rejects_solver_that_bypasses_can_insert(monkeypatch, bad_task, message):
+    """A solver that inserts an infeasible task without asking can_insert,
+    at an event after the first, is stopped by the per-event check."""
+
+    class Corrupting(Solver):
+        name = "corrupting"
+
+        def on_event(self, event_index, now, active):
+            schedule = self.ctx.states[1].schedule
+            if event_index == 0:
+                assert schedule.can_insert(self.ctx.problem.tasks[10])
+                schedule.insert(self.ctx.problem.tasks[10])
+            else:
+                bad = self.ctx.problem.tasks[bad_task]
+                assert not schedule.can_insert(bad)
+                schedule.insert(bad)
+
+    monkeypatch.setattr(sim, "make_solver", lambda name, ctx, c: Corrupting(ctx, c))
+    problem = two_agent_problem()
+    problem.validate()
+    with pytest.raises(SolverInvariantError) as err:
+        run(problem, [], "corrupting", cfg())
+    assert str(err.value) == f"agent 1 schedule infeasible after event 1: {message}"
