@@ -251,8 +251,8 @@ def cmd_verify(args) -> int:
         # final schedules feasible
         agents = {a.agent_id: a for a in problem.agents}
         for aid_str, task_ids in record["run"]["final_schedules"].items():
-            aid = int(aid_str)
             try:
+                aid = int(aid_str)
                 if aid not in agents:
                     raise MalformedScheduleError("no such agent in the scenario")
                 verdict = check_constraints(
@@ -260,8 +260,8 @@ def cmd_verify(args) -> int:
                     agents[aid].memory_bytes,
                     problem.downlinks_by_agent.get(aid, []),
                 )
-            except MalformedScheduleError as exc:
-                print(f"{path.name}: agent {aid} malformed schedule: {exc}")
+            except (MalformedScheduleError, ValueError) as exc:
+                print(f"{path.name}: agent {aid_str} malformed schedule: {exc}")
                 ok = False
                 continue
             if not verdict:

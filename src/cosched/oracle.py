@@ -187,14 +187,6 @@ def greedy_priority(inst: CollapsedInstance) -> list[int]:
     )
 
 
-def greedy_bound(inst: CollapsedInstance) -> OracleResult:
-    """Round-1 SWO construction; the centralized greedy baseline."""
-    count, states, _ = _construct(inst, greedy_priority(inst))
-    result = OracleResult(count, False, _schedules(states), rounds=1)
-    verify_schedules(inst, result.schedules)
-    return result
-
-
 def swo(inst: CollapsedInstance, *, rounds: int = 50) -> OracleResult:
     """Squeaky wheel optimization: iterated greedy with priority promotion.
 

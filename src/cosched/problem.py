@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .geometry import SatelliteSpec, Target
 from .intervals import TimeInterval
@@ -103,6 +104,42 @@ class DynamicProblem:
             raise ValueError("first snapshot must start at the horizon start")
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("change times must be strictly increasing")
+
+    # Views derived from the tasks alone: each is built on first use and then
+    # shared, read-only, by every run over this problem.
+
+    @cached_property
+    def tasks_by_start(self) -> dict[int, list[Task]]:
+        """Each agent's tasks in (start, task id) order."""
+        return {
+            aid: sorted(tasks, key=lambda t: (t.start, t.task_id))
+            for aid, tasks in self.tasks_by_agent.items()
+        }
+
+    @cached_property
+    def candidates(self) -> dict[tuple[int, int], list[Task]]:
+        """(agent, request) -> the agent's tasks for the request, by start."""
+        out: dict[tuple[int, int], list[Task]] = {}
+        for aid, tasks in self.tasks_by_start.items():
+            for task in tasks:
+                out.setdefault((aid, task.request_id), []).append(task)
+        return out
+
+    @cached_property
+    def agent_requests(self) -> dict[int, list[int]]:
+        """Agent -> sorted ids of the requests it has tasks for."""
+        out: dict[int, list[int]] = {}
+        for aid, rid in sorted(self.candidates):
+            out.setdefault(aid, []).append(rid)
+        return out
+
+    @cached_property
+    def request_agents(self) -> dict[int, set[int]]:
+        """Request -> agents with at least one task for it."""
+        out: dict[int, set[int]] = {}
+        for aid, rid in self.candidates:
+            out.setdefault(rid, set()).add(aid)
+        return out
 
     @property
     def num_changes(self) -> int:
@@ -279,7 +316,9 @@ def executed_task_ids(
         window = problem.static_window(t)
         active = problem.snapshots[t].active
         for tid in scheduled:
-            task = problem.tasks[tid]
+            task = problem.tasks.get(tid)
+            if task is None:
+                raise ValueError(f"snapshot {t} schedules unknown task {tid}")
             if task.request_id not in active:
                 raise ValueError(
                     f"snapshot {t} schedules task {tid} of inactive request "

@@ -83,30 +83,18 @@ class RunResult:
 
 
 def build_context(problem: DynamicProblem, targets: list[Target]) -> RunContext:
+    # Build the problem's derived views here, as set-up: left to first use,
+    # their one-off cost would land in the first solver step that reads them.
+    problem.tasks_by_start, problem.agent_requests, problem.request_agents
     ops = OpCounter()
     states = {}
     for agent in problem.agents:
         sched = ScheduleState(agent, problem.downlinks_by_agent.get(agent.agent_id, []), ops)
         states[agent.agent_id] = AgentState(agent.agent_id, sched)
-    candidates: dict[tuple[int, int], list] = {}
-    agent_requests: dict[int, list[int]] = {}
-    request_agents: dict[int, set[int]] = {}
-    for aid, tasks in problem.tasks_by_agent.items():
-        for task in sorted(tasks, key=lambda t: (t.start, t.task_id)):
-            candidates.setdefault((aid, task.request_id), []).append(task)
-            request_agents.setdefault(task.request_id, set()).add(aid)
-    for (aid, rid) in sorted(candidates):
-        agent_requests.setdefault(aid, []).append(rid)
-    for lst in agent_requests.values():
-        lst.sort()
     return RunContext(
         problem=problem,
         targets={t.target_id: t for t in targets},
-        satellites=list(problem.agents),
         states=states,
-        candidates=candidates,
-        agent_requests=agent_requests,
-        request_agents=request_agents,
         ledger=MessageLedger(),
         ops=ops,
         now=problem.horizon.start,

@@ -1,4 +1,12 @@
-"""Online solvers: neighborhood stochastic search, DSA variants, greedy, random.
+"""Online solvers: four iterative searches, greedy, random.
+
+The iterative solvers form a 2x2 grid served by one class. One axis is how
+agents are grouped: NSS (neighborhood stochastic search) searches the
+neighborhoods the geometric decomposition ``gnd`` allocates, DSA (the
+distributed stochastic algorithm, the DDCOP baseline) one group of every
+agent and every active request. The other axis is what survives an event:
+the ``d`` variants (dnss, ddsa) repair their schedules incrementally, the
+``0`` variants (0nss, 0dsa) rebuild from the executed and frozen tasks.
 
 All solvers share one event-driven interface: ``on_event`` is invoked once at
 the start of the run and once per problem change, and must leave every
@@ -152,15 +160,11 @@ class AgentState:
 
 @dataclass
 class RunContext:
-    """Everything a solver needs: problem data, per-agent state, accounting."""
+    """One run's state: the problem, per-agent state and accounting."""
 
     problem: DynamicProblem
     targets: dict[int, Target]
-    satellites: list[SatelliteSpec]
     states: dict[int, AgentState]
-    candidates: dict[tuple[int, int], list[Task]]  # (agent, request) -> tasks by start
-    agent_requests: dict[int, list[int]]  # agent -> request ids it has tasks for
-    request_agents: dict[int, set[int]]  # request -> agents with candidates
     ledger: MessageLedger
     ops: OpCounter
     now: float = 0.0
@@ -306,7 +310,7 @@ def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig) -> boo
 
     for a in members:
         st = states[a]
-        mine = [rid for rid in ctx.agent_requests.get(a, []) if rid in group.requests]
+        mine = [rid for rid in ctx.problem.agent_requests.get(a, []) if rid in group.requests]
         st.rng.shuffle(mine)
         ctx.ops.rng_draws += len(mine)
         own_payload = payloads[a]
@@ -317,7 +321,7 @@ def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig) -> boo
             ):
                 st.assigned.add(rid)
                 if not st.schedule.has_request(rid):
-                    schedule_insert(st, rid, ctx.candidates.get((a, rid), []), ctx.now)
+                    schedule_insert(st, rid, ctx.problem.candidates.get((a, rid), []), ctx.now)
             else:
                 st.assigned.discard(rid)
                 if rid in group_executed:
@@ -349,6 +353,18 @@ class Solver:
     def on_event(self, event_index: int, now: float, active: frozenset[int]) -> None:
         raise NotImplementedError
 
+
+class SearchSolver(Solver):
+    """dnss, 0nss, ddsa and 0dsa: the module docstring's 2x2 grid."""
+
+    def __init__(self, ctx: RunContext, cfg: SolverConfig, name: str):
+        super().__init__(ctx, cfg)
+        self.name = name
+        self.incremental = name.startswith("d")
+        self.decompose = name.endswith("nss")
+        for st in ctx.states.values():
+            st.rng = self._agent_rng(st.agent_id)
+
     def _agent_rng(self, agent_id: int) -> random.Random:
         return random.Random(f"solver:{self.cfg.solver_seed}:{agent_id}")
 
@@ -363,65 +379,31 @@ class Solver:
                     st.schedule.remove(task)
             st.assigned = set()
 
-
-class NssSolver(Solver):
-    """Neighborhood stochastic search; incremental repairs or from-scratch."""
-
-    def __init__(self, ctx: RunContext, cfg: SolverConfig, incremental: bool):
-        super().__init__(ctx, cfg)
-        self.incremental = incremental
-        self.name = "dnss" if incremental else "0nss"
-        for st in ctx.states.values():
-            st.rng = self._agent_rng(st.agent_id)
-
     def on_event(self, event_index: int, now: float, active: frozenset[int]) -> None:
         ctx = self.ctx
-        # decomposition: pure local computation, zero messages
-        active_requests = {rid: ctx.problem.requests[rid] for rid in active}
-        candidates = {
-            rid: ctx.request_agents.get(rid, set()) for rid in active
-        }
-        alloc = gnd(
-            active_requests,
-            ctx.targets,
-            ctx.satellites,
-            candidates,
-            n=self.cfg.gnd_n,
-            neighborhood_size=self.cfg.neighborhood_size,
-        )
+        problem = ctx.problem
+        if self.decompose:
+            # decomposition: pure local computation, zero messages
+            alloc = gnd(
+                {rid: problem.requests[rid] for rid in active},
+                ctx.targets,
+                problem.agents,
+                problem.request_agents,
+                n=self.cfg.gnd_n,
+                neighborhood_size=self.cfg.neighborhood_size,
+            )
+            groups = [SearchGroup(nb.agents, frozenset(nb.requests)) for nb in alloc.neighborhoods]
+        else:
+            groups = [SearchGroup(tuple(sorted(ctx.states)), active)]
         if not self.incremental:
             self._clear_mutable_state()
         # iteration 0: state carried into the event, before any repair work
         ctx.record_iteration(0)
-        groups = []
-        for nb in alloc.neighborhoods:
-            allowed = set(nb.requests)
-            for a in nb.agents:
+        for group in groups:
+            allowed = set(group.requests)
+            for a in group.agents:
                 repair(ctx.states[a], allowed, ctx, self._repair_rng(event_index, a))
-            groups.append(SearchGroup(nb.agents, frozenset(nb.requests)))
         synchronous_search(groups, ctx, self.cfg)
-
-
-class DsaSolver(Solver):
-    """Distributed stochastic algorithm over the full agent and request sets."""
-
-    def __init__(self, ctx: RunContext, cfg: SolverConfig, incremental: bool):
-        super().__init__(ctx, cfg)
-        self.incremental = incremental
-        self.name = "ddsa" if incremental else "0dsa"
-        for st in ctx.states.values():
-            st.rng = self._agent_rng(st.agent_id)
-
-    def on_event(self, event_index: int, now: float, active: frozenset[int]) -> None:
-        ctx = self.ctx
-        if not self.incremental:
-            self._clear_mutable_state()
-        ctx.record_iteration(0)
-        allowed = set(active)
-        for a in sorted(ctx.states):
-            repair(ctx.states[a], allowed, ctx, self._repair_rng(event_index, a))
-        group = SearchGroup(tuple(sorted(ctx.states)), frozenset(active))
-        synchronous_search([group], ctx, self.cfg)
 
 
 class GreedySolver(Solver):
@@ -446,12 +428,7 @@ class GreedySolver(Solver):
 
     def _pass_order(self, agent_id: int, active: frozenset[int]) -> list[Task]:
         return [
-            t
-            for t in sorted(
-                self.ctx.problem.tasks_by_agent.get(agent_id, []),
-                key=lambda t: (t.start, t.task_id),
-            )
-            if t.request_id in active
+            t for t in self.ctx.problem.tasks_by_start.get(agent_id, []) if t.request_id in active
         ]
 
 
@@ -475,14 +452,8 @@ class RandomSolver(GreedySolver):
 
 
 def make_solver(name: str, ctx: RunContext, cfg: SolverConfig) -> Solver:
-    if name == "dnss":
-        return NssSolver(ctx, cfg, incremental=True)
-    if name == "0nss":
-        return NssSolver(ctx, cfg, incremental=False)
-    if name == "ddsa":
-        return DsaSolver(ctx, cfg, incremental=True)
-    if name == "0dsa":
-        return DsaSolver(ctx, cfg, incremental=False)
+    if name in ("dnss", "0nss", "ddsa", "0dsa"):
+        return SearchSolver(ctx, cfg, name)
     if name == "greedy":
         return GreedySolver(ctx, cfg)
     if name == "random":

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from cosched.decomposition import gnd, partition_agents
-from cosched.oracle import branch_and_bound, collapse, greedy_bound, run_oracle, swo
+from cosched.oracle import branch_and_bound, collapse, run_oracle, swo
 from cosched.problem import check_constraints, dynamic_utility, executed_task_ids, static_utility
 from cosched.scenarios import generate_scenario, preset
 from cosched.sim import run, stability_drops
@@ -325,7 +325,7 @@ def test_09_oracle_sandwich(tiny_scenarios):
     enumerated = 0
     for sc in tiny_scenarios:
         inst = collapse(sc.problem)
-        g, s, b = greedy_bound(inst), swo(inst), branch_and_bound(inst)
+        g, s, b = swo(inst, rounds=1), swo(inst), branch_and_bound(inst)
         assert b.proven_optimal
         assert g.satisfied <= s.satisfied <= b.satisfied, sc.label
         cfg = sc.config.solver_config()

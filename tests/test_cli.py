@@ -219,14 +219,20 @@ def _unknown_agent(record):
     return aid, "no such agent in the scenario"
 
 
+def _non_integer_agent(record):
+    record["run"]["final_schedules"]["x"] = []
+    return "x", "invalid literal for int() with base 10: 'x'"
+
+
 @pytest.mark.parametrize(
     "tamper",
-    [_repeat_task_id, _unknown_task_id, _other_agents_task_id, _unknown_agent],
-    ids=["repeated-task-id", "unknown-task-id", "other-agents-task-id", "unknown-agent"],
+    [_repeat_task_id, _unknown_task_id, _other_agents_task_id, _unknown_agent, _non_integer_agent],
+    ids=["repeated-task-id", "unknown-task-id", "other-agents-task-id", "unknown-agent",
+         "non-integer-agent"],
 )
 def test_verify_reports_malformed_schedule(contended_runs, tmp_path, capsys, tamper):
-    """A final schedule that repeats, invents or borrows a task id, or belongs
-    to no agent of the scenario, is a failed record, not a crash."""
+    """A final schedule that repeats, invents or borrows a task id, or is
+    keyed by no agent of the scenario, is a failed record, not a crash."""
     runs = tmp_path / "results"
     shutil.copytree(contended_runs, runs)
     path = runs / "tiny-000_dnss.json"
@@ -239,5 +245,24 @@ def test_verify_reports_malformed_schedule(contended_runs, tmp_path, capsys, tam
     assert captured.out.splitlines() == [
         f"tiny-000_dnss.json: agent {aid} malformed schedule: {detail}",
         "tiny-000_greedy.json: ok",
+    ]
+    assert captured.err == "1 run(s) failed verification\n"
+
+
+def test_verify_reports_snapshot_with_unknown_task_id(contended_runs, tmp_path, capsys):
+    """A snapshot naming a task the scenario lacks is a failed record, not a crash."""
+    runs = tmp_path / "results"
+    shutil.copytree(contended_runs, runs)
+    path = runs / "tiny-000_greedy.json"
+    record = json.loads(path.read_text())
+    tid = max(load_scenario(record["scenario_file"]).problem.tasks) + 1
+    record["run"]["snapshots"][0].append(tid)
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["verify", "--runs", str(runs)]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "tiny-000_dnss.json: ok",
+        f"tiny-000_greedy.json: snapshot consistency violated: snapshot 0 schedules unknown task {tid}",
     ]
     assert captured.err == "1 run(s) failed verification\n"

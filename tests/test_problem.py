@@ -304,6 +304,47 @@ def test_inactive_request_in_snapshot_rejected(rng):
     pytest.skip("every request active in every snapshot")
 
 
+
+def reference_views(problem):
+    """The derived views as each run used to build them for itself."""
+    by_start: dict[int, list] = {}
+    candidates: dict[tuple[int, int], list] = {}
+    agent_requests: dict[int, list[int]] = {}
+    request_agents: dict[int, set[int]] = {}
+    for aid, tasks in problem.tasks_by_agent.items():
+        by_start[aid] = sorted(tasks, key=lambda t: (t.start, t.task_id))
+        for task in by_start[aid]:
+            candidates.setdefault((aid, task.request_id), []).append(task)
+            request_agents.setdefault(task.request_id, set()).add(aid)
+    for (aid, rid) in sorted(candidates):
+        agent_requests.setdefault(aid, []).append(rid)
+    for lst in agent_requests.values():
+        lst.sort()
+    return by_start, candidates, agent_requests, request_agents
+
+
+@pytest.mark.parametrize(
+    "seed, kw",
+    [
+        (0, dict()),
+        (1, dict(n_agents=6, n_requests=20, n_events=4)),
+        (2, dict(n_agents=1, n_requests=8, n_events=0)),
+        (3, dict(n_agents=8, n_requests=2, n_events=1)),
+    ],
+    ids=["default", "six-agents", "one-agent", "agent-without-tasks"],
+)
+def test_derived_views_match_per_run_construction(seed, kw):
+    problem, _ = make_problem(random.Random(seed), **kw)
+    if seed == 3:
+        assert any(not tasks for tasks in problem.tasks_by_agent.values())
+    by_start, candidates, agent_requests, request_agents = reference_views(problem)
+    assert problem.tasks_by_start == by_start
+    assert problem.candidates == candidates
+    assert problem.agent_requests == agent_requests
+    assert problem.request_agents == request_agents
+    # built once, then shared
+    assert problem.candidates is problem.candidates
+
 def replay_utility(trace, problem):
     """Independent evaluator: walk the timeline and apply the utility
     definition literally — a request counts iff one of its tasks was

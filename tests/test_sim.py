@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import json
+import random
 
 import pytest
 
@@ -16,7 +19,7 @@ from cosched.problem import (
     check_constraints,
 )
 from cosched.sim import RunMetrics, TraceRow, run, stability_drops
-from cosched.solvers import Solver, SolverConfig, SolverInvariantError
+from cosched.solvers import SOLVER_NAMES, Solver, SolverConfig, SolverInvariantError
 
 from conftest import make_problem
 
@@ -33,6 +36,55 @@ def test_runs_are_bit_identical(rng):
         a = run(problem, targets, name, cfg()).to_record()
         b = run(problem, targets, name, cfg()).to_record()
         assert a == b
+
+
+# Record digests pinned for three seeded instances: the SHA-256 of each run
+# record serialised with sorted keys. The instances use no geometry and only
+# pure-Python floats, so the digests hold on every platform; a refactor that
+# moves any of them changed solver behaviour.
+PINNED_INSTANCES = [
+    (1, dict(n_agents=5, n_requests=14, n_events=3), dict(neighborhood_size=2, max_iters=10)),
+    (2, dict(n_agents=3, n_requests=10, n_events=2), dict()),
+    (3, dict(n_agents=6, n_requests=18, n_events=4, memory_bytes=90 * MB), dict(neighborhood_size=3)),
+]
+PINNED_DIGESTS = {
+    1: {
+        "random": "b4709ca3545b9a15057d4cfde44ace0f85b9003c306ba82672c765e12d3d9d5b",
+        "greedy": "660113f7746443d4be816b35f6c2aa31275180e5fe5d2131b48d1a6ab9d85ade",
+        "dnss": "1e4c4fbccb88994ac625eae9d633f640a2a45043b62d325b820c5a8373e30343",
+        "0nss": "dacd5ba49f32fb0fb8f7d71f756062eb492cdc0678e21f11d071503d404a432f",
+        "ddsa": "3d00fb3385f1d3ed6d72dbbf85693872f95e7311acc1fb077396ce40d6a4cd4c",
+        "0dsa": "278302b69fcb63a4bc816c962ba71ba0fd801eb22493cbef74e642925a53f56b",
+    },
+    2: {
+        "random": "78a6ba9e0e59deccd3d290edaa8bb11958da8adf48a58e9932ba9e404aaa0b00",
+        "greedy": "59d7a51b94fbc91df3d688e23895532820c994042cbcd4ac2e36b0c7125eaf21",
+        "dnss": "a16172d525a6e4026cf64d76cdd470beebb2519ef0ad4387d25524b8f3b0da5a",
+        "0nss": "d95a6681526e43fed84a5322b2216ba5a8d0dd82b528fb4a76ffe09c3d21ec08",
+        "ddsa": "a5512c4dc1de3dbdc5aef7fb778a92acab07dd4a23b5343b0074ed2c490f6761",
+        "0dsa": "261010469a9c3595ea4496ef75272759476791042d8473cfdff7b7240c8a1a29",
+    },
+    3: {
+        "random": "d5f9e8bfa5493a1018dc94c17f330b5361909fe355d14ad10d06de963c6f385d",
+        "greedy": "67c811d5e4e2d2ce7a103e11cb0db71404abf29e27e451ba89492e9f96336b93",
+        "dnss": "67b038412d9bca1ee8a5810a31fb0ed19c9c404c40db6bf3c13d8b36dd60e172",
+        "0nss": "578e92957fd3272d112f440986b850c49aa3863bd526124ee70b7ff0e8506e39",
+        "ddsa": "9aaf4885d5099e322c964475530f5c89dac3cfafbe5f2f6322c7ab6e94664782",
+        "0dsa": "1b5395e2e0b3203e5a4a1d13c1cd289c69f90d739d6f8224a48dd4fb1bee8f72",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "seed, problem_kw, cfg_kw", PINNED_INSTANCES, ids=[f"seed{i[0]}" for i in PINNED_INSTANCES]
+)
+def test_run_records_match_pinned_digests(seed, problem_kw, cfg_kw):
+    problem, targets = make_problem(random.Random(seed), **problem_kw)
+    digests = {}
+    for name in SOLVER_NAMES:
+        record = run(problem, targets, name, SolverConfig(**cfg_kw)).to_record()
+        digests[name] = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+    assert digests == PINNED_DIGESTS[seed]
 
 
 def test_wall_time_excluded_from_records(rng):

@@ -5,14 +5,20 @@ import pytest
 
 from cosched.accounting import message_bytes
 from cosched.geometry import SatelliteSpec
-from cosched.problem import MB, Downlink, Task, check_constraints
+from cosched.intervals import TimeInterval
+from cosched.problem import (
+    MB,
+    Downlink,
+    DynamicProblem,
+    Request,
+    Task,
+    build_snapshots,
+    check_constraints,
+)
 from cosched.sim import build_context, run
 from cosched import solvers
-from cosched.accounting import MessageLedger, OpCounter
 from cosched.solvers import (
     SOLVER_NAMES,
-    AgentState,
-    RunContext,
     ScheduleState,
     SearchGroup,
     SolverConfig,
@@ -280,30 +286,36 @@ def test_message_count_matches_group_size_formula(rng):
 
 
 def search_context(holdings, executed=None, now=0.0):
-    """A search context over hand-placed tasks, without a problem behind it.
+    """A search context over a small problem built from hand-placed tasks.
 
     ``holdings`` maps agent -> (scheduled tasks, other candidate tasks); an
     agent is assigned exactly the requests it holds, as after a repair.
+    Every request is active over the whole horizon.
     """
-    ops = OpCounter()
-    states, candidates, agent_requests = {}, {}, {}
-    for a, (held, others) in holdings.items():
-        spec = SatelliteSpec(a, 0, a, 45.0, 1000 * MB)
-        st = AgentState(a, ScheduleState(spec, [], ops), rng=random.Random(f"stop:{a}"))
+    horizon = TimeInterval(0.0, 1000.0)
+    tasks = {t.task_id: t for held, others in holdings.values() for t in held + others}
+    requests = {t.request_id: Request(t.request_id, t.request_id, 0.0, 1000.0) for t in tasks.values()}
+    problem = DynamicProblem(
+        horizon=horizon,
+        agents=[SatelliteSpec(a, 0, a, 45.0, 1000 * MB) for a in holdings],
+        requests=requests,
+        tasks=tasks,
+        tasks_by_agent={a: held + others for a, (held, others) in holdings.items()},
+        downlinks_by_agent={a: [] for a in holdings},
+        snapshots=build_snapshots(set(requests), [], horizon),
+    )
+    problem.validate()
+    ctx = build_context(problem, [])
+    ctx.now = now
+    for a, (held, _) in holdings.items():
+        st = ctx.states[a]
+        st.rng = random.Random(f"stop:{a}")
         for t in held:
             st.schedule.insert(t)
         st.assigned = set(st.schedule.by_request)
         st.executed = set((executed or {}).get(a, ()))
         st.known_executed = set(st.executed)
-        states[a] = st
-        for t in sorted(held + others, key=lambda t: (t.start, t.task_id)):
-            candidates.setdefault((a, t.request_id), []).append(t)
-        agent_requests[a] = sorted({rid for (b, rid) in candidates if b == a})
-    return RunContext(
-        problem=None, targets={}, satellites=[], states=states, candidates=candidates,
-        agent_requests=agent_requests, request_agents={}, ledger=MessageLedger(), ops=ops,
-        now=now,
-    )
+    return ctx
 
 
 def scheduled_sets(ctx):
