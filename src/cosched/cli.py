@@ -39,22 +39,12 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_ORACLE_BUDGET = 4
 
-TABLE_ORDER = ("random", "greedy", "dnss", "0nss", "ddsa", "0dsa")
+OVERRIDE_FIELDS = ("target_count", "horizon_s", "volatility", "periodicity", "oracle")
 
 
-def _load_config(args) -> ScenarioConfig:
-    if args.config:
-        data = json.loads(Path(args.config).read_text())
-        cfg = ScenarioConfig.from_dict(data)
-    elif args.preset:
-        cfg = preset(args.preset)
-    else:
-        raise ConfigError("either --preset or --config is required")
-    overrides = {}
-    for field in ("target_count", "horizon_s", "volatility", "periodicity", "oracle"):
-        value = getattr(args, field)
-        if value is not None:
-            overrides[field] = value
+def _with_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
+    """Apply the command-line overrides this command was given, then validate."""
+    overrides = {f: getattr(args, f) for f in OVERRIDE_FIELDS if getattr(args, f, None) is not None}
     if args.solvers:
         overrides["solvers"] = args.solvers.split(",")
     cfg = replace(cfg, **overrides)
@@ -63,7 +53,13 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def cmd_generate(args) -> int:
-    cfg = _load_config(args)
+    if args.config:
+        cfg = ScenarioConfig.from_dict(json.loads(Path(args.config).read_text()))
+    elif args.preset:
+        cfg = preset(args.preset)
+    else:
+        raise ConfigError("either --preset or --config is required")
+    cfg = _with_overrides(cfg, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
@@ -94,40 +90,26 @@ def cmd_bench(args) -> int:
     if not paths:
         print(f"no scenario files in {args.scenarios}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.solvers:
-        for name in args.solvers.split(","):
-            if name not in SOLVER_NAMES:
-                raise ConfigError(f"solvers: unknown solver {name!r}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     budget_hit = False
     for path in paths:
         sc = load_scenario(path)
-        cfg = sc.config
-        if args.solvers:
-            solvers = args.solvers.split(",")
-        else:
-            solvers = cfg.solvers
-        oracle_mode = args.oracle or cfg.oracle
+        cfg = _with_overrides(sc.config, args)
+        out.mkdir(parents=True, exist_ok=True)
         solver_cfg = cfg.solver_config()
         if args.fixed_iterations:
             solver_cfg.run_all_iterations = True
 
         oracle_res = None
-        if oracle_mode != "none":
-            oracle_res = run_oracle(
-                sc.problem,
-                oracle_mode,
-                node_budget=cfg.oracle_node_budget,
-                time_budget_s=cfg.oracle_time_budget_s,
-            )
-            if oracle_mode == "bnb" and not oracle_res.proven_optimal:
+        if cfg.oracle != "none":
+            oracle_res = run_oracle(sc.problem, cfg.oracle)
+            if cfg.oracle == "bnb" and not oracle_res.proven_optimal:
                 budget_hit = True
             oracle_rec = {
                 "scenario": sc.label,
-                "mode": oracle_mode,
+                "mode": cfg.oracle,
                 "satisfied": oracle_res.satisfied,
                 "satisfaction_pct": oracle_res.satisfaction_pct(len(sc.problem.ever_active)),
                 "proven_optimal": oracle_res.proven_optimal,
@@ -138,7 +120,7 @@ def cmd_bench(args) -> int:
                 json.dumps(oracle_rec, indent=1, sort_keys=True) + "\n"
             )
 
-        for name in solvers:
+        for name in cfg.solvers:
             try:
                 result = run(sc.problem, sc.targets, name, solver_cfg)
             except SolverInvariantError as exc:
@@ -178,7 +160,7 @@ def _format_table(rows: list[dict]) -> str:
     lines = [
         f"{'Algorithm':<10} {'Opt. Gap (%)':>14} {'Time (ms)':>12} {'Messages (KB)':>15}  Reference"
     ]
-    for name in TABLE_ORDER:
+    for name in SOLVER_NAMES:
         if name not in by_solver:
             continue
         rs = by_solver[name]
@@ -196,7 +178,8 @@ def cmd_replay(args) -> int:
     record = json.loads(Path(args.run).read_text())
     try:
         solver_cfg = SolverConfig(**record["solver_config"])
-    except TypeError as exc:
+        solver_cfg.validate()
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver_config: {exc}") from None
     sc = load_scenario(record["scenario_file"])
     result = run(sc.problem, sc.targets, record["solver"], solver_cfg)
@@ -211,6 +194,8 @@ def cmd_replay(args) -> int:
 def _agent_tasks(problem: DynamicProblem, aid: int, task_ids: list[int]) -> list[Task]:
     """The recorded task ids of one agent's schedule, resolved against the
     scenario; an id the scenario lacks or gives to another agent is malformed."""
+    if not isinstance(task_ids, list):
+        raise MalformedScheduleError(f"expected a list of task ids, got {task_ids!r}")
     tasks = []
     for tid in task_ids:
         task = problem.tasks.get(tid)
@@ -238,9 +223,12 @@ def cmd_verify(args) -> int:
         problem = sc.problem
         ok = True
         # schedule trace re-scores to the recorded utility
-        snapshots = [set(s) for s in record["run"]["snapshots"]]
         try:
-            satisfied = dynamic_utility(snapshots, problem)
+            snapshots = record["run"]["snapshots"]
+            for i, snap in enumerate(snapshots):
+                if not isinstance(snap, list):
+                    raise ValueError(f"snapshot {i} is not a list of task ids: {snap!r}")
+            satisfied = dynamic_utility([set(s) for s in snapshots], problem)
         except ValueError as exc:
             print(f"{path.name}: snapshot consistency violated: {exc}")
             ok = False

@@ -15,9 +15,9 @@ Access windows (targets) and downlink passes (stations) come from one path.
 A ground point is visible when it lies inside an off-nadir cone and at or
 above a minimum elevation; targets use the satellite's sensor cone and the
 horizon, stations a 180° cone and their antenna mask. Per satellite, each
-point is scanned on a ``step_s`` time grid, and then every rising and falling
-edge of every point is bisected in lockstep, one propagation per halving,
-until each bracket is at most 1 s wide.
+point is scanned on a ``SCAN_STEP_S`` time grid, and then every rising and
+falling edge of every point is bisected in lockstep, one propagation per
+halving, until each bracket is at most 1 s wide.
 
 The scan evaluates ``visible`` only where it can pass. A point is visible
 only while the Earth-central angle λ between it and the satellite is at most
@@ -43,6 +43,7 @@ from .intervals import TimeInterval
 EARTH_RADIUS_KM = 6378.137
 MU_KM3_S2 = 398600.4418
 EARTH_ROT_RAD_S = 7.2921159e-5
+SCAN_STEP_S = 10.0  # visibility scan grid spacing before edge refinement
 
 
 @dataclass(frozen=True)
@@ -226,12 +227,10 @@ def visible(
     return within & (_elevation_deg(sat_pos, point_ecef, up) >= min_elevation_deg)
 
 
-def time_grid(horizon: TimeInterval, step_s: float) -> np.ndarray:
+def time_grid(horizon: TimeInterval) -> np.ndarray:
     """Scan grid covering the horizon; last sample pinned to the horizon end."""
-    if step_s <= 0:
-        raise ValueError("step must be positive")
-    n = int(math.ceil(horizon.duration / step_s))
-    times = horizon.start + step_s * np.arange(n + 1, dtype=float)
+    n = int(math.ceil(horizon.duration / SCAN_STEP_S))
+    times = horizon.start + SCAN_STEP_S * np.arange(n + 1, dtype=float)
     times[-1] = horizon.end
     return times
 
@@ -318,12 +317,11 @@ def batch_access_windows(
     constellation: Constellation,
     targets: list[Target],
     horizon: TimeInterval,
-    step_s: float = 10.0,
     epoch_offset_s: float = 0.0,
 ) -> dict[tuple[int, int], list[TimeInterval]]:
     """Maximal intervals during which each target lies inside each satellite's
     sensor cone and above its horizon."""
-    times = time_grid(horizon, step_s)
+    times = time_grid(horizon)
     ecef, up = _ground((t.latitude_deg, t.longitude_deg) for t in targets)
     min_el = np.zeros(len(targets))
     out: dict[tuple[int, int], list[TimeInterval]] = {}
@@ -340,7 +338,6 @@ def batch_downlink_windows(
     constellation: Constellation,
     stations: list[GroundStation],
     horizon: TimeInterval,
-    step_s: float = 10.0,
     epoch_offset_s: float = 0.0,
 ) -> dict[int, list[tuple[TimeInterval, float]]]:
     """Merged, time-sorted station passes per satellite, each with its
@@ -349,7 +346,7 @@ def batch_downlink_windows(
     A station antenna is not a sensor cone: its 180° cone admits every
     direction, so only the minimum elevation applies.
     """
-    times = time_grid(horizon, step_s)
+    times = time_grid(horizon)
     ecef, up = _ground((s.latitude_deg, s.longitude_deg) for s in stations)
     points = (ecef, up, np.full(len(stations), 180.0), np.array([s.min_elevation_deg for s in stations]))
     out: dict[int, list[tuple[TimeInterval, float]]] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import SatelliteSpec
 from .problem import Downlink, DynamicProblem, Task, check_constraints
@@ -219,16 +219,10 @@ def swo(inst: CollapsedInstance, *, rounds: int = 50) -> OracleResult:
     return result
 
 
-def run_oracle(
-    problem: DynamicProblem,
-    mode: str,
-    *,
-    node_budget: int = 2_000_000,
-    time_budget_s: float = 120.0,
-) -> OracleResult:
+def run_oracle(problem: DynamicProblem, mode: str) -> OracleResult:
     inst = collapse(problem)
     if mode == "bnb":
-        return branch_and_bound(inst, node_budget=node_budget, time_budget_s=time_budget_s)
+        return branch_and_bound(inst)
     if mode == "swo":
         return swo(inst)
     raise ValueError(f"unknown oracle mode {mode!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .geometry import SatelliteSpec, Target

@@ -9,19 +9,17 @@ a scenario replays byte-identically anywhere.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import geometry
-from .geometry import Constellation, OrbitalPlane, SatelliteSpec, Target
+from .geometry import Constellation, OrbitalPlane, Target
 from .intervals import TimeInterval
 from .problem import (
     ChangeEvent,
     Downlink,
     DynamicProblem,
-    GenerationError,
     Request,
     build_snapshots,
     generate_campaign,
@@ -30,7 +28,7 @@ from .problem import (
 )
 from .solvers import SOLVER_NAMES, SolverConfig
 
-SCENARIO_FORMAT_VERSION = 2
+SCENARIO_FORMAT_VERSION = 3
 DAY_S = 86400.0
 PLANE_FIELDS = ("inclination_deg", "altitude_km", "raan_deg", "count")
 
@@ -51,22 +49,10 @@ class ScenarioConfig:
     horizon_s: float = DAY_S
     periodicity: str = "uniform-5-12"  # fixed-3 | uniform-5-12 | fixed-<k>
     volatility: str = "uniform-3-5"  # uniform-3-5 | fixed-<k>
-    scan_step_s: float = 10.0
-    # seeds: all entropy is explicit
-    scenario_seed: int = 2005
-    repair_seed: int = 1
-    solver_seed: int = 1234
-    random_solver_seed: int = 2023
-    # solver hyperparameters
-    p_u: float = 0.7
-    max_iters: int = 20
-    gnd_n: int = 2
-    neighborhood_size: int = 10
-    run_all_iterations: bool = False
+    scenario_seed: int = 2005  # all entropy is explicit; solver seeds live in ``solver``
+    solver: SolverConfig = field(default_factory=SolverConfig)
     solvers: list[str] = field(default_factory=lambda: list(SOLVER_NAMES))
     oracle: str = "bnb"  # bnb | swo | none
-    oracle_node_budget: int = 2_000_000
-    oracle_time_budget_s: float = 120.0
 
     def validate(self) -> None:
         if self.constellation not in ("planet", "walker", "custom"):
@@ -90,16 +76,10 @@ class ScenarioConfig:
             raise ConfigError(f"target_count: must be >= 1, got {self.target_count}")
         if self.horizon_s <= 0:
             raise ConfigError(f"horizon_s: must be positive, got {self.horizon_s}")
-        if self.scan_step_s <= 0:
-            raise ConfigError(f"scan_step_s: must be positive, got {self.scan_step_s}")
-        if not 0.0 <= self.p_u <= 1.0:
-            raise ConfigError(f"p_u: must lie in [0, 1], got {self.p_u}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters: must be >= 1, got {self.max_iters}")
-        if self.gnd_n < 1:
-            raise ConfigError(f"gnd_n: must be >= 1, got {self.gnd_n}")
-        if self.neighborhood_size < 1:
-            raise ConfigError(f"neighborhood_size: must be >= 1, got {self.neighborhood_size}")
+        try:
+            self.solver.validate()
+        except ValueError as exc:
+            raise ConfigError(f"solver.{exc}") from None
         self._periodicity_range()
         self._volatility_range()
         for s in self.solvers:
@@ -115,27 +95,26 @@ class ScenarioConfig:
         return _parse_range("volatility", self.volatility)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            p_u=self.p_u,
-            max_iters=self.max_iters,
-            solver_seed=self.solver_seed,
-            repair_seed=self.repair_seed,
-            random_solver_seed=self.random_solver_seed,
-            gnd_n=self.gnd_n,
-            neighborhood_size=self.neighborhood_size,
-            run_all_iterations=self.run_all_iterations,
-        )
+        """A fresh copy of the solver settings, safe for the caller to edit."""
+        return replace(self.solver)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        fields = {f: data[f] for f in data}
-        known = set(cls.__dataclass_fields__)
-        unknown = set(fields) - known
+        fields = dict(data)
+        unknown = set(fields) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        if "solver" in fields:
+            solver = fields["solver"]
+            if not isinstance(solver, dict):
+                raise ConfigError(f"solver: expected an object, got {solver!r}")
+            try:
+                fields["solver"] = SolverConfig(**solver)
+            except TypeError as exc:
+                raise ConfigError(f"solver: {exc}") from None
         cfg = cls(**fields)
         cfg.validate()
         return cfg
@@ -173,7 +152,7 @@ PRESETS: dict[str, ScenarioConfig] = {
         target_count=10,
         periodicity="fixed-3",
         volatility="uniform-3-5",
-        neighborhood_size=4,
+        solver=SolverConfig(neighborhood_size=4),
         oracle="bnb",
     ),
     "small-planet": ScenarioConfig(
@@ -237,18 +216,32 @@ def sample_targets(config: ScenarioConfig, seed: int) -> list[Target]:
 
 
 def load_targets(path: str) -> list[Target]:
-    """CSV with header id,lat,lon (or lat,lon with implicit ids)."""
-    targets = []
+    """CSV with header id,lat,lon, or lat,lon with ids numbered by data row
+    from 0. Every data row has the first row's field count; a malformed row,
+    a repeated id or an out-of-range latitude is a ConfigError naming its line.
+    """
+    targets: list[Target] = []
+    ids: set[int] = set()
+    width = None
     with open(path) as fh:
-        for i, line in enumerate(fh):
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.lower().startswith(("id", "lat", "#")):
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if len(parts) == 3:
-                targets.append(Target(int(parts[0]), float(parts[1]), float(parts[2])))
-            else:
-                targets.append(Target(i, float(parts[0]), float(parts[1])))
+            where = f"targets_path: {path} line {lineno}"
+            if len(parts) not in (2, 3) or len(parts) != (width or len(parts)):
+                raise ConfigError(f"{where}: expected {width or '2 or 3'} fields, got {len(parts)}")
+            width = len(parts)
+            try:
+                tid = int(parts[0]) if width == 3 else len(targets)
+                target = Target(tid, float(parts[-2]), float(parts[-1]))
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            if tid in ids:
+                raise ConfigError(f"{where}: duplicate target id {tid}")
+            ids.add(tid)
+            targets.append(target)
     if not targets:
         raise ConfigError(f"targets_path: no targets found in {path}")
     return targets
@@ -295,7 +288,7 @@ def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
         campaign, volatility, horizon, random.Random(f"dynamics:{seed}")
     )
     problem = _assemble_problem(
-        constellation, targets, campaign, initial, events, horizon, epoch_offset, seed, config
+        constellation, targets, campaign, initial, events, horizon, epoch_offset, seed
     )
     problem.validate()
     return Scenario(
@@ -319,14 +312,11 @@ def _assemble_problem(
     horizon: TimeInterval,
     epoch_offset: float,
     seed: int,
-    config: ScenarioConfig,
 ) -> DynamicProblem:
     sats = constellation.satellites()
-    access = geometry.batch_access_windows(
-        constellation, targets, horizon, config.scan_step_s, epoch_offset
-    )
+    access = geometry.batch_access_windows(constellation, targets, horizon, epoch_offset)
     passes = geometry.batch_downlink_windows(
-        constellation, list(geometry.DEFAULT_STATIONS), horizon, config.scan_step_s, epoch_offset
+        constellation, list(geometry.DEFAULT_STATIONS), horizon, epoch_offset
     )
 
     downlinks_by_agent: dict[int, list[Downlink]] = {}

@@ -125,9 +125,9 @@ def _capture_snapshot(ctx: RunContext, active: frozenset[int]) -> set[int]:
     return out
 
 
-def _satisfied_now(ctx: RunContext, ever_active: frozenset[int]) -> int:
+def _satisfied_now(states: dict[int, AgentState], ever_active: frozenset[int]) -> int:
     done: set[int] = set()
-    for st in ctx.states.values():
+    for st in states.values():
         done |= st.executed
         done |= set(st.schedule.by_request)
     return len(done & ever_active)
@@ -146,13 +146,14 @@ def run(
     total = len(ever_active)
 
     trace: list[TraceRow] = []
+    # the hook must not hold ctx: ctx holds the hook, and that cycle would
+    # leave every finished run's state to the cyclic garbage collector
+    states, ledger, ops = ctx.states, ctx.ledger, ctx.ops
 
     def hook(event_index: int, iteration: int) -> None:
-        sat = _satisfied_now(ctx, ever_active)
+        sat = _satisfied_now(states, ever_active)
         pct = 100.0 * sat / total if total else 100.0
-        trace.append(
-            TraceRow(event_index, iteration, sat, pct, ctx.ledger.bytes_total, ctx.ops.total)
-        )
+        trace.append(TraceRow(event_index, iteration, sat, pct, ledger.bytes_total, ops.total))
 
     ctx.iteration_hook = hook
     solver: Solver = make_solver(solver_name, ctx, cfg)

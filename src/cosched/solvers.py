@@ -49,6 +49,15 @@ class SolverConfig:
     neighborhood_size: int = 10
     run_all_iterations: bool = False  # run all max_iters rounds, never stop early
 
+    def validate(self) -> None:
+        """Raise ValueError naming the first setting out of range."""
+        if not 0.0 <= self.p_u <= 1.0:
+            raise ValueError(f"p_u: must lie in [0, 1], got {self.p_u}")
+        for name in ("max_iters", "gnd_n", "neighborhood_size"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name}: must be >= 1, got {value}")
+
 
 class ScheduleState:
     """One agent's committed schedule with incremental feasibility checks.

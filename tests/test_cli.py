@@ -108,8 +108,14 @@ def test_bad_solver_list_is_config_error(workspace, tmp_path):
          "custom_planes[0]"),
         ({"memory_bytes": 0}, "memory_bytes"),
         ({"constellation": "walker", "max_off_nadir_deg": 0.0}, "max_off_nadir_deg"),
+        # solver settings live only in the nested block, which is checked too
+        ({"p_u": 0.5}, "unknown config fields: ['p_u']"),
+        ({"solver": {"p_u": 2}}, "solver.p_u: must lie in [0, 1], got 2"),
+        ({"solver": {"max_iter": 3}}, "max_iter"),
+        ({"solver": 3}, "solver: expected an object"),
     ],
-    ids=["plane-without-count", "zero-memory", "zero-off-nadir"],
+    ids=["plane-without-count", "zero-memory", "zero-off-nadir", "flat-solver-field",
+         "solver-p_u-out-of-range", "unknown-solver-key", "solver-not-an-object"],
 )
 def test_malformed_config_file_is_config_error(tmp_path, capsys, changes, field):
     data = preset("tiny").to_dict()
@@ -129,6 +135,20 @@ def test_replay_rejects_unknown_solver_config_key(workspace, tmp_path, key):
     path = tmp_path / "tiny-000_dnss.json"
     path.write_text(json.dumps(record))
     assert main(["replay", "--run", str(path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "key, value", [("p_u", 1.5), ("max_iters", 0), ("gnd_n", 0), ("neighborhood_size", 0)]
+)
+def test_replay_rejects_out_of_range_solver_setting(workspace, tmp_path, capsys, key, value):
+    _, out = workspace
+    record = json.loads((out / "tiny-000_dnss.json").read_text())
+    record["solver_config"][key] = value
+    path = tmp_path / "tiny-000_dnss.json"
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["replay", "--run", str(path)]) == EXIT_CONFIG
+    assert f"solver_config: {key}: " in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -224,15 +244,22 @@ def _non_integer_agent(record):
     return "x", "invalid literal for int() with base 10: 'x'"
 
 
+def _non_list_schedule(record):
+    record["run"]["final_schedules"]["0"] = 5
+    return "0", "expected a list of task ids, got 5"
+
+
 @pytest.mark.parametrize(
     "tamper",
-    [_repeat_task_id, _unknown_task_id, _other_agents_task_id, _unknown_agent, _non_integer_agent],
+    [_repeat_task_id, _unknown_task_id, _other_agents_task_id, _unknown_agent, _non_integer_agent,
+     _non_list_schedule],
     ids=["repeated-task-id", "unknown-task-id", "other-agents-task-id", "unknown-agent",
-         "non-integer-agent"],
+         "non-integer-agent", "schedule-not-a-list"],
 )
 def test_verify_reports_malformed_schedule(contended_runs, tmp_path, capsys, tamper):
-    """A final schedule that repeats, invents or borrows a task id, or is
-    keyed by no agent of the scenario, is a failed record, not a crash."""
+    """A final schedule that repeats, invents or borrows a task id, is keyed
+    by no agent of the scenario, or is not a list, is a failed record, not a
+    crash."""
     runs = tmp_path / "results"
     shutil.copytree(contended_runs, runs)
     path = runs / "tiny-000_dnss.json"
@@ -264,5 +291,23 @@ def test_verify_reports_snapshot_with_unknown_task_id(contended_runs, tmp_path, 
     assert captured.out.splitlines() == [
         "tiny-000_dnss.json: ok",
         f"tiny-000_greedy.json: snapshot consistency violated: snapshot 0 schedules unknown task {tid}",
+    ]
+    assert captured.err == "1 run(s) failed verification\n"
+
+
+def test_verify_reports_snapshot_that_is_not_a_list(contended_runs, tmp_path, capsys):
+    """A snapshot that is not a list of task ids is a failed record, not a crash."""
+    runs = tmp_path / "results"
+    shutil.copytree(contended_runs, runs)
+    path = runs / "tiny-000_greedy.json"
+    record = json.loads(path.read_text())
+    record["run"]["snapshots"][0] = 7
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["verify", "--runs", str(runs)]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "tiny-000_dnss.json: ok",
+        "tiny-000_greedy.json: snapshot consistency violated: snapshot 0 is not a list of task ids: 7",
     ]
     assert captured.err == "1 run(s) failed verification\n"

@@ -10,6 +10,7 @@ from cosched.geometry import (
     Constellation,
     GroundStation,
     OrbitalPlane,
+    SCAN_STEP_S,
     Target,
     batch_access_windows,
     batch_downlink_windows,
@@ -161,8 +162,8 @@ def test_batch_windows_match_dense_sampling_per_pair():
     targets.append(Target(100, *subpoint(plane0, 0, horizon.start, epoch)))
     targets.append(Target(101, *subpoint(plane0, 0, horizon.end, epoch)))
     stations = list(DEFAULT_STATIONS)
-    access_out = batch_access_windows(constellation, targets, horizon, 10.0, epoch)
-    passes_out = batch_downlink_windows(constellation, stations, horizon, 10.0, epoch)
+    access_out = batch_access_windows(constellation, targets, horizon, epoch)
+    passes_out = batch_downlink_windows(constellation, stations, horizon, epoch)
 
     assert access_out[(0, 100)][0].start == horizon.start
     assert access_out[(0, 101)][-1].end == horizon.end
@@ -211,7 +212,7 @@ def test_pruned_scan_matches_visible_on_every_sample():
     whatever the orbit, point, cone (narrow, wider than the horizon, or a
     station's 180°) and minimum elevation (including below the horizon)."""
     rng = np.random.default_rng(20261018)
-    times = time_grid(DAY, 10.0)
+    times = time_grid(DAY)
     n = 40
     lat = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n)))
     lat[:2] = 90.0, -90.0
@@ -295,9 +296,10 @@ def test_downlink_capacity_is_duration_times_rate():
 
 
 def test_time_grid_covers_horizon():
-    grid = time_grid(TimeInterval(10.0, 95.0), 10.0)
+    grid = time_grid(TimeInterval(10.0, 95.0))
     assert grid[0] == 10.0 and grid[-1] == 95.0
     assert np.all(np.diff(grid) > 0)
+    assert np.all(np.diff(grid) <= SCAN_STEP_S)
 
 
 def test_constellation_enumeration_is_plane_major_and_sized():

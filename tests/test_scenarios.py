@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -12,10 +13,12 @@ from cosched.scenarios import (
     build_constellation,
     generate_scenario,
     load_scenario,
+    load_targets,
     preset,
     sample_targets,
     save_scenario,
 )
+from cosched.solvers import SolverConfig
 
 
 def test_presets_validate():
@@ -128,7 +131,70 @@ def test_version_one_file_is_an_unsupported_format(tmp_path):
 
 
 def test_solver_config_reflects_overrides():
-    c = preset("tiny", p_u=0.5, max_iters=7)
+    c = preset("tiny", solver=SolverConfig(p_u=0.5, max_iters=7))
     sc = c.solver_config()
-    assert sc.p_u == 0.5 and sc.max_iters == 7
-    assert sc.neighborhood_size == c.neighborhood_size
+    assert sc == SolverConfig(p_u=0.5, max_iters=7)
+    # a fresh copy: editing it leaves the config (and the preset) alone
+    sc.run_all_iterations = True
+    assert not c.solver.run_all_iterations
+    assert preset("tiny").solver == SolverConfig(neighborhood_size=4)
+
+
+def test_version_two_file_is_an_unsupported_format(tmp_path):
+    """Format 2 copied the solver settings into the scenario config; format 3
+    nests them in one ``solver`` block, and an older file is refused."""
+    sc = generate_scenario(preset("tiny"), 0)
+    path = tmp_path / "tiny-000.json"
+    save_scenario(sc, path)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 2
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="unsupported scenario format 2"):
+        load_scenario(path)
+
+
+def test_each_solver_setting_is_declared_once():
+    scenario_fields = set(ScenarioConfig.__dataclass_fields__)
+    assert not scenario_fields & set(SolverConfig.__dataclass_fields__)
+    assert ScenarioConfig().solver == SolverConfig()
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("id,lat,lon\n7,10.5,20.0\n# comment\n\n3,-45.0,170.0\n", [(7, 10.5, 20.0), (3, -45.0, 170.0)]),
+        ("lat,lon\n10.5,20.0\n\n-45.0,170.0\n", [(0, 10.5, 20.0), (1, -45.0, 170.0)]),
+    ],
+    ids=["explicit-ids", "implicit-ids"],
+)
+def test_load_targets_reads_both_formats(tmp_path, text, expected):
+    path = tmp_path / "targets.csv"
+    path.write_text(text)
+    targets = load_targets(str(path))
+    assert [(t.target_id, t.latitude_deg, t.longitude_deg) for t in targets] == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("id,lat,lon\n0,10,20\n0,30,40\n", "line 3: duplicate target id 0"),
+        ("id,lat,lon\n0,10,20,5\n", "line 2: expected 2 or 3 fields, got 4"),
+        ("id,lat,lon\n0,10,20\n1,30\n", "line 3: expected 3 fields, got 2"),
+        ("lat,lon\n10,20\n95,30\n", "line 3: latitude outside [-90, 90]"),
+        ("id,lat,lon\n0,north,20\n", "line 2: could not convert string to float"),
+    ],
+    ids=["duplicate-id", "four-fields", "mixed-widths", "latitude-out-of-range", "not-a-number"],
+)
+def test_load_targets_rejects_malformed_rows(tmp_path, text, message):
+    path = tmp_path / "targets.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_targets(str(path))
+
+
+def test_targets_path_feeds_generation(tmp_path):
+    path = tmp_path / "targets.csv"
+    path.write_text("id,lat,lon\n5,10,20\n9,40,-70\n")
+    sc = generate_scenario(preset("tiny", targets_path=str(path)), 0)
+    assert [t.target_id for t in sc.targets] == [5, 9]
+    assert {r.target_id for r in sc.problem.requests.values()} == {5, 9}

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 
@@ -37,6 +39,29 @@ def test_runs_are_bit_identical(rng):
         b = run(problem, targets, name, cfg()).to_record()
         assert a == b
 
+
+
+def test_finished_run_leaves_no_reference_cycle(rng, monkeypatch):
+    """Each run's context is freed by reference counting when ``run``
+    returns, not left to the cyclic garbage collector."""
+    problem, targets = make_problem(rng)
+    refs = []
+    build = sim.build_context
+
+    def recording_build(*args):
+        ctx = build(*args)
+        refs.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(sim, "build_context", recording_build)
+    gc.collect()
+    gc.disable()
+    try:
+        for name in SOLVER_NAMES:
+            run(problem, targets, name, cfg())
+            assert refs[-1]() is None, name
+    finally:
+        gc.enable()
 
 # Record digests pinned for three seeded instances: the SHA-256 of each run
 # record serialised with sorted keys. The instances use no geometry and only
