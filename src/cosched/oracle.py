@@ -39,8 +39,8 @@ def collapse(problem: DynamicProblem) -> CollapsedInstance:
     actives = [snap.active for snap in problem.snapshots]
     surviving: dict[int, Task] = {}
     for task in problem.tasks.values():
-        for window, active in zip(windows, actives):
-            if task.request_id in active and task.interval.overlaps(window):
+        for w, active in zip(windows, actives):
+            if task.request_id in active and max(task.start, w.start) < min(task.end, w.end):
                 surviving[task.task_id] = task
                 break
     candidates: dict[int, list[Task]] = {}
@@ -108,6 +108,18 @@ def branch_and_bound(
     still have an individually insertable task. If the node or time budget
     runs out, the best solution found is returned flagged unproven, never
     silently claimed optimal.
+
+    The bound is maintained, not recomputed. Before the search, every
+    candidate task gets a flag, its ``can_insert`` verdict on the empty
+    schedules, and every request a count of its flagged tasks. Inserting
+    task c can only clear flags, and only in c's own downlink bucket on c's
+    agent: a task in another bucket shares no capacity with c, and if it
+    overlapped c it would also overlap a downlink (the downlink that
+    separates the two buckets starts inside one of the two tasks, and c was
+    insertable), so its flag is already clear. After the insert, only the
+    still-flagged tasks of that bucket are re-checked with ``can_insert``;
+    the flags that cleared are logged and set again when c is removed,
+    which restores the state exactly as it was before the insert.
     """
     order = sorted(
         (rid for rid in inst.request_ids if inst.candidates.get(rid)),
@@ -120,8 +132,34 @@ def branch_and_bound(
     deadline = time.monotonic() + time_budget_s
     exhausted = False
 
-    def insertable(rid: int) -> bool:
-        return any(states[t.agent_id].can_insert(t) for t in inst.candidates[rid])
+    insertable: dict[int, bool] = {}  # task id -> can_insert on the current schedules
+    count: dict[int, int] = {}  # request id -> number of its insertable tasks
+    buckets: dict[tuple[int, int], list[Task]] = {}  # (agent, downlink bucket) -> tasks
+    for rid in order:
+        for t in inst.candidates[rid]:
+            st = states[t.agent_id]
+            insertable[t.task_id] = st.can_insert(t)
+            buckets.setdefault((t.agent_id, st.bucket(t)), []).append(t)
+        count[rid] = sum(insertable[t.task_id] for t in inst.candidates[rid])
+
+    def insert(task: Task) -> list[Task]:
+        """Insert task; return the tasks whose flag the insert cleared."""
+        st = states[task.agent_id]
+        st.insert(task)
+        cleared = [
+            t for t in buckets[(task.agent_id, st.bucket(task))]
+            if insertable[t.task_id] and not st.can_insert(t)
+        ]
+        for t in cleared:
+            insertable[t.task_id] = False
+            count[t.request_id] -= 1
+        return cleared
+
+    def remove(task: Task, cleared: list[Task]) -> None:
+        states[task.agent_id].remove(task)
+        for t in cleared:
+            insertable[t.task_id] = True
+            count[t.request_id] += 1
 
     def dfs(i: int, satisfied: int):
         nonlocal nodes, best_count, best_schedules, exhausted
@@ -134,16 +172,15 @@ def branch_and_bound(
             best_schedules = _schedules(states)
         if i == len(order):
             return
-        bound = satisfied + sum(1 for rid in order[i:] if insertable(rid))
+        bound = satisfied + sum(1 for rid in order[i:] if count[rid])
         if bound <= best_count:
             return
         rid = order[i]
         for task in inst.candidates[rid]:
-            st = states[task.agent_id]
-            if st.can_insert(task):
-                st.insert(task)
+            if insertable[task.task_id]:
+                cleared = insert(task)
                 dfs(i + 1, satisfied + 1)
-                st.remove(task)
+                remove(task, cleared)
         dfs(i + 1, satisfied)  # skip branch
 
     # the search recurses once per request; the caller's limit comes back after
@@ -155,6 +192,8 @@ def branch_and_bound(
         pass
     finally:
         sys.setrecursionlimit(limit)
+        # dfs refers to itself; break that cycle so the tables go now
+        del dfs
     result = OracleResult(
         satisfied=best_count,
         proven_optimal=not exhausted,

@@ -26,7 +26,7 @@ from .problem import (
     generate_dynamics,
     generate_tasks,
 )
-from .solvers import SOLVER_NAMES, SolverConfig
+from .solvers import SOLVER_NAMES, SolverConfig, check_kind
 
 SCENARIO_FORMAT_VERSION = 3
 DAY_S = 86400.0
@@ -55,6 +55,7 @@ class ScenarioConfig:
     oracle: str = "bnb"  # bnb | swo | none
 
     def validate(self) -> None:
+        self._check_kinds()
         if self.constellation not in ("planet", "walker", "custom"):
             raise ConfigError(f"constellation: unknown value {self.constellation!r}")
         if self.constellation == "custom" and not self.custom_planes:
@@ -87,6 +88,22 @@ class ScenarioConfig:
                 raise ConfigError(f"solvers: unknown solver {s!r}")
         if self.oracle not in ("bnb", "swo", "none"):
             raise ConfigError(f"oracle: unknown mode {self.oracle!r}")
+
+    def _check_kinds(self) -> None:
+        """A config read from JSON can hold a value of any kind in any field."""
+        try:
+            for name in ("name", "constellation", "periodicity", "volatility", "oracle"):
+                check_kind(name, getattr(self, name), str)
+            check_kind("custom_planes", self.custom_planes, list, optional=True)
+            check_kind("max_off_nadir_deg", self.max_off_nadir_deg, float, optional=True)
+            check_kind("memory_bytes", self.memory_bytes, float)
+            check_kind("target_count", self.target_count, int)
+            check_kind("targets_path", self.targets_path, str, optional=True)
+            check_kind("horizon_s", self.horizon_s, float)
+            check_kind("scenario_seed", self.scenario_seed, int)
+            check_kind("solvers", self.solvers, list)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def _periodicity_range(self) -> tuple[int, int]:
         return _parse_range("periodicity", self.periodicity)

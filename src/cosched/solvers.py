@@ -38,6 +38,22 @@ class SolverInvariantError(Exception):
     """A solver produced an infeasible schedule; always a bug, never recoverable."""
 
 
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
+               str: "a string", list: "a list"}
+
+
+def check_kind(name: str, value, kind: type, *, optional: bool = False) -> None:
+    """Raise ValueError naming the setting unless its value is of ``kind``
+    (or None, if ``optional``). A ``float`` setting admits ints; a bool is
+    never a number, although Python counts it as an int."""
+    if optional and value is None:
+        return
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
+        expected = _KIND_NAMES[kind] + (" or null" if optional else "")
+        raise ValueError(f"{name}: expected {expected}, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     p_u: float = 0.7
@@ -50,7 +66,13 @@ class SolverConfig:
     run_all_iterations: bool = False  # run all max_iters rounds, never stop early
 
     def validate(self) -> None:
-        """Raise ValueError naming the first setting out of range."""
+        """Raise ValueError naming the first setting of the wrong kind or
+        out of range."""
+        check_kind("p_u", self.p_u, float)
+        for name in ("max_iters", "solver_seed", "repair_seed", "random_solver_seed",
+                     "gnd_n", "neighborhood_size"):
+            check_kind(name, getattr(self, name), int)
+        check_kind("run_all_iterations", self.run_all_iterations, bool)
         if not 0.0 <= self.p_u <= 1.0:
             raise ValueError(f"p_u: must lie in [0, 1], got {self.p_u}")
         for name in ("max_iters", "gnd_n", "neighborhood_size"):
@@ -91,7 +113,8 @@ class ScheduleState:
     def has_request(self, request_id: int) -> bool:
         return request_id in self.by_request
 
-    def _bucket(self, task: Task) -> int:
+    def bucket(self, task: Task) -> int:
+        """Index of the soonest downlink starting at or after the task's end."""
         return bisect_left(self._dl_starts, task.end)
 
     def _bucket_cap(self, b: int) -> float:
@@ -111,12 +134,12 @@ class ScheduleState:
             return False
         if i < len(self._starts) and self._by_id[self._starts[i][1]].start < task.end:
             return False
-        # downlink overlap: same argument over the disjoint downlink list
-        k = bisect_left(self._dl_starts, task.end) - 1
-        if k >= 0 and self.downlinks[k].end > task.start:
+        # downlink overlap: same argument over the disjoint downlink list,
+        # where the last downlink starting before the task ends precedes its bucket
+        b = self.bucket(task)
+        if b > 0 and self.downlinks[b - 1].end > task.start:
             return False
         # capacity before the soonest future downlink
-        b = self._bucket(task)
         if self._loads.get(b, 0.0) + task.volume_bytes > self._bucket_cap(b):
             return False
         return True
@@ -129,7 +152,7 @@ class ScheduleState:
         insort(self._starts, (task.start, task.task_id))
         self._by_id[task.task_id] = task
         self.by_request[task.request_id] = task
-        b = self._bucket(task)
+        b = self.bucket(task)
         self._loads[b] = self._loads.get(b, 0.0) + task.volume_bytes
 
     def remove(self, task: Task) -> None:
@@ -138,7 +161,7 @@ class ScheduleState:
         self._starts.remove((task.start, task.task_id))
         del self._by_id[task.task_id]
         del self.by_request[task.request_id]
-        b = self._bucket(task)
+        b = self.bucket(task)
         self._loads[b] -= task.volume_bytes
 
     def closest_removable(self, start: float) -> Task | None:

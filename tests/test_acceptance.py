@@ -1,4 +1,4 @@
-"""Acceptance suite: ten end-to-end criteria, one pass/fail line each.
+"""Acceptance suite: end-to-end criteria, one pass/fail line each.
 
 Each test prints its verdict on an uncaptured stream so the line appears in
 every pytest run, then asserts it. Tolerances and scenario counts are fixed
@@ -358,3 +358,29 @@ def test_10_determinism(tiny_scenarios, walker_scenarios):
             assert a == b, (sc.label, name)
             compared += 1
     report(10, "determinism", True, f"{compared} (scenario, solver) pairs bit-identical")
+
+
+# proven optima of small-walker-000..009; a search that recomputes its bound
+# at every node finds the same
+WALKER_OPTIMA = (145, 162, 161, 174, 154, 127, 129, 125, 148, 152)
+
+
+def test_12_exact_optimum_at_small_walker_scale(walker_scenarios):
+    """branch_and_bound proves every small-walker scenario optimal within its
+    default budgets, at the pinned optimum, and never below the SWO bound."""
+    t0 = time.perf_counter()
+    proven = 0
+    for sc, optimum in zip(walker_scenarios, WALKER_OPTIMA, strict=True):
+        inst = collapse(sc.problem)
+        b, s = branch_and_bound(inst), swo(inst)
+        proven += b.proven_optimal
+        assert s.satisfied <= b.satisfied, (sc.label, s.satisfied, b.satisfied)
+        assert b.satisfied == optimum, (sc.label, b.satisfied)
+    elapsed = time.perf_counter() - t0
+    n = len(walker_scenarios)
+    report(
+        12,
+        "exact optimum at small-walker scale",
+        proven == n,
+        f"proven {proven}/{n} = {proven / n:.2f}; {elapsed:.1f}s",
+    )

@@ -113,9 +113,17 @@ def test_bad_solver_list_is_config_error(workspace, tmp_path):
         ({"solver": {"p_u": 2}}, "solver.p_u: must lie in [0, 1], got 2"),
         ({"solver": {"max_iter": 3}}, "max_iter"),
         ({"solver": 3}, "solver: expected an object"),
+        # a value of the wrong kind is named, not left to fail in a comparison
+        ({"memory_bytes": "x"}, "memory_bytes: expected a number, got 'x'"),
+        ({"target_count": "5"}, "target_count: expected an integer, got '5'"),
+        ({"horizon_s": None}, "horizon_s: expected a number, got None"),
+        ({"solver": {"p_u": "x"}}, "solver.p_u: expected a number, got 'x'"),
+        ({"solver": {"max_iters": True}}, "solver.max_iters: expected an integer, got True"),
     ],
     ids=["plane-without-count", "zero-memory", "zero-off-nadir", "flat-solver-field",
-         "solver-p_u-out-of-range", "unknown-solver-key", "solver-not-an-object"],
+         "solver-p_u-out-of-range", "unknown-solver-key", "solver-not-an-object",
+         "memory-not-a-number", "target-count-a-string", "horizon-null", "solver-p_u-a-string",
+         "solver-max_iters-a-bool"],
 )
 def test_malformed_config_file_is_config_error(tmp_path, capsys, changes, field):
     data = preset("tiny").to_dict()

@@ -1,12 +1,17 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
 from cosched.geometry import SatelliteSpec
 from cosched.oracle import (
+    BudgetExhausted,
     CollapsedInstance,
+    OracleResult,
+    _fresh_states,
+    _schedules,
     branch_and_bound,
     collapse,
     run_oracle,
@@ -152,3 +157,95 @@ def test_run_oracle_dispatch(rng):
     assert not run_oracle(problem, "swo").proven_optimal
     with pytest.raises(ValueError):
         run_oracle(problem, "lp-relaxation")
+
+
+def reference_branch_and_bound(
+    inst, *, node_budget: int = 2_000_000, time_budget_s: float = 120.0
+) -> OracleResult:
+    """The search as it was before its bound became incremental: at every
+    node, every remaining request's candidates are re-checked from scratch."""
+    order = sorted(
+        (rid for rid in inst.request_ids if inst.candidates.get(rid)),
+        key=lambda rid: (len(inst.candidates[rid]), rid),
+    )
+    states = _fresh_states(inst)
+    best_count = -1
+    best_schedules: dict = {}
+    nodes = 0
+    deadline = time.monotonic() + time_budget_s
+    exhausted = False
+
+    def insertable(rid: int) -> bool:
+        return any(states[t.agent_id].can_insert(t) for t in inst.candidates[rid])
+
+    def dfs(i: int, satisfied: int):
+        nonlocal nodes, best_count, best_schedules, exhausted
+        nodes += 1
+        if nodes > node_budget or (nodes % 1024 == 0 and time.monotonic() > deadline):
+            exhausted = True
+            raise BudgetExhausted
+        if satisfied > best_count:
+            best_count = satisfied
+            best_schedules = _schedules(states)
+        if i == len(order):
+            return
+        bound = satisfied + sum(1 for rid in order[i:] if insertable(rid))
+        if bound <= best_count:
+            return
+        rid = order[i]
+        for task in inst.candidates[rid]:
+            st = states[task.agent_id]
+            if st.can_insert(task):
+                st.insert(task)
+                dfs(i + 1, satisfied + 1)
+                st.remove(task)
+        dfs(i + 1, satisfied)  # skip branch
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, len(order) + 100))
+    try:
+        dfs(0, 0)
+    except BudgetExhausted:
+        pass
+    finally:
+        sys.setrecursionlimit(limit)
+    return OracleResult(best_count, not exhausted, best_schedules, nodes=nodes)
+
+
+def bound_equivalence_instances():
+    """64 seeded instances; every other one has so little memory that the
+    capacity constraint binds."""
+    out = []
+    for seed in range(64):
+        rng = random.Random(seed)
+        kw = dict(
+            n_agents=rng.randint(1, 3),
+            n_requests=rng.randint(20, 40),
+            n_events=rng.randint(0, 3),
+        )
+        if seed % 2:
+            kw["memory_bytes"] = rng.uniform(40, 100) * MB
+        problem, _ = make_problem(rng, **kw)
+        out.append(collapse(problem))
+    return out
+
+
+def _task_ids(res: OracleResult) -> dict[int, list[int]]:
+    return {aid: [t.task_id for t in ts] for aid, ts in res.schedules.items()}
+
+
+@pytest.mark.parametrize("node_budget", [None, 1, 10, 100], ids=["default", "1", "10", "100"])
+def test_incremental_bound_matches_recomputed_bound(node_budget):
+    """The incremental bound explores the same nodes, keeps the same best
+    schedules and reaches the same verdict as recomputing it at every node."""
+    kw = {} if node_budget is None else {"node_budget": node_budget}
+    unproven = 0
+    for inst in bound_equivalence_instances():
+        new, ref = branch_and_bound(inst, **kw), reference_branch_and_bound(inst, **kw)
+        assert (new.satisfied, new.proven_optimal, new.nodes) == (
+            ref.satisfied, ref.proven_optimal, ref.nodes
+        )
+        assert _task_ids(new) == _task_ids(ref)
+        unproven += not new.proven_optimal
+    if node_budget is not None:
+        assert unproven > 0  # the budget path is exercised, not just passed through
