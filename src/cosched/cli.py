@@ -176,6 +176,11 @@ def _format_table(rows: list[dict]) -> str:
 
 def cmd_replay(args) -> int:
     record = json.loads(Path(args.run).read_text())
+    for key in ("scenario", "scenario_file", "solver", "solver_config", "run"):
+        if key not in record:
+            raise ConfigError(f"{key}: missing from the run record")
+    if record["solver"] not in SOLVER_NAMES:
+        raise ConfigError(f"solver: unknown solver {record['solver']!r}; expected one of {SOLVER_NAMES}")
     try:
         solver_cfg = SolverConfig(**record["solver_config"])
         solver_cfg.validate()
@@ -213,7 +218,12 @@ def cmd_verify(args) -> int:
     failures = 0
     scenarios: dict[str, Scenario] = {}
     for path in run_files:
-        record = json.loads(path.read_text())
+        try:
+            record = json.loads(path.read_text())
+        except ValueError as exc:
+            print(f"{path.name}: unreadable record: {exc}")
+            failures += 1
+            continue
         if "run" not in record:
             continue
         sc_file = record["scenario_file"]

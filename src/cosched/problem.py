@@ -187,12 +187,28 @@ class DynamicProblem:
                         f"request {rid} changed after its window opened"
                     )
         for task in self.tasks.values():
+            if task.start > task.end:
+                raise ValueError(f"task {task.task_id} is inverted: start {task.start} > end {task.end}")
             req = self.requests[task.request_id]
-            if not req.interval.contains(task.interval):
+            if not req.start <= task.start <= task.end <= req.end:
                 raise ValueError(f"task {task.task_id} outside its request window")
+        # the solvers read tasks_by_agent, the oracle and the scorer tasks
+        listed: set[int] = set()
+        for agent_id, tasks in self.tasks_by_agent.items():
+            for task in tasks:
+                if task.agent_id != agent_id or self.tasks.get(task.task_id) != task:
+                    raise ValueError(f"tasks_by_agent lists task {task.task_id} under agent {agent_id}, unlike tasks")
+                if task.task_id in listed:
+                    raise ValueError(f"tasks_by_agent lists task {task.task_id} twice")
+                listed.add(task.task_id)
+        if len(listed) != len(self.tasks):
+            raise ValueError(f"tasks_by_agent omits task {min(self.tasks.keys() - listed)}")
         for agent_id, dls in self.downlinks_by_agent.items():
+            for d in dls:
+                if d.start > d.end:
+                    raise ValueError(f"downlink {d.downlink_id} is inverted: start {d.start} > end {d.end}")
             for a, b in zip(dls, dls[1:]):
-                if a.interval.overlaps(b.interval):
+                if max(a.start, b.start) < min(a.end, b.end):
                     raise ValueError(f"agent {agent_id} has overlapping downlinks")
 
 

@@ -82,7 +82,7 @@ class RunResult:
         }
 
 
-def build_context(problem: DynamicProblem, targets: list[Target]) -> RunContext:
+def build_context(problem: DynamicProblem) -> RunContext:
     # Build the problem's derived views here, as set-up: left to first use,
     # their one-off cost would land in the first solver step that reads them.
     problem.tasks_by_start, problem.agent_requests, problem.request_agents
@@ -93,7 +93,6 @@ def build_context(problem: DynamicProblem, targets: list[Target]) -> RunContext:
         states[agent.agent_id] = AgentState(agent.agent_id, sched)
     return RunContext(
         problem=problem,
-        targets={t.target_id: t for t in targets},
         states=states,
         ledger=MessageLedger(),
         ops=ops,
@@ -139,9 +138,10 @@ def run(
     solver_name: str,
     cfg: SolverConfig | None = None,
 ) -> RunResult:
-    """Replay the change-event timeline under one solver; fully deterministic."""
+    """Replay the change-event timeline under one solver; fully deterministic.
+    ``targets`` is unused until ROADMAP item 1 drops it with perfbench's call sites."""
     cfg = cfg or SolverConfig()
-    ctx = build_context(problem, targets)
+    ctx = build_context(problem)
     ever_active = problem.ever_active
     total = len(ever_active)
 
@@ -165,7 +165,7 @@ def run(
         if t > 0:
             _advance(ctx, problem.snapshots[t - 1].start, snap.start)
         ctx.event_index = t
-        solver.on_event(t, snap.start, snap.active)
+        solver.on_event(snap.active)
         _assert_feasible(ctx, agents)
         snapshots.append(_capture_snapshot(ctx, snap.active))
     wall = time.perf_counter() - t0

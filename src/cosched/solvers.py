@@ -8,16 +8,17 @@ agent and every active request. The other axis is what survives an event:
 the ``d`` variants (dnss, ddsa) repair their schedules incrementally, the
 ``0`` variants (0nss, 0dsa) rebuild from the executed and frozen tasks.
 
-All solvers share one event-driven interface: ``on_event`` is invoked once at
-the start of the run and once per problem change, and must leave every
-agent's schedule feasible. The iterative solvers advance in synchronous
-rounds; messages sent in round i are readable in round i+1, and every message
-is charged to the ledger with its exact byte size. A search group stops
-after the first round that changes no member's scheduled request set, since
-the next round would re-send the same payloads (``run_all_iterations`` runs
-all ``max_iters`` rounds instead). Per-agent RNG streams are derived from the
-solver seed so parallel and sequential execution of a round produce identical
-results.
+All solvers share one event-driven interface: ``on_event(active)`` is invoked
+with the active request set once at the start of the run and once per problem
+change, after the simulation has set ``ctx.event_index`` and ``ctx.now``, and
+must leave every agent's schedule feasible. The iterative solvers advance in
+synchronous rounds; messages sent in round i are readable in round i+1, and
+every message is charged to the ledger with its exact byte size. A search
+group stops after the first round that changes no member's scheduled request
+set, since the next round would re-send the same payloads
+(``run_all_iterations`` runs all ``max_iters`` rounds instead). Per-agent RNG
+streams are derived from the solver seed so parallel and sequential execution
+of a round produce identical results.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .accounting import MessageLedger, OpCounter, message_bytes
-from .decomposition import gnd
-from .geometry import SatelliteSpec, Target
+from .decomposition import SearchGroup, gnd
+from .geometry import SatelliteSpec
 from .problem import Downlink, DynamicProblem, Task
 
 SOLVER_NAMES = ("random", "greedy", "dnss", "0nss", "ddsa", "0dsa")
@@ -187,7 +188,7 @@ class AgentState:
     executed: set[int] = field(default_factory=set)  # requests this agent completed
     known_executed: set[int] = field(default_factory=set)  # incl. neighborhood reports
     scheduled_last: set[int] = field(default_factory=set)  # requests held after prev round
-    rng: random.Random = field(default_factory=random.Random)
+    rng: random.Random | None = None  # set by the solver that reads it
 
 
 @dataclass
@@ -195,7 +196,6 @@ class RunContext:
     """One run's state: the problem, per-agent state and accounting."""
 
     problem: DynamicProblem
-    targets: dict[int, Target]
     states: dict[int, AgentState]
     ledger: MessageLedger
     ops: OpCounter
@@ -254,7 +254,7 @@ def schedule_insert(state: AgentState, request_id: int, candidates: list[Task], 
     return False
 
 
-def repair(state: AgentState, allowed: set[int], ctx: RunContext, rng: random.Random) -> None:
+def repair(state: AgentState, allowed: frozenset[int], ctx: RunContext, rng: random.Random) -> None:
     """Drop tasks that left the subproblem, then greedily refill in random order.
 
     Removes every non-frozen task whose request is outside ``allowed`` or
@@ -285,14 +285,6 @@ def repair(state: AgentState, allowed: set[int], ctx: RunContext, rng: random.Ra
         if not sched.has_request(task.request_id) and sched.can_insert(task):
             sched.insert(task)
             state.assigned.add(task.request_id)
-
-
-@dataclass
-class SearchGroup:
-    """One synchronized search unit: a neighborhood (or the whole fleet)."""
-
-    agents: tuple[int, ...]
-    requests: frozenset[int]
 
 
 def synchronous_search(groups: list[SearchGroup], ctx: RunContext, cfg: SolverConfig) -> int:
@@ -382,7 +374,7 @@ class Solver:
         self.ctx = ctx
         self.cfg = cfg
 
-    def on_event(self, event_index: int, now: float, active: frozenset[int]) -> None:
+    def on_event(self, active: frozenset[int]) -> None:
         raise NotImplementedError
 
 
@@ -411,20 +403,18 @@ class SearchSolver(Solver):
                     st.schedule.remove(task)
             st.assigned = set()
 
-    def on_event(self, event_index: int, now: float, active: frozenset[int]) -> None:
+    def on_event(self, active: frozenset[int]) -> None:
         ctx = self.ctx
         problem = ctx.problem
         if self.decompose:
             # decomposition: pure local computation, zero messages
-            alloc = gnd(
+            groups = gnd(
                 {rid: problem.requests[rid] for rid in active},
-                ctx.targets,
                 problem.agents,
                 problem.request_agents,
                 n=self.cfg.gnd_n,
                 neighborhood_size=self.cfg.neighborhood_size,
-            )
-            groups = [SearchGroup(nb.agents, frozenset(nb.requests)) for nb in alloc.neighborhoods]
+            ).neighborhoods
         else:
             groups = [SearchGroup(tuple(sorted(ctx.states)), active)]
         if not self.incremental:
@@ -432,9 +422,8 @@ class SearchSolver(Solver):
         # iteration 0: state carried into the event, before any repair work
         ctx.record_iteration(0)
         for group in groups:
-            allowed = set(group.requests)
             for a in group.agents:
-                repair(ctx.states[a], allowed, ctx, self._repair_rng(event_index, a))
+                repair(ctx.states[a], group.requests, ctx, self._repair_rng(ctx.event_index, a))
         synchronous_search(groups, ctx, self.cfg)
 
 
@@ -443,7 +432,7 @@ class GreedySolver(Solver):
 
     name = "greedy"
 
-    def on_event(self, event_index: int, now: float, active: frozenset[int]) -> None:
+    def on_event(self, active: frozenset[int]) -> None:
         ctx = self.ctx
         ctx.record_iteration(0)
         for a in sorted(ctx.states):
@@ -453,7 +442,7 @@ class GreedySolver(Solver):
                 if task.task_id not in sched.frozen and task.request_id not in active:
                     sched.remove(task)
             for task in self._pass_order(a, active):
-                if task.start >= now and not sched.has_request(task.request_id):
+                if task.start >= ctx.now and not sched.has_request(task.request_id):
                     if sched.can_insert(task):
                         sched.insert(task)
         ctx.record_iteration(1)

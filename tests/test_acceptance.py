@@ -278,7 +278,6 @@ def test_08_complexity_accounting():
             }
             alloc = gnd(
                 active_requests,
-                {t.target_id: t for t in targets},
                 problem.agents,
                 candidates,
                 n=cfg.gnd_n,

@@ -159,6 +159,27 @@ def test_replay_rejects_out_of_range_solver_setting(workspace, tmp_path, capsys,
     assert f"solver_config: {key}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda r: r.update(solver="tabu"), "solver: unknown solver 'tabu'"),
+        (lambda r: r.pop("solver_config"), "solver_config: missing from the run record"),
+    ],
+    ids=["unknown-solver", "no-solver-config"],
+)
+def test_replay_rejects_malformed_record(workspace, tmp_path, capsys, tamper, message):
+    """A record naming no known solver, or carrying no solver settings, is a
+    config error that names the key, not a traceback."""
+    _, out = workspace
+    record = json.loads((out / "tiny-000_dnss.json").read_text())
+    tamper(record)
+    path = tmp_path / "tiny-000_dnss.json"
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["replay", "--run", str(path)]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def contended_runs(tmp_path_factory):
     """Greedy and dnss records on a tiny scenario with 20 targets: unlike
@@ -318,4 +339,20 @@ def test_verify_reports_snapshot_that_is_not_a_list(contended_runs, tmp_path, ca
         "tiny-000_dnss.json: ok",
         "tiny-000_greedy.json: snapshot consistency violated: snapshot 0 is not a list of task ids: 7",
     ]
+    assert captured.err == "1 run(s) failed verification\n"
+
+
+def test_verify_reports_record_that_is_not_json(contended_runs, tmp_path, capsys):
+    """A run record that does not parse as JSON is a failed record, not a crash."""
+    runs = tmp_path / "results"
+    shutil.copytree(contended_runs, runs)
+    path = runs / "tiny-000_greedy.json"
+    path.write_text(path.read_text()[:-10])
+    capsys.readouterr()
+    assert main(["verify", "--runs", str(runs)]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "tiny-000_dnss.json: ok"
+    assert lines[1].startswith("tiny-000_greedy.json: unreadable record: ")
+    assert len(lines) == 2
     assert captured.err == "1 run(s) failed verification\n"

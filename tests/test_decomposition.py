@@ -1,7 +1,7 @@
 import pytest
 
 from cosched.decomposition import gnd, partition_agents
-from cosched.geometry import SatelliteSpec, Target
+from cosched.geometry import SatelliteSpec
 from cosched.problem import Request
 
 
@@ -53,15 +53,11 @@ def mk_requests(windows):
     return {i: Request(i, i, s, e) for i, (s, e) in enumerate(windows)}
 
 
-def mk_targets(n):
-    return {i: Target(i, 0.0, float(i)) for i in range(n)}
-
-
 def test_allocation_prefers_higher_supply_neighborhood():
     agents = sats([2, 2])  # nb0 = {0,1}, nb1 = {2,3}
     reqs = mk_requests([(0, 100)])
     candidates = {0: {0, 2, 3}}  # supply 1 in nb0, 2 in nb1
-    alloc = gnd(reqs, mk_targets(1), agents, candidates, n=1, neighborhood_size=2)
+    alloc = gnd(reqs, agents, candidates, n=1, neighborhood_size=2)
     assert alloc.neighborhoods[1].requests == {0}
     assert alloc.neighborhoods[0].requests == set()
 
@@ -72,7 +68,7 @@ def test_scarce_requests_are_allocated_first():
     agents = sats([2, 2])  # nb0 = {0,1}, nb1 = {2,3}
     reqs = mk_requests([(0, 100), (50, 150)])
     candidates = {0: {0, 1, 2, 3}, 1: {0}}
-    alloc = gnd(reqs, mk_targets(2), agents, candidates, n=1, neighborhood_size=2)
+    alloc = gnd(reqs, agents, candidates, n=1, neighborhood_size=2)
     assert [nb.requests for nb in alloc.neighborhoods] == [{1}, {0}]
 
 
@@ -82,7 +78,7 @@ def test_temporal_conflicts_divert_to_empty_neighborhood():
     agents = sats([2, 2])
     reqs = mk_requests([(0, 100), (0, 100), (0, 100)])
     candidates = {r: {0, 1, 2, 3} for r in reqs}
-    alloc = gnd(reqs, mk_targets(3), agents, candidates, n=1, neighborhood_size=2)
+    alloc = gnd(reqs, agents, candidates, n=1, neighborhood_size=2)
     per_nb = [len(nb.requests) for nb in alloc.neighborhoods]
     assert sorted(per_nb) == [1, 2]
 
@@ -91,7 +87,7 @@ def test_disjoint_windows_do_not_conflict():
     agents = sats([2, 2])
     reqs = mk_requests([(0, 100), (100, 200), (200, 300)])
     candidates = {r: {0, 1, 2, 3} for r in reqs}
-    alloc = gnd(reqs, mk_targets(3), agents, candidates, n=1, neighborhood_size=2)
+    alloc = gnd(reqs, agents, candidates, n=1, neighborhood_size=2)
     # no overlap anywhere: ties all break to the first neighborhood
     assert alloc.neighborhoods[0].requests == {0, 1, 2}
 
@@ -100,9 +96,9 @@ def test_each_request_lands_in_min_n_positive_supply_neighborhoods():
     agents = sats([2, 2, 2])
     reqs = mk_requests([(0, 50), (60, 120)])
     candidates = {0: {0, 1, 2}, 1: {0}}
-    alloc = gnd(reqs, mk_targets(2), agents, candidates, n=2, neighborhood_size=2)
-    homes0 = [nb.nid for nb in alloc.neighborhoods if 0 in nb.requests]
-    homes1 = [nb.nid for nb in alloc.neighborhoods if 1 in nb.requests]
+    alloc = gnd(reqs, agents, candidates, n=2, neighborhood_size=2)
+    homes0 = [i for i, nb in enumerate(alloc.neighborhoods) if 0 in nb.requests]
+    homes1 = [i for i, nb in enumerate(alloc.neighborhoods) if 1 in nb.requests]
     assert len(homes0) == 2  # supply in two neighborhoods, n=2
     assert homes1 == [0]  # only one neighborhood has supply
     assert alloc.unallocatable == set()
@@ -112,29 +108,18 @@ def test_zero_supply_requests_reported_not_dropped():
     agents = sats([2])
     reqs = mk_requests([(0, 50), (50, 100)])
     candidates = {0: {0}, 1: set()}
-    alloc = gnd(reqs, mk_targets(2), agents, candidates, n=2, neighborhood_size=2)
+    alloc = gnd(reqs, agents, candidates, n=2, neighborhood_size=2)
     assert alloc.unallocatable == {1}
     assert all(1 not in nb.requests for nb in alloc.neighborhoods)
-
-
-def test_bias_points_at_a_member_agent():
-    agents = sats([3, 3])
-    reqs = mk_requests([(0, 50), (10, 80), (70, 200)])
-    candidates = {r: {0, 1, 2, 3, 4, 5} for r in reqs}
-    alloc = gnd(reqs, mk_targets(3), agents, candidates, n=2, neighborhood_size=3)
-    for nb in alloc.neighborhoods:
-        for rid in nb.requests:
-            assert nb.bias[rid] in nb.agents
 
 
 def test_allocation_deterministic():
     agents = sats([4, 4])
     reqs = mk_requests([(i * 30.0, i * 30.0 + 100.0) for i in range(6)])
     candidates = {r: {0, 1, 4, 5} for r in reqs}
-    a = gnd(reqs, mk_targets(6), agents, candidates, n=2, neighborhood_size=2)
-    b = gnd(reqs, mk_targets(6), agents, candidates, n=2, neighborhood_size=2)
+    a = gnd(reqs, agents, candidates, n=2, neighborhood_size=2)
+    b = gnd(reqs, agents, candidates, n=2, neighborhood_size=2)
     assert [nb.requests for nb in a.neighborhoods] == [nb.requests for nb in b.neighborhoods]
-    assert [nb.bias for nb in a.neighborhoods] == [nb.bias for nb in b.neighborhoods]
 
 
 def test_locality_bound_each_request_in_at_most_n_neighborhoods():
@@ -142,7 +127,7 @@ def test_locality_bound_each_request_in_at_most_n_neighborhoods():
     reqs = mk_requests([(i * 10.0, i * 10.0 + 200.0) for i in range(12)])
     candidates = {r: set(range(10)) for r in reqs}
     for n in (1, 2, 3):
-        alloc = gnd(reqs, mk_targets(12), agents, candidates, n=n, neighborhood_size=3)
+        alloc = gnd(reqs, agents, candidates, n=n, neighborhood_size=3)
         for rid in reqs:
             homes = sum(1 for nb in alloc.neighborhoods if rid in nb.requests)
             assert homes <= n

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,6 +304,83 @@ def test_inactive_request_in_snapshot_rejected(rng):
             return
     pytest.skip("every request active in every snapshot")
 
+
+
+def _copy_listing(problem):
+    """A copy of ``tasks_by_agent`` and an agent that lists some task."""
+    by_agent = {a: list(tasks) for a, tasks in problem.tasks_by_agent.items()}
+    return by_agent, next(a for a, tasks in by_agent.items() if tasks)
+
+
+def _drop_task(problem):
+    by_agent, aid = _copy_listing(problem)
+    dropped = by_agent[aid].pop(0)
+    return dict(tasks_by_agent=by_agent), f"tasks_by_agent omits task {dropped.task_id}"
+
+
+def _list_task_twice(problem):
+    by_agent, aid = _copy_listing(problem)
+    twice = by_agent[aid][0]
+    by_agent[aid].append(twice)
+    return dict(tasks_by_agent=by_agent), f"tasks_by_agent lists task {twice.task_id} twice"
+
+
+def _list_task_under_other_agent(problem):
+    by_agent, aid = _copy_listing(problem)
+    other = next(a for a in by_agent if a != aid)
+    moved = by_agent[aid].pop(0)
+    by_agent[other].append(moved)
+    return (
+        dict(tasks_by_agent=by_agent),
+        f"tasks_by_agent lists task {moved.task_id} under agent {other}, unlike tasks",
+    )
+
+
+def _list_unknown_task(problem):
+    by_agent, aid = _copy_listing(problem)
+    tid = max(problem.tasks) + 1
+    by_agent[aid].append(replace(by_agent[aid][0], task_id=tid))
+    return dict(tasks_by_agent=by_agent), f"tasks_by_agent lists task {tid} under agent {aid}, unlike tasks"
+
+
+def _invert_task(problem):
+    by_agent, aid = _copy_listing(problem)
+    t = by_agent[aid][0]
+    by_agent[aid][0] = inverted = replace(t, start=t.end, end=t.start)
+    tasks = dict(problem.tasks)
+    tasks[t.task_id] = inverted
+    return (
+        dict(tasks=tasks, tasks_by_agent=by_agent),
+        f"task {t.task_id} is inverted: start {t.end} > end {t.start}",
+    )
+
+
+def _invert_downlink(problem):
+    downlinks = {a: list(dls) for a, dls in problem.downlinks_by_agent.items()}
+    dls = next(dls for dls in downlinks.values() if dls)
+    d = dls[0]
+    dls[0] = replace(d, start=d.end, end=d.start)
+    return (
+        dict(downlinks_by_agent=downlinks),
+        f"downlink {d.downlink_id} is inverted: start {d.end} > end {d.start}",
+    )
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_drop_task, _list_task_twice, _list_task_under_other_agent, _list_unknown_task,
+     _invert_task, _invert_downlink],
+    ids=["dropped-task", "task-twice", "task-under-other-agent", "unknown-task",
+         "inverted-task", "inverted-downlink"],
+)
+def test_validate_rejects_inconsistent_problem(tamper):
+    """``tasks_by_agent`` must list every task of ``tasks`` once, under its
+    own agent, and nothing else; an inverted task or downlink is named."""
+    problem, _ = make_problem(random.Random(5))
+    changes, message = tamper(problem)
+    with pytest.raises(ValueError) as err:
+        replace(problem, **changes).validate()
+    assert str(err.value) == message
 
 
 def reference_views(problem):

@@ -224,9 +224,9 @@ def test_harness_rejects_solver_that_bypasses_can_insert(monkeypatch, bad_task, 
     class Corrupting(Solver):
         name = "corrupting"
 
-        def on_event(self, event_index, now, active):
+        def on_event(self, active):
             schedule = self.ctx.states[1].schedule
-            if event_index == 0:
+            if self.ctx.event_index == 0:
                 assert schedule.can_insert(self.ctx.problem.tasks[10])
                 schedule.insert(self.ctx.problem.tasks[10])
             else:

@@ -221,19 +221,30 @@ def test_noncommunicating_solvers_send_zero_bytes(rng):
 
 
 def test_greedy_schedule_is_maximal(rng):
-    problem, targets = make_problem(rng, n_events=0)
+    problem, _ = make_problem(rng, n_events=0)
     from cosched.sim import build_context
     from cosched.solvers import make_solver
 
-    ctx = build_context(problem, targets)
+    ctx = build_context(problem)
     solver = make_solver("greedy", ctx, cfg())
     snap = problem.snapshots[0]
-    solver.on_event(0, snap.start, snap.active)
+    solver.on_event(snap.active)
     for st in ctx.states.values():
         for t in problem.tasks_by_agent.get(st.agent_id, []):
             if t.request_id in snap.active and not st.schedule.has_request(t.request_id):
                 assert not st.schedule.can_insert(t)
 
+
+def test_only_the_search_solvers_seed_an_agent_rng(rng):
+    """A fresh agent state has no RNG, so an unseeded draw fails loudly
+    instead of drawing from the OS; the search solvers seed one per agent."""
+    problem, _ = make_problem(rng)
+    for name in SOLVER_NAMES:
+        ctx = build_context(problem)
+        assert all(st.rng is None for st in ctx.states.values())
+        solvers.make_solver(name, ctx, cfg())
+        seeded = {st.rng is not None for st in ctx.states.values()}
+        assert seeded == {name in ("dnss", "0nss", "ddsa", "0dsa")}, name
 
 def test_uncontested_scheduled_requests_survive_the_search(rng):
     """Stochastic unassignment never evicts a task from the schedule; an
@@ -305,7 +316,7 @@ def search_context(holdings, executed=None, now=0.0):
         snapshots=build_snapshots(set(requests), [], horizon),
     )
     problem.validate()
-    ctx = build_context(problem, [])
+    ctx = build_context(problem)
     ctx.now = now
     for a, (held, _) in holdings.items():
         st = ctx.states[a]
