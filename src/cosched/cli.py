@@ -29,6 +29,7 @@ from .scenarios import (
     generate_scenario,
     load_scenario,
     preset,
+    read_json_object,
     save_scenario,
 )
 from .sim import RunResult, run
@@ -54,7 +55,7 @@ def _with_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
 
 def cmd_generate(args) -> int:
     if args.config:
-        cfg = ScenarioConfig.from_dict(json.loads(Path(args.config).read_text()))
+        cfg = ScenarioConfig.from_dict(read_json_object(args.config, "config file"))
     elif args.preset:
         cfg = preset(args.preset)
     else:
@@ -75,7 +76,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _write_trace_csv(path: Path, scenario: Scenario, solver: str, result: RunResult) -> None:
+def _write_trace_csv(path: Path, solver: str, result: RunResult) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(
@@ -144,7 +145,7 @@ def cmd_bench(args) -> int:
             (out / f"{sc.label}_{name}.json").write_text(
                 json.dumps(record, indent=1, sort_keys=True) + "\n"
             )
-            _write_trace_csv(out / f"{sc.label}_{name}_trace.csv", sc, name, result)
+            _write_trace_csv(out / f"{sc.label}_{name}_trace.csv", name, result)
             rows.append(record)
 
     table = _format_table(rows)
@@ -175,7 +176,7 @@ def _format_table(rows: list[dict]) -> str:
 
 
 def cmd_replay(args) -> int:
-    record = json.loads(Path(args.run).read_text())
+    record = read_json_object(args.run, "run record")
     for key in ("scenario", "scenario_file", "solver", "solver_config", "run"):
         if key not in record:
             raise ConfigError(f"{key}: missing from the run record")
@@ -203,13 +204,39 @@ def _agent_tasks(problem: DynamicProblem, aid: int, task_ids: list[int]) -> list
         raise MalformedScheduleError(f"expected a list of task ids, got {task_ids!r}")
     tasks = []
     for tid in task_ids:
-        task = problem.tasks.get(tid)
+        task = problem.tasks.get(tid) if isinstance(tid, int) else None
         if task is None:
-            raise MalformedScheduleError(f"unknown task id {tid}")
+            raise MalformedScheduleError(f"unknown task id {tid!r}")
         if task.agent_id != aid:
             raise MalformedScheduleError(f"task id {tid} belongs to agent {task.agent_id}")
         tasks.append(task)
     return tasks
+
+
+# (key path, kind) of every record field ``verify`` reads, parents first
+RECORD_LAYOUT = (
+    (("scenario_file",), str),
+    (("solver",), str),
+    (("run",), dict),
+    (("run", "snapshots"), list),
+    (("run", "final_schedules"), dict),
+    (("run", "metrics"), dict),
+    (("run", "metrics", "satisfied"), int),
+    (("run", "metrics", "message_bytes"), int),
+)
+
+
+def _record_error(record: dict) -> str | None:
+    """Why ``verify`` cannot read this run record, or None if it can."""
+    for keys, kind in RECORD_LAYOUT:
+        value = record
+        for key in keys:  # every parent was checked to be an object
+            if key not in value:
+                return f"{'.'.join(keys)}: missing"
+            value = value[key]
+        if not isinstance(value, kind):
+            return f"{'.'.join(keys)}: expected {kind.__name__}, got {type(value).__name__}"
+    return None
 
 
 def cmd_verify(args) -> int:
@@ -224,13 +251,25 @@ def cmd_verify(args) -> int:
             print(f"{path.name}: unreadable record: {exc}")
             failures += 1
             continue
+        if not isinstance(record, dict):
+            print(f"{path.name}: malformed record: expected a JSON object, got {type(record).__name__}")
+            failures += 1
+            continue
         if "run" not in record:
             continue
-        sc_file = record["scenario_file"]
-        if sc_file not in scenarios:
-            scenarios[sc_file] = load_scenario(sc_file)
-        sc = scenarios[sc_file]
-        problem = sc.problem
+        error = _record_error(record)
+        if error is None:
+            sc_file = record["scenario_file"]
+            try:
+                if sc_file not in scenarios:
+                    scenarios[sc_file] = load_scenario(sc_file)
+            except ConfigError as exc:
+                error = str(exc)
+        if error is not None:
+            print(f"{path.name}: malformed record: {error}")
+            failures += 1
+            continue
+        problem = scenarios[sc_file].problem
         ok = True
         # schedule trace re-scores to the recorded utility
         try:
@@ -238,6 +277,9 @@ def cmd_verify(args) -> int:
             for i, snap in enumerate(snapshots):
                 if not isinstance(snap, list):
                     raise ValueError(f"snapshot {i} is not a list of task ids: {snap!r}")
+                bad = [tid for tid in snap if not isinstance(tid, int)]
+                if bad:
+                    raise ValueError(f"snapshot {i} holds a task id that is not an integer: {bad[0]!r}")
             satisfied = dynamic_utility([set(s) for s in snapshots], problem)
         except ValueError as exc:
             print(f"{path.name}: snapshot consistency violated: {exc}")

@@ -83,7 +83,6 @@ class ChangeEvent:
 class Snapshot:
     """One static problem instance: active requests from ``start`` onward."""
 
-    index: int
     start: float
     active: frozenset[int]
 
@@ -145,13 +144,10 @@ class DynamicProblem:
     def num_changes(self) -> int:
         return len(self.snapshots) - 1
 
-    @property
+    @cached_property
     def ever_active(self) -> frozenset[int]:
         """All requests that were active in at least one snapshot."""
-        out: set[int] = set()
-        for s in self.snapshots:
-            out |= s.active
-        return frozenset(out)
+        return frozenset().union(*(s.active for s in self.snapshots))
 
     def static_window(self, t: int) -> TimeInterval:
         """Interval during which snapshot t is the live problem."""
@@ -475,10 +471,10 @@ def generate_dynamics(
 def build_snapshots(
     initial_active: set[int], events: list[ChangeEvent], horizon: TimeInterval
 ) -> list[Snapshot]:
-    snaps = [Snapshot(0, horizon.start, frozenset(initial_active))]
+    snaps = [Snapshot(horizon.start, frozenset(initial_active))]
     active = set(initial_active)
-    for i, ev in enumerate(events, start=1):
+    for ev in events:
         active |= set(ev.added)
         active -= set(ev.removed)
-        snaps.append(Snapshot(i, ev.time, frozenset(active)))
+        snaps.append(Snapshot(ev.time, frozenset(active)))
     return snaps

@@ -272,7 +272,6 @@ class Scenario:
     epoch_offset_s: float
     volatility: int
     targets: list[Target]
-    constellation: Constellation
     problem: DynamicProblem
 
     @property
@@ -315,7 +314,6 @@ def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
         epoch_offset_s=epoch_offset,
         volatility=volatility,
         targets=targets,
-        constellation=constellation,
         problem=problem,
     )
 
@@ -403,19 +401,45 @@ def save_scenario(sc: Scenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(sc), sort_keys=True, indent=1) + "\n")
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in ``path``; a file that cannot be read or parsed, or
+    holds no object, is a ConfigError naming ``what`` and the path."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what} {path}: unreadable: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Rebuild a scenario from file; derived data is regenerated from seeds.
 
     The recorded campaign and timeline are cross-checked against the
     regenerated ones, so silent drift between writer and reader fails loudly.
+    A file that cannot be read, or is not a scenario of this format, is a
+    ConfigError naming the path.
     """
-    data = json.loads(Path(path).read_text())
+    data = read_json_object(path, "scenario file")
     if data.get("format_version") != SCENARIO_FORMAT_VERSION:
-        raise ConfigError(f"unsupported scenario format {data.get('format_version')}")
+        raise ConfigError(
+            f"scenario file {path}: unsupported scenario format {data.get('format_version')}"
+        )
+    compared = ("seed", "targets", "requests", "initial_active", "events")
+    missing = [key for key in ("config", "index", *compared) if key not in data]
+    if missing:
+        raise ConfigError(f"scenario file {path}: missing {', '.join(missing)}")
+    if not isinstance(data["config"], dict):
+        raise ConfigError(f"scenario file {path}: config: expected an object")
+    try:
+        check_kind("index", data["index"], int)
+    except ValueError as exc:
+        raise ConfigError(f"scenario file {path}: {exc}") from None
     config = ScenarioConfig.from_dict(data["config"])
     sc = generate_scenario(config, data["index"])
     recorded = scenario_to_dict(sc)
-    for key in ("seed", "targets", "requests", "initial_active", "events"):
+    for key in compared:
         if recorded[key] != data[key]:
             raise ConfigError(f"scenario file {path} does not match regeneration ({key})")
     return sc

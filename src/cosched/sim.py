@@ -1,10 +1,11 @@
 """Deterministic event-driven simulation of one solver over one scenario.
 
-The run is a pure fold over change events: at each event time, tasks that
-already started are frozen and marked executed, the problem's active request
-set is swapped, the solver takes its step (instantaneous in simulated time),
-and the global assignment is snapshotted. Utility is evaluated afterwards
-from the snapshots alone, so a persisted run can be re-scored independently.
+The run is a pure fold over change events: at each event time, each schedule
+freezes its tasks that already started, the problem's active request set is
+swapped, the solver takes its step (instantaneous in simulated time), and the
+global assignment is snapshotted; the run context keeps the trace. Utility is
+evaluated afterwards from the snapshots alone, so a persisted run can be
+re-scored independently.
 """
 
 from __future__ import annotations
@@ -22,18 +23,9 @@ from .solvers import (
     Solver,
     SolverConfig,
     SolverInvariantError,
+    TraceRow,
     make_solver,
 )
-
-
-@dataclass
-class TraceRow:
-    event: int
-    iteration: int
-    satisfied: int
-    satisfaction_pct: float
-    message_bytes: int
-    op_count: int
 
 
 @dataclass
@@ -90,7 +82,7 @@ def build_context(problem: DynamicProblem) -> RunContext:
     states = {}
     for agent in problem.agents:
         sched = ScheduleState(agent, problem.downlinks_by_agent.get(agent.agent_id, []), ops)
-        states[agent.agent_id] = AgentState(agent.agent_id, sched)
+        states[agent.agent_id] = AgentState(sched)
     return RunContext(
         problem=problem,
         states=states,
@@ -101,16 +93,15 @@ def build_context(problem: DynamicProblem) -> RunContext:
 
 
 def _advance(ctx: RunContext, window_start: float, now: float) -> None:
-    """Freeze and mark executed every scheduled task that has started.
+    """Freeze every scheduled task that has started.
 
     A task in a schedule at the change time ran during the elapsed static
     window; it becomes an immutable fact for the rest of the run.
     """
     for st in ctx.states.values():
         for task in st.schedule.tasks():
-            if task.start < now and max(task.start, window_start) < min(task.end, now):
-                st.schedule.frozen.add(task.task_id)
-                st.executed.add(task.request_id)
+            if max(task.start, window_start) < min(task.end, now):
+                st.schedule.freeze(task)
                 st.known_executed.add(task.request_id)
     ctx.now = now
 
@@ -124,14 +115,6 @@ def _capture_snapshot(ctx: RunContext, active: frozenset[int]) -> set[int]:
     return out
 
 
-def _satisfied_now(states: dict[int, AgentState], ever_active: frozenset[int]) -> int:
-    done: set[int] = set()
-    for st in states.values():
-        done |= st.executed
-        done |= set(st.schedule.by_request)
-    return len(done & ever_active)
-
-
 def run(
     problem: DynamicProblem,
     targets: list[Target],
@@ -142,20 +125,6 @@ def run(
     ``targets`` is unused until ROADMAP item 1 drops it with perfbench's call sites."""
     cfg = cfg or SolverConfig()
     ctx = build_context(problem)
-    ever_active = problem.ever_active
-    total = len(ever_active)
-
-    trace: list[TraceRow] = []
-    # the hook must not hold ctx: ctx holds the hook, and that cycle would
-    # leave every finished run's state to the cyclic garbage collector
-    states, ledger, ops = ctx.states, ctx.ledger, ctx.ops
-
-    def hook(event_index: int, iteration: int) -> None:
-        sat = _satisfied_now(states, ever_active)
-        pct = 100.0 * sat / total if total else 100.0
-        trace.append(TraceRow(event_index, iteration, sat, pct, ledger.bytes_total, ops.total))
-
-    ctx.iteration_hook = hook
     solver: Solver = make_solver(solver_name, ctx, cfg)
 
     agents = {a.agent_id: a for a in problem.agents}
@@ -171,6 +140,7 @@ def run(
     wall = time.perf_counter() - t0
 
     satisfied = dynamic_utility(snapshots, problem)
+    total = len(problem.ever_active)
     metrics = RunMetrics(
         solver=solver.name,
         satisfied=satisfied,
@@ -180,9 +150,9 @@ def run(
         message_count=ctx.ledger.count_total,
         constraint_checks=ctx.ops.constraint_checks,
         rng_draws=ctx.ops.rng_draws,
-        iterations_total=sum(1 for _ in trace),
+        iterations_total=len(ctx.trace),
         wall_time_s=wall,
-        trace=trace,
+        trace=ctx.trace,
     )
     final = {
         aid: [t.task_id for t in st.schedule.tasks()] for aid, st in ctx.states.items()

@@ -6,25 +6,30 @@ neighborhoods the geometric decomposition ``gnd`` allocates, DSA (the
 distributed stochastic algorithm, the DDCOP baseline) one group of every
 agent and every active request. The other axis is what survives an event:
 the ``d`` variants (dnss, ddsa) repair their schedules incrementally, the
-``0`` variants (0nss, 0dsa) rebuild from the executed and frozen tasks.
+``0`` variants (0nss, 0dsa) rebuild from the frozen (started) tasks.
 
 All solvers share one event-driven interface: ``on_event(active)`` is invoked
 with the active request set once at the start of the run and once per problem
-change, after the simulation has set ``ctx.event_index`` and ``ctx.now``, and
-must leave every agent's schedule feasible. The iterative solvers advance in
-synchronous rounds; messages sent in round i are readable in round i+1, and
-every message is charged to the ledger with its exact byte size. A search
-group stops after the first round that changes no member's scheduled request
-set, since the next round would re-send the same payloads
-(``run_all_iterations`` runs all ``max_iters`` rounds instead). Per-agent RNG
-streams are derived from the solver seed so parallel and sequential execution
-of a round produce identical results.
+change, after the simulation has set ``ctx.event_index`` and ``ctx.now`` and
+frozen the started tasks, and must leave every agent's schedule feasible. The
+iterative solvers advance in synchronous rounds; messages sent in round i are
+readable in round i+1, and every message is charged to the ledger with its
+exact byte size. A search group stops after the first round that changes no
+member's scheduled request set, since the next round would re-send the same
+payloads (``run_all_iterations`` runs all ``max_iters`` rounds instead).
+Per-agent RNG streams are derived from the solver seed so parallel and
+sequential execution of a round produce identical results.
+
+Each fact of a run has one owner: a ``ScheduleState`` holds what its agent
+scheduled and what already ran, a search keeps its round state to itself,
+and the ``RunContext`` appends a ``TraceRow`` at every ``record_iteration``.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .accounting import MessageLedger, OpCounter, message_bytes
@@ -85,9 +90,10 @@ class SolverConfig:
 class ScheduleState:
     """One agent's committed schedule with incremental feasibility checks.
 
-    Maintains tasks sorted by start time, per-downlink capacity loads, and the
-    set of frozen (already started or executed) tasks that may never be
-    removed. Every feasibility query increments the constraint-check counter.
+    Maintains tasks sorted by start time, per-downlink capacity loads, and
+    what already ran: ``frozen`` holds the started tasks, which may never be
+    removed, ``executed`` their requests, and ``freeze`` alone writes both.
+    Every feasibility query increments the constraint-check counter.
     """
 
     def __init__(self, agent: SatelliteSpec, downlinks: list[Downlink], ops: OpCounter | None = None):
@@ -101,6 +107,7 @@ class ScheduleState:
         self.by_request: dict[int, Task] = {}
         self._loads: dict[int, float] = {}
         self.frozen: set[int] = set()  # task ids
+        self.executed: set[int] = set()  # request ids of the frozen tasks
 
     def tasks(self) -> list[Task]:
         return [self._by_id[tid] for _, tid in self._starts]
@@ -165,6 +172,19 @@ class ScheduleState:
         b = self.bucket(task)
         self._loads[b] -= task.volume_bytes
 
+    def freeze(self, task: Task) -> None:
+        """Mark a held task as started: it stays, and its request is executed."""
+        if task.task_id not in self._by_id:
+            raise SolverInvariantError(f"agent {self.agent_id} does not hold task {task.task_id}")
+        self.frozen.add(task.task_id)
+        self.executed.add(task.request_id)
+
+    def drop_where(self, doomed: Callable[[Task], bool]) -> None:
+        """Remove, in start order, every non-frozen task ``doomed`` accepts."""
+        for task in self.tasks():
+            if task.task_id not in self.frozen and doomed(task):
+                self.remove(task)
+
     def closest_removable(self, start: float) -> Task | None:
         """Non-frozen scheduled task nearest in start time; ties prefer the
         larger data volume (frees more capacity), then the lower id."""
@@ -182,18 +202,25 @@ class ScheduleState:
 
 @dataclass
 class AgentState:
-    agent_id: int
     schedule: ScheduleState
     assigned: set[int] = field(default_factory=set)
-    executed: set[int] = field(default_factory=set)  # requests this agent completed
-    known_executed: set[int] = field(default_factory=set)  # incl. neighborhood reports
-    scheduled_last: set[int] = field(default_factory=set)  # requests held after prev round
+    known_executed: set[int] = field(default_factory=set)  # own and neighborhood reports
     rng: random.Random | None = None  # set by the solver that reads it
 
 
 @dataclass
+class TraceRow:
+    event: int
+    iteration: int
+    satisfied: int
+    satisfaction_pct: float
+    message_bytes: int
+    op_count: int
+
+
+@dataclass
 class RunContext:
-    """One run's state: the problem, per-agent state and accounting."""
+    """One run's state: the problem, per-agent state, accounting and trace."""
 
     problem: DynamicProblem
     states: dict[int, AgentState]
@@ -201,11 +228,16 @@ class RunContext:
     ops: OpCounter
     now: float = 0.0
     event_index: int = 0
-    iteration_hook: object = None  # callable(event_index, iteration) or None
+    trace: list[TraceRow] = field(default_factory=list)
 
     def record_iteration(self, iteration: int) -> None:
-        if self.iteration_hook is not None:
-            self.iteration_hook(self.event_index, iteration)
+        """Append the row of this event's ``iteration``: how many ever-active
+        requests some agent holds, and the counters so far."""
+        held = set().union(*(st.schedule.by_request for st in self.states.values()))
+        total = len(self.problem.ever_active)
+        sat = len(held & self.problem.ever_active)
+        pct = 100.0 * sat / total if total else 100.0
+        self.trace.append(TraceRow(self.event_index, iteration, sat, pct, self.ledger.bytes_total, self.ops.total))
 
 
 def stochastic_update(executed: bool, assigned: bool, w: int, p_u: float, rng, ops: OpCounter | None = None) -> bool:
@@ -263,18 +295,14 @@ def repair(state: AgentState, allowed: frozenset[int], ctx: RunContext, rng: ran
     yet held. The result is always feasible.
     """
     sched = state.schedule
-    for task in sched.tasks():
-        if task.task_id in sched.frozen:
-            continue
-        if task.request_id not in allowed or task.request_id in state.known_executed:
-            sched.remove(task)
+    sched.drop_where(lambda t: t.request_id not in allowed or t.request_id in state.known_executed)
     state.assigned &= allowed
     state.assigned |= set(sched.by_request) & allowed
     state.assigned -= state.known_executed
 
     pool = [
         t
-        for t in ctx.problem.tasks_by_agent.get(state.agent_id, [])
+        for t in ctx.problem.tasks_by_agent.get(sched.agent_id, [])
         if t.request_id in allowed
         and t.request_id not in state.known_executed
         and t.start >= ctx.now
@@ -290,42 +318,42 @@ def repair(state: AgentState, allowed: frozenset[int], ctx: RunContext, rng: ran
 def synchronous_search(groups: list[SearchGroup], ctx: RunContext, cfg: SolverConfig) -> int:
     """Iterate all groups in lockstep for up to max_iters rounds.
 
-    Each round: agents exchange their executed set and previously scheduled
-    set with every other group member (charged to the ledger), then update
-    each of their requests with the stochastic scheme and try insertions.
-    A group stops after the first round that changes no member's scheduled
-    request set: ``executed`` cannot change during a search, so the next
-    round would re-send byte-identical payloads. With run_all_iterations
-    every group runs all max_iters rounds. Returns the number of rounds
-    executed.
+    Each round: agents send every other group member the requests they
+    scheduled by the end of the previous round, which include the requests
+    they executed (charged to the ledger), then update each of their
+    requests with the stochastic scheme and try insertions. A group stops
+    after the first round that changes no member's scheduled request set,
+    since the next round would re-send byte-identical payloads. With
+    run_all_iterations every group runs all max_iters rounds. Returns the
+    number of rounds executed.
     """
-    for st in ctx.states.values():
-        st.scheduled_last = set(st.schedule.by_request)
-
+    last = {a: set(st.schedule.by_request) for a, st in ctx.states.items()}
     rounds = 0
     live = list(groups)
     while live and rounds < cfg.max_iters:
         rounds += 1
-        live = [g for g in live if _search_round(g, ctx, cfg) or cfg.run_all_iterations]
+        live = [g for g in live if _search_round(g, ctx, cfg, last) or cfg.run_all_iterations]
         ctx.record_iteration(rounds)
     return rounds
 
 
-def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig) -> bool:
-    """One round for one group; True if any member's scheduled set changed."""
+def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig, last: dict[int, set[int]]) -> bool:
+    """One round for one group; True if any member's scheduled set changed.
+    ``last`` holds each member's scheduled requests after the previous round,
+    and is brought up to date here."""
     states = ctx.states
     members = group.agents
-    # message exchange: each member broadcasts (executed, scheduled-last-round)
+    # message exchange: each member broadcasts its scheduled-last-round set
     counts: dict[int, int] = {}
     group_executed: set[int] = set()
     payloads: dict[int, set[int]] = {}
     for a in members:
         st = states[a]
-        payload = (st.scheduled_last | st.executed) & group.requests
+        payload = last[a] & group.requests
         payloads[a] = payload
         for rid in payload:
             counts[rid] = counts.get(rid, 0) + 1
-        group_executed |= st.executed & group.requests
+        group_executed |= st.schedule.executed & group.requests
         fanout = len(members) - 1
         if fanout > 0:
             ctx.ledger.record(fanout, fanout * message_bytes(len(payload)))
@@ -356,10 +384,9 @@ def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig) -> boo
                         st.schedule.remove(task)
     changed = False
     for a in members:
-        st = states[a]
-        new_sched = set(st.schedule.by_request)
-        changed |= new_sched != st.scheduled_last
-        st.scheduled_last = new_sched
+        new_sched = set(states[a].schedule.by_request)
+        changed |= new_sched != last[a]
+        last[a] = new_sched
     return changed
 
 
@@ -386,8 +413,8 @@ class SearchSolver(Solver):
         self.name = name
         self.incremental = name.startswith("d")
         self.decompose = name.endswith("nss")
-        for st in ctx.states.values():
-            st.rng = self._agent_rng(st.agent_id)
+        for a, st in ctx.states.items():
+            st.rng = self._agent_rng(a)
 
     def _agent_rng(self, agent_id: int) -> random.Random:
         return random.Random(f"solver:{self.cfg.solver_seed}:{agent_id}")
@@ -396,11 +423,9 @@ class SearchSolver(Solver):
         return random.Random(f"repair:{self.cfg.repair_seed}:{event_index}:{agent_id}")
 
     def _clear_mutable_state(self) -> None:
-        """Reset to the executed/frozen facts only (the from-scratch variants)."""
+        """Reset to the frozen tasks only (the from-scratch variants)."""
         for st in self.ctx.states.values():
-            for task in st.schedule.tasks():
-                if task.task_id not in st.schedule.frozen:
-                    st.schedule.remove(task)
+            st.schedule.drop_where(lambda t: True)
             st.assigned = set()
 
     def on_event(self, active: frozenset[int]) -> None:
@@ -436,11 +461,8 @@ class GreedySolver(Solver):
         ctx = self.ctx
         ctx.record_iteration(0)
         for a in sorted(ctx.states):
-            st = ctx.states[a]
-            sched = st.schedule
-            for task in sched.tasks():
-                if task.task_id not in sched.frozen and task.request_id not in active:
-                    sched.remove(task)
+            sched = ctx.states[a].schedule
+            sched.drop_where(lambda t: t.request_id not in active)
             for task in self._pass_order(a, active):
                 if task.start >= ctx.now and not sched.has_request(task.request_id):
                     if sched.can_insert(task):

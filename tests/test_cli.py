@@ -253,6 +253,12 @@ def _unknown_task_id(record):
     return aid, f"unknown task id {tid}"
 
 
+def _list_task_id(record):
+    aid, ids = _first_schedule(record)
+    ids.append([ids[0]])
+    return aid, f"unknown task id [{ids[0]}]"
+
+
 def _other_agents_task_id(record):
     aid, ids = _first_schedule(record)
     problem = load_scenario(record["scenario_file"]).problem
@@ -280,10 +286,10 @@ def _non_list_schedule(record):
 
 @pytest.mark.parametrize(
     "tamper",
-    [_repeat_task_id, _unknown_task_id, _other_agents_task_id, _unknown_agent, _non_integer_agent,
-     _non_list_schedule],
-    ids=["repeated-task-id", "unknown-task-id", "other-agents-task-id", "unknown-agent",
-         "non-integer-agent", "schedule-not-a-list"],
+    [_repeat_task_id, _unknown_task_id, _list_task_id, _other_agents_task_id, _unknown_agent,
+     _non_integer_agent, _non_list_schedule],
+    ids=["repeated-task-id", "unknown-task-id", "list-task-id", "other-agents-task-id",
+         "unknown-agent", "non-integer-agent", "schedule-not-a-list"],
 )
 def test_verify_reports_malformed_schedule(contended_runs, tmp_path, capsys, tamper):
     """A final schedule that repeats, invents or borrows a task id, is keyed
@@ -342,6 +348,24 @@ def test_verify_reports_snapshot_that_is_not_a_list(contended_runs, tmp_path, ca
     assert captured.err == "1 run(s) failed verification\n"
 
 
+def test_verify_reports_snapshot_task_id_that_is_not_an_integer(contended_runs, tmp_path, capsys):
+    """A snapshot holding a task id that is not an integer is a failed record, not a crash."""
+    runs = tmp_path / "results"
+    shutil.copytree(contended_runs, runs)
+    path = runs / "tiny-000_greedy.json"
+    record = json.loads(path.read_text())
+    record["run"]["snapshots"][0].append([1])
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["verify", "--runs", str(runs)]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "tiny-000_dnss.json: ok",
+        "tiny-000_greedy.json: snapshot consistency violated: snapshot 0 holds a task id that is not an integer: [1]",
+    ]
+    assert captured.err == "1 run(s) failed verification\n"
+
+
 def test_verify_reports_record_that_is_not_json(contended_runs, tmp_path, capsys):
     """A run record that does not parse as JSON is a failed record, not a crash."""
     runs = tmp_path / "results"
@@ -356,3 +380,89 @@ def test_verify_reports_record_that_is_not_json(contended_runs, tmp_path, capsys
     assert lines[1].startswith("tiny-000_greedy.json: unreadable record: ")
     assert len(lines) == 2
     assert captured.err == "1 run(s) failed verification\n"
+
+
+def _not_an_object(record):
+    return 5, "expected a JSON object, got int"
+
+
+def _no_solver(record):
+    del record["solver"]
+    return record, "solver: missing"
+
+
+def _scenario_file_gone(record):
+    record["scenario_file"] += ".gone"
+    return record, f"scenario file {record['scenario_file']}: unreadable: "
+
+
+@pytest.mark.parametrize(
+    "tamper", [_not_an_object, _no_solver, _scenario_file_gone],
+    ids=["not-an-object", "no-solver", "scenario-file-gone"],
+)
+def test_verify_reports_unusable_record(contended_runs, tmp_path, capsys, tamper):
+    """A record that is not an object, lacks a key verify reads, or names a
+    scenario file that cannot be loaded is a failed record, not a crash."""
+    runs = tmp_path / "results"
+    shutil.copytree(contended_runs, runs)
+    path = runs / "tiny-000_greedy.json"
+    record, detail = tamper(json.loads(path.read_text()))
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["verify", "--runs", str(runs)]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "tiny-000_dnss.json: ok"
+    assert lines[1].startswith(f"tiny-000_greedy.json: malformed record: {detail}")
+    assert len(lines) == 2
+    assert captured.err == "1 run(s) failed verification\n"
+
+
+def test_replay_reports_missing_scenario_file(workspace, tmp_path, capsys):
+    """A record whose scenario file is gone is a config error naming the file."""
+    _, out = workspace
+    record = json.loads((out / "tiny-000_dnss.json").read_text())
+    record["scenario_file"] = str(tmp_path / "gone.json")
+    path = tmp_path / "tiny-000_dnss.json"
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["replay", "--run", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: scenario file {tmp_path / 'gone.json'}: unreadable: ")
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("{", "unreadable: "),
+        ('{"format_version": 3}', "missing config, index, seed, targets, requests, initial_active, events"),
+    ],
+    ids=["not-json", "no-config"],
+)
+def test_bench_reports_malformed_scenario_file(tmp_path, capsys, text, detail):
+    """A scenario file that does not parse, or lacks the keys of its format,
+    is a config error naming the file, not a traceback."""
+    scen = tmp_path / "scenarios"
+    scen.mkdir()
+    bad = scen / "tiny-000.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main(["bench", "--scenarios", str(scen), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: scenario file {bad}: {detail}")
+
+
+@pytest.mark.parametrize("text, detail", [(None, "unreadable: "), ("5", "expected a JSON object, got int")],
+                         ids=["missing", "not-an-object"])
+@pytest.mark.parametrize("command, what", [("generate", "config file"), ("replay", "run record")],
+                         ids=["generate", "replay"])
+def test_unusable_input_file_is_config_error(tmp_path, capsys, command, what, text, detail):
+    """A ``generate --config`` or ``replay --run`` file that is missing or
+    holds no JSON object is a config error naming the file, not a traceback."""
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    argv = (["generate", "--config", str(path), "--out", str(tmp_path / "out")]
+            if command == "generate" else ["replay", "--run", str(path)])
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {what} {path}: {detail}")

@@ -292,13 +292,13 @@ def test_trace_length_mismatch_rejected(rng):
 
 def test_inactive_request_in_snapshot_rejected(rng):
     problem, _ = make_problem(rng, n_events=2)
-    for snap in problem.snapshots:
+    for i, snap in enumerate(problem.snapshots):
         inactive = [
             t.task_id for t in problem.tasks.values() if t.request_id not in snap.active
         ]
         if inactive:
             trace = [set() for _ in problem.snapshots]
-            trace[snap.index] = {inactive[0]}
+            trace[i] = {inactive[0]}
             with pytest.raises(ValueError):
                 dynamic_utility(trace, problem)
             return

@@ -116,6 +116,29 @@ def test_load_detects_drifted_record(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda doc: doc.update(config=5), "config: expected an object"),
+        (lambda doc: doc.update(index="0"), "index: expected an integer, got '0'"),
+        (lambda doc: (doc.pop("events"), doc.pop("seed")), "missing seed, events"),
+    ],
+    ids=["config-not-an-object", "index-a-string", "no-seed-or-events"],
+)
+def test_load_names_the_malformed_field(tmp_path, tamper, message):
+    """A scenario file whose config or index is of the wrong kind, or that
+    lacks a key, is a ConfigError naming the file and the field."""
+    sc = generate_scenario(preset("tiny"), 0)
+    path = tmp_path / "tiny-000.json"
+    save_scenario(sc, path)
+    doc = json.loads(path.read_text())
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        load_scenario(path)
+    assert str(err.value) == f"scenario file {path}: {message}"
+
+
 def test_version_one_file_is_an_unsupported_format(tmp_path):
     """Format 1 carried the unused ``gnd_seed``; such a file is refused by
     its version, not by the field the current config no longer has."""

@@ -84,9 +84,37 @@ def test_frozen_task_cannot_be_removed():
     st = ScheduleState(agent(), [])
     t = task(0, 0, 0, 63)
     st.insert(t)
-    st.frozen.add(0)
+    st.freeze(t)
     with pytest.raises(SolverInvariantError):
         st.remove(t)
+
+
+def test_freeze_records_the_task_and_its_request():
+    st = make_state(task(0, 7, 0, 63), task(1, 8, 100, 163))
+    st.freeze(st.by_request[8])
+    assert st.frozen == {1} and st.executed == {8}
+    with pytest.raises(SolverInvariantError):
+        st.freeze(task(2, 9, 200, 263))  # not held: it cannot have run here
+    assert st.frozen == {1} and st.executed == {8}
+
+
+def test_drop_where_keeps_frozen_tasks_and_removes_exactly_the_doomed():
+    tasks_ = [task(i, 10 + i, 100 * i, 100 * i + 63) for i in range(5)]
+    st = make_state(*reversed(tasks_))
+    st.freeze(tasks_[1])
+    st.freeze(tasks_[2])
+    seen = []
+
+    def doomed(t):
+        seen.append(t.task_id)
+        return t.task_id != 3
+
+    st.drop_where(doomed)
+    assert seen == [0, 3, 4]  # start order, frozen tasks never offered
+    assert [t.task_id for t in st.tasks()] == [1, 2, 3]
+    st.drop_where(lambda t: True)
+    assert [t.task_id for t in st.tasks()] == [1, 2]
+    assert st.can_insert(tasks_[0]) and st.can_insert(tasks_[4])
 
 
 def test_second_task_for_same_request_rejected():
@@ -129,7 +157,7 @@ def test_closest_removable_prefers_near_then_large():
     st.insert(task(2, 2, 500, 563, vol=10 * MB))
     assert st.closest_removable(120).task_id == 0
     assert st.closest_removable(400).task_id == 1  # ties 1/2 -> larger volume
-    st.frozen.add(0)
+    st.freeze(st.by_request[0])
     assert st.closest_removable(120).task_id == 1
 
 
@@ -164,7 +192,7 @@ def test_insert_prefers_earliest_candidate_even_via_displacement():
 
 def test_insert_skips_to_free_candidate_when_displacement_blocked():
     st = make_state(task(0, 0, 0, 63))
-    st.frozen.add(0)  # frozen tasks are never displaced
+    st.freeze(st.by_request[0])  # frozen tasks are never displaced
     cands = [task(1, 5, 30, 93), task(2, 5, 200, 263)]
     fake = type("S", (), {"schedule": st})()
     assert schedule_insert(fake, 5, cands, now=0.0)
@@ -229,8 +257,8 @@ def test_greedy_schedule_is_maximal(rng):
     solver = make_solver("greedy", ctx, cfg())
     snap = problem.snapshots[0]
     solver.on_event(snap.active)
-    for st in ctx.states.values():
-        for t in problem.tasks_by_agent.get(st.agent_id, []):
+    for aid, st in ctx.states.items():
+        for t in problem.tasks_by_agent.get(aid, []):
             if t.request_id in snap.active and not st.schedule.has_request(t.request_id):
                 assert not st.schedule.can_insert(t)
 
@@ -296,12 +324,13 @@ def test_message_count_matches_group_size_formula(rng):
 # the stop rule: a group stops at the first round that changes no schedule
 
 
-def search_context(holdings, executed=None, now=0.0):
+def search_context(holdings, frozen=(), now=0.0):
     """A search context over a small problem built from hand-placed tasks.
 
     ``holdings`` maps agent -> (scheduled tasks, other candidate tasks); an
-    agent is assigned exactly the requests it holds, as after a repair.
-    Every request is active over the whole horizon.
+    agent is assigned exactly the requests it holds, as after a repair, and
+    the held tasks whose ids are in ``frozen`` already ran. Every request is
+    active over the whole horizon.
     """
     horizon = TimeInterval(0.0, 1000.0)
     tasks = {t.task_id: t for held, others in holdings.values() for t in held + others}
@@ -323,9 +352,10 @@ def search_context(holdings, executed=None, now=0.0):
         st.rng = random.Random(f"stop:{a}")
         for t in held:
             st.schedule.insert(t)
+            if t.task_id in frozen:
+                st.schedule.freeze(t)
         st.assigned = set(st.schedule.by_request)
-        st.executed = set((executed or {}).get(a, ()))
-        st.known_executed = set(st.executed)
+        st.known_executed = set(st.schedule.executed)
     return ctx
 
 
@@ -354,21 +384,29 @@ def test_search_stops_after_one_round_when_repair_left_nothing_to_insert():
     assert ctx.ledger.count_total == 2  # one round, one message each way
 
 
-def test_search_stops_one_round_after_the_last_schedule_change():
+def test_search_stops_one_round_after_the_last_schedule_change(monkeypatch):
     """Round 1 inserts agent 0's free request 2 and drops its copy of
-    request 3, which agent 1 already executed; round 2 changes nothing."""
+    request 3, which agent 1 already executed with its frozen task 3;
+    round 2 changes nothing."""
     ctx = search_context(
         {
             0: ([task(0, 1, 100, 110), task(1, 3, 300, 310)], [task(2, 2, 200, 210)]),
-            1: ([], [task(3, 3, 300, 310, agent_id=1)]),
+            1: ([task(3, 3, 0, 10, agent_id=1)], []),
         },
-        executed={1: [3]},
+        frozen={3},
+        now=50.0,
     )
     history = [scheduled_sets(ctx)]
-    ctx.iteration_hook = lambda event, it: history.append(scheduled_sets(ctx))
+    record = solvers.RunContext.record_iteration
+
+    def recording(self, iteration):
+        history.append(scheduled_sets(self))
+        record(self, iteration)
+
+    monkeypatch.setattr(solvers.RunContext, "record_iteration", recording)
     group = SearchGroup((0, 1), frozenset({1, 2, 3}))
     assert synchronous_search([group], ctx, SolverConfig(max_iters=10)) == 2
-    assert history[1] == {0: frozenset({1, 2}), 1: frozenset()}
+    assert history[1] == {0: frozenset({1, 2}), 1: frozenset({3})}
     assert history[2] == history[1] != history[0]
 
 
@@ -376,17 +414,24 @@ def test_iterative_solvers_stop_at_the_first_unchanged_round(rng, monkeypatch):
     """Over whole runs, every round but the last changes some schedule, and
     the last changes none unless the round cap ended the search."""
     searches = []
+    open_search = []  # the running search's history, while one runs
     original = solvers.synchronous_search
+    record = solvers.RunContext.record_iteration
+
+    def recording(self, iteration):
+        for history in open_search:
+            history.append(scheduled_sets(self))
+        record(self, iteration)
 
     def spy(groups, ctx, cfg):
         history = [scheduled_sets(ctx)]
-        hook = ctx.iteration_hook
-        ctx.iteration_hook = lambda e, it: (history.append(scheduled_sets(ctx)), hook(e, it))
+        open_search.append(history)
         rounds = original(groups, ctx, cfg)
-        ctx.iteration_hook = hook
+        open_search.remove(history)
         searches.append((rounds, cfg.max_iters, history))
         return rounds
 
+    monkeypatch.setattr(solvers.RunContext, "record_iteration", recording)
     monkeypatch.setattr(solvers, "synchronous_search", spy)
     for _ in range(4):
         problem, targets = make_problem(rng, n_agents=5, n_requests=14, n_events=2)
@@ -397,6 +442,30 @@ def test_iterative_solvers_stop_at_the_first_unchanged_round(rng, monkeypatch):
         assert len(history) == rounds + 1
         assert all(history[k] != history[k - 1] for k in range(1, rounds))
         assert rounds == cap or history[rounds] == history[rounds - 1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_executed_requests_are_always_held(seed, monkeypatch):
+    """A request counts as executed only through a frozen task, and a frozen
+    task never leaves its schedule: at every recorded iteration of every
+    solver, each agent holds its frozen tasks and executed requests."""
+    record = solvers.RunContext.record_iteration
+    checked = []
+
+    def checking(self, iteration):
+        for st in self.states.values():
+            sched = st.schedule
+            assert all(tid in sched for tid in sched.frozen)
+            assert sched.executed == {t.request_id for t in sched.tasks() if t.task_id in sched.frozen}
+            assert sched.executed <= set(sched.by_request) and sched.executed <= st.known_executed
+        checked.append(any(st.schedule.frozen for st in self.states.values()))
+        record(self, iteration)
+
+    monkeypatch.setattr(solvers.RunContext, "record_iteration", checking)
+    problem, targets = make_problem(random.Random(seed), n_agents=4, n_requests=14, n_events=3)
+    for name in SOLVER_NAMES:
+        run(problem, targets, name, cfg())
+    assert any(checked)  # some task ran, so the invariant was not vacuous
 
 
 def test_message_bytes_are_header_plus_payload(rng):
