@@ -60,8 +60,10 @@ class OrbitalPlane:
             raise ValueError(f"inclination {self.inclination_deg} outside [0, 180]")
         if self.count < 1:
             raise ValueError("plane must hold at least one satellite")
-        if self.altitude_km <= 0:
-            raise ValueError("altitude must be positive")
+        if not 0 < self.altitude_km < math.inf:
+            raise ValueError(f"altitude must be positive and finite, got {self.altitude_km}")
+        if not math.isfinite(self.raan_deg):
+            raise ValueError(f"raan must be finite, got {self.raan_deg}")
 
     @property
     def radius_km(self) -> float:

@@ -23,7 +23,6 @@ from .solvers import ScheduleState
 @dataclass
 class CollapsedInstance:
     request_ids: frozenset[int]  # every request that was ever active
-    tasks: dict[int, Task]  # surviving tasks only
     candidates: dict[int, list[Task]]  # request -> surviving tasks, by start
     agents: dict[int, SatelliteSpec]
     downlinks_by_agent: dict[int, list[Downlink]]
@@ -37,20 +36,16 @@ def collapse(problem: DynamicProblem) -> CollapsedInstance:
     """
     windows = [problem.static_window(t) for t in range(len(problem.snapshots))]
     actives = [snap.active for snap in problem.snapshots]
-    surviving: dict[int, Task] = {}
+    candidates: dict[int, list[Task]] = {}
     for task in problem.tasks.values():
         for w, active in zip(windows, actives):
             if task.request_id in active and max(task.start, w.start) < min(task.end, w.end):
-                surviving[task.task_id] = task
+                candidates.setdefault(task.request_id, []).append(task)
                 break
-    candidates: dict[int, list[Task]] = {}
-    for task in surviving.values():
-        candidates.setdefault(task.request_id, []).append(task)
     for lst in candidates.values():
         lst.sort(key=lambda t: (t.start, t.task_id))
     return CollapsedInstance(
         request_ids=problem.ever_active,
-        tasks=surviving,
         candidates=candidates,
         agents={a.agent_id: a for a in problem.agents},
         downlinks_by_agent=problem.downlinks_by_agent,

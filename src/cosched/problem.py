@@ -92,7 +92,6 @@ class DynamicProblem:
     horizon: TimeInterval
     agents: list[SatelliteSpec]
     requests: dict[int, Request]
-    tasks: dict[int, Task]
     tasks_by_agent: dict[int, list[Task]]
     downlinks_by_agent: dict[int, list[Downlink]]
     snapshots: list[Snapshot]
@@ -106,6 +105,12 @@ class DynamicProblem:
 
     # Views derived from the tasks alone: each is built on first use and then
     # shared, read-only, by every run over this problem.
+
+    @cached_property
+    def tasks(self) -> dict[int, Task]:
+        """Task id -> task, in ascending task id."""
+        listed = (t for tasks in self.tasks_by_agent.values() for t in tasks)
+        return {t.task_id: t for t in sorted(listed, key=lambda t: t.task_id)}
 
     @cached_property
     def tasks_by_start(self) -> dict[int, list[Task]]:
@@ -182,28 +187,27 @@ class DynamicProblem:
                     raise ValueError(
                         f"request {rid} changed after its window opened"
                     )
-        for task in self.tasks.values():
-            if task.start > task.end:
-                raise ValueError(f"task {task.task_id} is inverted: start {task.start} > end {task.end}")
-            req = self.requests[task.request_id]
-            if not req.start <= task.start <= task.end <= req.end:
-                raise ValueError(f"task {task.task_id} outside its request window")
-        # the solvers read tasks_by_agent, the oracle and the scorer tasks
         listed: set[int] = set()
         for agent_id, tasks in self.tasks_by_agent.items():
             for task in tasks:
-                if task.agent_id != agent_id or self.tasks.get(task.task_id) != task:
-                    raise ValueError(f"tasks_by_agent lists task {task.task_id} under agent {agent_id}, unlike tasks")
+                if task.agent_id != agent_id:
+                    raise ValueError(f"tasks_by_agent lists task {task.task_id} of agent {task.agent_id} under agent {agent_id}")
                 if task.task_id in listed:
                     raise ValueError(f"tasks_by_agent lists task {task.task_id} twice")
                 listed.add(task.task_id)
-        if len(listed) != len(self.tasks):
-            raise ValueError(f"tasks_by_agent omits task {min(self.tasks.keys() - listed)}")
+                if task.start > task.end:
+                    raise ValueError(f"task {task.task_id} is inverted: start {task.start} > end {task.end}")
+                req = self.requests[task.request_id]
+                if not req.start <= task.start <= task.end <= req.end:
+                    raise ValueError(f"task {task.task_id} outside its request window")
         for agent_id, dls in self.downlinks_by_agent.items():
             for d in dls:
                 if d.start > d.end:
                     raise ValueError(f"downlink {d.downlink_id} is inverted: start {d.start} > end {d.end}")
+            # in start order, only neighbours can overlap
             for a, b in zip(dls, dls[1:]):
+                if b.start < a.start:
+                    raise ValueError(f"agent {agent_id} lists downlinks out of start order")
                 if max(a.start, b.start) < min(a.end, b.end):
                     raise ValueError(f"agent {agent_id} has overlapping downlinks")
 

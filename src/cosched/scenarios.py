@@ -1,9 +1,12 @@
 """Scenario configuration, seeded generation, and lossless serialization.
 
-A scenario file captures everything non-derivable: the config, the sampled
-targets, the request campaign, and the change timeline. Geometry, candidate
-tasks, and data volumes are regenerated from the recorded seeds on load, so
-a scenario replays byte-identically anywhere.
+A scenario is fully determined by its config and index: geometry, candidate
+tasks and data volumes are regenerated from the seeds on load, so a scenario
+replays byte-identically anywhere. The file also records the scenario seed,
+the sampled targets, the request campaign, the initial active set and the
+change events, and ``load_scenario`` cross-checks each of them against the
+regeneration; ``volatility`` (the number of change events) and
+``epoch_offset_s`` are informational and not compared.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .problem import (
     ChangeEvent,
     Downlink,
     DynamicProblem,
+    GenerationError,
     Request,
     build_snapshots,
     generate_campaign,
@@ -268,15 +272,17 @@ def load_targets(path: str) -> list[Target]:
 class Scenario:
     config: ScenarioConfig
     index: int
-    seed: int
-    epoch_offset_s: float
-    volatility: int
     targets: list[Target]
     problem: DynamicProblem
 
     @property
     def label(self) -> str:
         return f"{self.config.name}-{self.index:03d}"
+
+
+def _epoch_offset_s(seed: int) -> float:
+    """The scenario's epoch: seconds from the reference epoch to horizon start."""
+    return random.Random(f"epoch:{seed}").uniform(0.0, DAY_S)
 
 
 def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
@@ -286,12 +292,12 @@ def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
     (targets, campaign, volumes, dynamics, epoch) is derived from it by a
     fixed label so the pieces stay independent. The assembled problem is
     checked with :meth:`DynamicProblem.validate`, so every generated or
-    loaded scenario satisfies its structural invariants.
+    loaded scenario satisfies its structural invariants. A config whose
+    campaign is too small to generate is a ConfigError.
     """
     config.validate()
     seed = config.scenario_seed + index
     horizon = TimeInterval(0.0, config.horizon_s)
-    epoch_offset = random.Random(f"epoch:{seed}").uniform(0.0, DAY_S)
     constellation = build_constellation(config)
     targets = sample_targets(config, seed)
 
@@ -300,22 +306,15 @@ def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
     )
     vol_lo, vol_hi = config._volatility_range()
     volatility = random.Random(f"volatility:{seed}").randint(vol_lo, vol_hi)
-    initial, events = generate_dynamics(
-        campaign, volatility, horizon, random.Random(f"dynamics:{seed}")
-    )
-    problem = _assemble_problem(
-        constellation, targets, campaign, initial, events, horizon, epoch_offset, seed
-    )
+    try:
+        initial, events = generate_dynamics(
+            campaign, volatility, horizon, random.Random(f"dynamics:{seed}")
+        )
+    except GenerationError as exc:
+        raise ConfigError(f"{config.name}-{index:03d}: {exc}") from None
+    problem = _assemble_problem(constellation, targets, campaign, initial, events, horizon, seed)
     problem.validate()
-    return Scenario(
-        config=config,
-        index=index,
-        seed=seed,
-        epoch_offset_s=epoch_offset,
-        volatility=volatility,
-        targets=targets,
-        problem=problem,
-    )
+    return Scenario(config=config, index=index, targets=targets, problem=problem)
 
 
 def _assemble_problem(
@@ -325,10 +324,10 @@ def _assemble_problem(
     initial: set[int],
     events: list[ChangeEvent],
     horizon: TimeInterval,
-    epoch_offset: float,
     seed: int,
 ) -> DynamicProblem:
     sats = constellation.satellites()
+    epoch_offset = _epoch_offset_s(seed)
     access = geometry.batch_access_windows(constellation, targets, horizon, epoch_offset)
     passes = geometry.batch_downlink_windows(
         constellation, list(geometry.DEFAULT_STATIONS), horizon, epoch_offset
@@ -344,7 +343,6 @@ def _assemble_problem(
         downlinks_by_agent[sat.agent_id] = dls
 
     tasks_by_agent: dict[int, list] = {}
-    all_tasks: dict[int, object] = {}
     next_task = 0
     for sat in sats:
         windows_by_target = {
@@ -359,14 +357,11 @@ def _assemble_problem(
         )
         next_task += len(agent_tasks)
         tasks_by_agent[sat.agent_id] = agent_tasks
-        for t in agent_tasks:
-            all_tasks[t.task_id] = t
 
     return DynamicProblem(
         horizon=horizon,
         agents=sats,
         requests={r.request_id: r for r in campaign},
-        tasks=all_tasks,
         tasks_by_agent=tasks_by_agent,
         downlinks_by_agent=downlinks_by_agent,
         snapshots=build_snapshots(initial, events, horizon),
@@ -378,11 +373,12 @@ def _assemble_problem(
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
+    seed = sc.config.scenario_seed + sc.index
     return {
         "format_version": SCENARIO_FORMAT_VERSION,
         "config": sc.config.to_dict(),
         "index": sc.index,
-        "seed": sc.seed,
+        "seed": seed,
         "targets": [[t.target_id, t.latitude_deg, t.longitude_deg] for t in sc.targets],
         "requests": [
             [r.request_id, r.target_id, r.start, r.end]
@@ -392,8 +388,8 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "events": [
             [ev.time, list(ev.added), list(ev.removed)] for ev in sc.problem.events()
         ],
-        "volatility": sc.volatility,
-        "epoch_offset_s": sc.epoch_offset_s,
+        "volatility": sc.problem.num_changes,
+        "epoch_offset_s": _epoch_offset_s(seed),
     }
 
 

@@ -102,7 +102,6 @@ def _advance(ctx: RunContext, window_start: float, now: float) -> None:
         for task in st.schedule.tasks():
             if max(task.start, window_start) < min(task.end, now):
                 st.schedule.freeze(task)
-                st.known_executed.add(task.request_id)
     ctx.now = now
 
 

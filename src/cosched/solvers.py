@@ -21,12 +21,15 @@ Per-agent RNG streams are derived from the solver seed so parallel and
 sequential execution of a round produce identical results.
 
 Each fact of a run has one owner: a ``ScheduleState`` holds what its agent
-scheduled and what already ran, a search keeps its round state to itself,
-and the ``RunContext`` appends a ``TraceRow`` at every ``record_iteration``.
+scheduled and what already ran, an ``AgentState`` holds only the executed
+requests its search groups reported (``repair`` reads them together with the
+agent's own), a search keeps its round state to itself, and the
+``RunContext`` appends a ``TraceRow`` at every ``record_iteration``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left, insort
 from collections.abc import Callable
@@ -50,14 +53,17 @@ _KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
 
 def check_kind(name: str, value, kind: type, *, optional: bool = False) -> None:
     """Raise ValueError naming the setting unless its value is of ``kind``
-    (or None, if ``optional``). A ``float`` setting admits ints; a bool is
-    never a number, although Python counts it as an int."""
+    (or None, if ``optional``). A ``float`` setting admits ints but not NaN
+    or infinity; a bool is never a number, although Python counts it as an
+    int."""
     if optional and value is None:
         return
     kinds = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
         expected = _KIND_NAMES[kind] + (" or null" if optional else "")
         raise ValueError(f"{name}: expected {expected}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
 
 
 @dataclass
@@ -90,8 +96,9 @@ class SolverConfig:
 class ScheduleState:
     """One agent's committed schedule with incremental feasibility checks.
 
-    Maintains tasks sorted by start time, per-downlink capacity loads, and
-    what already ran: ``frozen`` holds the started tasks, which may never be
+    Holds each task once, in a list sorted by (start, task id) and indexed
+    by request in ``by_request``, plus per-downlink capacity loads and what
+    already ran: ``frozen`` holds the started tasks, which may never be
     removed, ``executed`` their requests, and ``freeze`` alone writes both.
     Every feasibility query increments the constraint-check counter.
     """
@@ -102,21 +109,21 @@ class ScheduleState:
         self.downlinks = sorted(downlinks, key=lambda d: d.start)
         self._dl_starts = [d.start for d in self.downlinks]
         self.ops = ops
-        self._starts: list[tuple[float, int]] = []  # (start, task_id), sorted
-        self._by_id: dict[int, Task] = {}
+        self._starts: list[tuple[float, int, Task]] = []  # (start, task_id, task), sorted
         self.by_request: dict[int, Task] = {}
         self._loads: dict[int, float] = {}
         self.frozen: set[int] = set()  # task ids
         self.executed: set[int] = set()  # request ids of the frozen tasks
 
     def tasks(self) -> list[Task]:
-        return [self._by_id[tid] for _, tid in self._starts]
+        return [t for _, _, t in self._starts]
 
     def __len__(self) -> int:
         return len(self._starts)
 
-    def __contains__(self, task_id: int) -> bool:
-        return task_id in self._by_id
+    def _holds(self, task: Task) -> bool:
+        held = self.by_request.get(task.request_id)
+        return held is not None and held.task_id == task.task_id
 
     def has_request(self, request_id: int) -> bool:
         return request_id in self.by_request
@@ -133,14 +140,14 @@ class ScheduleState:
     def can_insert(self, task: Task) -> bool:
         if self.ops is not None:
             self.ops.constraint_checks += 1
-        if task.agent_id != self.agent_id or task.task_id in self._by_id:
+        if task.agent_id != self.agent_id or self._holds(task):
             return False
         # processing conflicts: schedule is disjoint, so only the immediate
         # neighbors in start order can overlap
         i = bisect_left(self._starts, (task.start, task.task_id))
-        if i > 0 and self._by_id[self._starts[i - 1][1]].end > task.start:
+        if i > 0 and self._starts[i - 1][2].end > task.start:
             return False
-        if i < len(self._starts) and self._by_id[self._starts[i][1]].start < task.end:
+        if i < len(self._starts) and self._starts[i][0] < task.end:
             return False
         # downlink overlap: same argument over the disjoint downlink list,
         # where the last downlink starting before the task ends precedes its bucket
@@ -157,8 +164,7 @@ class ScheduleState:
             raise SolverInvariantError(
                 f"agent {self.agent_id} already holds a task for request {task.request_id}"
             )
-        insort(self._starts, (task.start, task.task_id))
-        self._by_id[task.task_id] = task
+        insort(self._starts, (task.start, task.task_id, task))
         self.by_request[task.request_id] = task
         b = self.bucket(task)
         self._loads[b] = self._loads.get(b, 0.0) + task.volume_bytes
@@ -166,15 +172,16 @@ class ScheduleState:
     def remove(self, task: Task) -> None:
         if task.task_id in self.frozen:
             raise SolverInvariantError(f"task {task.task_id} is frozen and cannot be removed")
-        self._starts.remove((task.start, task.task_id))
-        del self._by_id[task.task_id]
+        if not self._holds(task):
+            raise SolverInvariantError(f"agent {self.agent_id} does not hold task {task.task_id}")
+        del self._starts[bisect_left(self._starts, (task.start, task.task_id))]
         del self.by_request[task.request_id]
         b = self.bucket(task)
         self._loads[b] -= task.volume_bytes
 
     def freeze(self, task: Task) -> None:
         """Mark a held task as started: it stays, and its request is executed."""
-        if task.task_id not in self._by_id:
+        if not self._holds(task):
             raise SolverInvariantError(f"agent {self.agent_id} does not hold task {task.task_id}")
         self.frozen.add(task.task_id)
         self.executed.add(task.request_id)
@@ -190,10 +197,9 @@ class ScheduleState:
         larger data volume (frees more capacity), then the lower id."""
         best = None
         best_key = None
-        for _, tid in self._starts:
+        for _, tid, t in self._starts:
             if tid in self.frozen:
                 continue
-            t = self._by_id[tid]
             key = (abs(t.start - start), -t.volume_bytes, t.task_id)
             if best_key is None or key < best_key:
                 best, best_key = t, key
@@ -204,7 +210,7 @@ class ScheduleState:
 class AgentState:
     schedule: ScheduleState
     assigned: set[int] = field(default_factory=set)
-    known_executed: set[int] = field(default_factory=set)  # own and neighborhood reports
+    reported_executed: set[int] = field(default_factory=set)  # executed requests its groups reported
     rng: random.Random | None = None  # set by the solver that reads it
 
 
@@ -258,7 +264,7 @@ def stochastic_update(executed: bool, assigned: bool, w: int, p_u: float, rng, o
     return rng.random() < 1.0 / w
 
 
-def schedule_insert(state: AgentState, request_id: int, candidates: list[Task], now: float) -> bool:
+def schedule_insert(sched: ScheduleState, request_id: int, candidates: list[Task], now: float) -> bool:
     """Try to place a task for the request, allowing one displacement.
 
     Candidates are tried in ascending start order. If a candidate does not
@@ -266,7 +272,6 @@ def schedule_insert(state: AgentState, request_id: int, candidates: list[Task], 
     retried; on failure the removed task is restored. A displaced task's
     request stays assigned, so the agent may re-schedule it later.
     """
-    sched = state.schedule
     if sched.has_request(request_id):
         return True
     for task in candidates:
@@ -290,21 +295,22 @@ def repair(state: AgentState, allowed: frozenset[int], ctx: RunContext, rng: ran
     """Drop tasks that left the subproblem, then greedily refill in random order.
 
     Removes every non-frozen task whose request is outside ``allowed`` or
-    already executed somewhere in the neighborhood, then shuffles the agent's
-    candidate tasks and inserts each one that fits and whose request is not
-    yet held. The result is always feasible.
+    already executed, by the agent itself or as its groups reported, then
+    shuffles the agent's candidate tasks and inserts each one that fits and
+    whose request is not yet held. The result is always feasible.
     """
     sched = state.schedule
-    sched.drop_where(lambda t: t.request_id not in allowed or t.request_id in state.known_executed)
+    executed = state.reported_executed | sched.executed
+    sched.drop_where(lambda t: t.request_id not in allowed or t.request_id in executed)
     state.assigned &= allowed
     state.assigned |= set(sched.by_request) & allowed
-    state.assigned -= state.known_executed
+    state.assigned -= executed
 
     pool = [
         t
         for t in ctx.problem.tasks_by_agent.get(sched.agent_id, [])
         if t.request_id in allowed
-        and t.request_id not in state.known_executed
+        and t.request_id not in executed
         and t.start >= ctx.now
     ]
     rng.shuffle(pool)
@@ -358,7 +364,7 @@ def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig, last: 
         if fanout > 0:
             ctx.ledger.record(fanout, fanout * message_bytes(len(payload)))
     for a in members:
-        states[a].known_executed |= group_executed
+        states[a].reported_executed |= group_executed
 
     for a in members:
         st = states[a]
@@ -373,7 +379,7 @@ def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig, last: 
             ):
                 st.assigned.add(rid)
                 if not st.schedule.has_request(rid):
-                    schedule_insert(st, rid, ctx.problem.candidates.get((a, rid), []), ctx.now)
+                    schedule_insert(st.schedule, rid, ctx.problem.candidates.get((a, rid), []), ctx.now)
             else:
                 st.assigned.discard(rid)
                 if rid in group_executed:

@@ -108,7 +108,6 @@ def make_problem(
         horizon=horizon,
         agents=agents,
         requests=requests,
-        tasks=tasks,
         tasks_by_agent=_group_tasks(tasks, n_agents),
         downlinks_by_agent=downlinks_by_agent,
         snapshots=snapshots,

@@ -119,11 +119,20 @@ def test_bad_solver_list_is_config_error(workspace, tmp_path):
         ({"horizon_s": None}, "horizon_s: expected a number, got None"),
         ({"solver": {"p_u": "x"}}, "solver.p_u: expected a number, got 'x'"),
         ({"solver": {"max_iters": True}}, "solver.max_iters: expected an integer, got True"),
+        # NaN and infinity are numbers to Python and to its json module, but
+        # no setting means anything at either; a NaN memory limit admitted any task
+        ({"memory_bytes": float("nan")}, "memory_bytes: expected a finite number, got nan"),
+        ({"horizon_s": float("inf")}, "horizon_s: expected a finite number, got inf"),
+        ({"custom_planes": [{"inclination_deg": 97.0, "altitude_km": float("nan"),
+                             "raan_deg": 0.0, "count": 4}]}, "custom_planes[0]: altitude"),
+        ({"custom_planes": [{"inclination_deg": 97.0, "altitude_km": 500.0,
+                             "raan_deg": float("inf"), "count": 4}]}, "custom_planes[0]: raan"),
     ],
     ids=["plane-without-count", "zero-memory", "zero-off-nadir", "flat-solver-field",
          "solver-p_u-out-of-range", "unknown-solver-key", "solver-not-an-object",
          "memory-not-a-number", "target-count-a-string", "horizon-null", "solver-p_u-a-string",
-         "solver-max_iters-a-bool"],
+         "solver-max_iters-a-bool", "memory-nan", "horizon-infinite", "plane-altitude-nan",
+         "plane-raan-infinite"],
 )
 def test_malformed_config_file_is_config_error(tmp_path, capsys, changes, field):
     data = preset("tiny").to_dict()
@@ -133,6 +142,35 @@ def test_malformed_config_file_is_config_error(tmp_path, capsys, changes, field)
     rc = main(["generate", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_horizon_flag_is_config_error(tmp_path, capsys, value):
+    rc = main(["generate", "--preset", "tiny", "--horizon-s", value, "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert f"horizon_s: expected a finite number, got {value}" in capsys.readouterr().err
+
+
+def test_too_small_campaign_is_config_error(tmp_path, capsys):
+    """One target observed twice is a two-request campaign, too small to
+    seed a one-third active set; generate, bench and replay exit 2 and
+    verify counts the record as failed."""
+    scen, out = tmp_path / "scenarios", tmp_path / "results"
+    small = ["--target-count", "1", "--periodicity", "fixed-2"]
+    assert main(["generate", "--preset", "tiny", *small, "--out", str(scen)]) == EXIT_CONFIG
+    assert "campaign of 2 requests is too small" in capsys.readouterr().err
+    # a file whose config cannot be regenerated: bench, replay and verify report it
+    assert main(["generate", "--preset", "tiny", "--target-count", "1", "--out", str(scen)]) == EXIT_OK
+    assert main(["bench", "--scenarios", str(scen), "--out", str(out), "--solvers", "greedy"]) == EXIT_OK
+    path = scen / "tiny-000.json"
+    doc = json.loads(path.read_text())
+    doc["config"]["periodicity"] = "fixed-2"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["bench", "--scenarios", str(scen), "--out", str(tmp_path / "again")]) == EXIT_CONFIG
+    assert main(["replay", "--run", str(out / "tiny-000_greedy.json")]) == EXIT_CONFIG
+    assert main(["verify", "--runs", str(out)]) == EXIT_INVARIANT
+    assert "tiny-000_greedy.json: malformed record: tiny-000: campaign of 2 requests" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key", ["max_iter", "gnd_seed"])

@@ -312,12 +312,6 @@ def _copy_listing(problem):
     return by_agent, next(a for a, tasks in by_agent.items() if tasks)
 
 
-def _drop_task(problem):
-    by_agent, aid = _copy_listing(problem)
-    dropped = by_agent[aid].pop(0)
-    return dict(tasks_by_agent=by_agent), f"tasks_by_agent omits task {dropped.task_id}"
-
-
 def _list_task_twice(problem):
     by_agent, aid = _copy_listing(problem)
     twice = by_agent[aid][0]
@@ -332,25 +326,16 @@ def _list_task_under_other_agent(problem):
     by_agent[other].append(moved)
     return (
         dict(tasks_by_agent=by_agent),
-        f"tasks_by_agent lists task {moved.task_id} under agent {other}, unlike tasks",
+        f"tasks_by_agent lists task {moved.task_id} of agent {aid} under agent {other}",
     )
-
-
-def _list_unknown_task(problem):
-    by_agent, aid = _copy_listing(problem)
-    tid = max(problem.tasks) + 1
-    by_agent[aid].append(replace(by_agent[aid][0], task_id=tid))
-    return dict(tasks_by_agent=by_agent), f"tasks_by_agent lists task {tid} under agent {aid}, unlike tasks"
 
 
 def _invert_task(problem):
     by_agent, aid = _copy_listing(problem)
     t = by_agent[aid][0]
-    by_agent[aid][0] = inverted = replace(t, start=t.end, end=t.start)
-    tasks = dict(problem.tasks)
-    tasks[t.task_id] = inverted
+    by_agent[aid][0] = replace(t, start=t.end, end=t.start)
     return (
-        dict(tasks=tasks, tasks_by_agent=by_agent),
+        dict(tasks_by_agent=by_agent),
         f"task {t.task_id} is inverted: start {t.end} > end {t.start}",
     )
 
@@ -366,16 +351,29 @@ def _invert_downlink(problem):
     )
 
 
+def _unordered_downlinks(problem):
+    """[0, 1000], [2000, 2100], [50, 60]: no two list neighbours overlap,
+    but the first and last downlinks do."""
+    aid = problem.agents[0].agent_id
+    spans = [(0.0, 1000.0), (2000.0, 2100.0), (50.0, 60.0)]
+    dls = [Downlink(i, aid, s, e, 500 * MB) for i, (s, e) in enumerate(spans)]
+    return (
+        dict(downlinks_by_agent={**problem.downlinks_by_agent, aid: dls}),
+        f"agent {aid} lists downlinks out of start order",
+    )
+
+
 @pytest.mark.parametrize(
     "tamper",
-    [_drop_task, _list_task_twice, _list_task_under_other_agent, _list_unknown_task,
-     _invert_task, _invert_downlink],
-    ids=["dropped-task", "task-twice", "task-under-other-agent", "unknown-task",
-         "inverted-task", "inverted-downlink"],
+    [_list_task_twice, _list_task_under_other_agent, _invert_task, _invert_downlink,
+     _unordered_downlinks],
+    ids=["task-twice", "task-under-other-agent", "inverted-task", "inverted-downlink",
+         "downlinks-out-of-start-order"],
 )
 def test_validate_rejects_inconsistent_problem(tamper):
-    """``tasks_by_agent`` must list every task of ``tasks`` once, under its
-    own agent, and nothing else; an inverted task or downlink is named."""
+    """``tasks_by_agent`` must list each task once, under its own agent, and
+    each agent's downlinks must come in start order; an inverted task or
+    downlink is named."""
     problem, _ = make_problem(random.Random(5))
     changes, message = tamper(problem)
     with pytest.raises(ValueError) as err:
@@ -420,6 +418,8 @@ def test_derived_views_match_per_run_construction(seed, kw):
     assert problem.candidates == candidates
     assert problem.agent_requests == agent_requests
     assert problem.request_agents == request_agents
+    listed = [t for tasks in problem.tasks_by_agent.values() for t in tasks]
+    assert list(problem.tasks.items()) == sorted((t.task_id, t) for t in listed)
     # built once, then shared
     assert problem.candidates is problem.candidates
 

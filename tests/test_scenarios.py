@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -221,3 +222,22 @@ def test_targets_path_feeds_generation(tmp_path):
     sc = generate_scenario(preset("tiny", targets_path=str(path)), 0)
     assert [t.target_id for t in sc.targets] == [5, 9]
     assert {r.target_id for r in sc.problem.requests.values()} == {5, 9}
+
+
+# SHA-256 of ``save_scenario`` output for tiny-000 ... tiny-004. A scenario
+# file holds the config, targets, campaign, timeline and epoch but no
+# geometry output, so these digests do not depend on the platform's floats.
+TINY_FILE_DIGESTS = (
+    "89df88be5b37f7b04827a72cc0057b93b9a41eb08dedf8771407f33041c08be5",
+    "6ddc62b176cbb2da38f467890706ad354cfbac319acedeaa4d7097ac3ae1ecc3",
+    "26e4afb3edb3fe1b12569d59acedf602469cb23722f7e31b52498687198a6e29",
+    "1bcb21427da1ec95aefcb850633514335751dfdedbd5494e887a4f374b996fda",
+    "2a9cc98d2a3b3c6970f4a3917da8c8842bd9b1e1efc43be00a2d8cf118690fec",
+)
+
+
+@pytest.mark.parametrize("index", range(len(TINY_FILE_DIGESTS)))
+def test_scenario_files_match_pinned_digests(tmp_path, index):
+    path = tmp_path / f"tiny-{index:03d}.json"
+    save_scenario(generate_scenario(preset("tiny"), index), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TINY_FILE_DIGESTS[index]

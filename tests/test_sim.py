@@ -202,7 +202,6 @@ def two_agent_problem() -> DynamicProblem:
         horizon=horizon,
         agents=agents,
         requests=requests,
-        tasks=tasks,
         tasks_by_agent={0: [], 1: sorted(tasks.values(), key=lambda t: t.start)},
         downlinks_by_agent={0: [], 1: downlinks},
         snapshots=build_snapshots(set(tasks), [ChangeEvent(50.0, (), ())], horizon),

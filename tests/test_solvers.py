@@ -74,7 +74,7 @@ def test_insert_remove_roundtrip():
     t = task(0, 0, 0, 63)
     assert st.can_insert(t)
     st.insert(t)
-    assert 0 in st and st.has_request(0) and len(st) == 1
+    assert st.tasks() == [t] and st.by_request == {0: t}
     assert not st.can_insert(t)  # duplicate id
     st.remove(t)
     assert len(st) == 0 and not st.has_request(0)
@@ -174,9 +174,7 @@ def make_state(*tasks_):
 
 def test_insert_into_empty_schedule():
     st = make_state()
-    assert schedule_insert(
-        type("S", (), {"schedule": st})(), 5, [task(9, 5, 0, 63)], now=0.0
-    )
+    assert schedule_insert(st, 5, [task(9, 5, 0, 63)], now=0.0)
     assert st.has_request(5)
 
 
@@ -184,8 +182,7 @@ def test_insert_prefers_earliest_candidate_even_via_displacement():
     # displacement is attempted per candidate before trying later ones
     st = make_state(task(0, 0, 0, 63))
     cands = [task(1, 5, 30, 93), task(2, 5, 200, 263)]
-    fake = type("S", (), {"schedule": st})()
-    assert schedule_insert(fake, 5, cands, now=0.0)
+    assert schedule_insert(st, 5, cands, now=0.0)
     assert st.by_request[5].task_id == 1
     assert not st.has_request(0)  # the earlier holder was displaced
 
@@ -194,31 +191,27 @@ def test_insert_skips_to_free_candidate_when_displacement_blocked():
     st = make_state(task(0, 0, 0, 63))
     st.freeze(st.by_request[0])  # frozen tasks are never displaced
     cands = [task(1, 5, 30, 93), task(2, 5, 200, 263)]
-    fake = type("S", (), {"schedule": st})()
-    assert schedule_insert(fake, 5, cands, now=0.0)
+    assert schedule_insert(st, 5, cands, now=0.0)
     assert st.by_request[5].task_id == 2
     assert st.has_request(0)
 
 
 def test_insert_displaces_when_no_free_slot():
     st = make_state(task(0, 0, 30, 93))
-    fake = type("S", (), {"schedule": st})()
-    assert schedule_insert(fake, 5, [task(1, 5, 30, 93)], now=0.0)
+    assert schedule_insert(st, 5, [task(1, 5, 30, 93)], now=0.0)
     assert st.has_request(5) and not st.has_request(0)  # victim displaced
 
 
 def test_insert_restores_victim_when_displacement_fails():
     # candidate conflicts with two tasks; removing one cannot help
     st = make_state(task(0, 0, 0, 63), task(1, 1, 63, 126))
-    fake = type("S", (), {"schedule": st})()
-    assert not schedule_insert(fake, 5, [task(2, 5, 30, 100)], now=0.0)
+    assert not schedule_insert(st, 5, [task(2, 5, 30, 100)], now=0.0)
     assert st.has_request(0) and st.has_request(1)  # untouched
 
 
 def test_insert_ignores_past_candidates():
     st = make_state()
-    fake = type("S", (), {"schedule": st})()
-    assert not schedule_insert(fake, 5, [task(0, 5, 10, 73)], now=100.0)
+    assert not schedule_insert(st, 5, [task(0, 5, 10, 73)], now=100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +332,6 @@ def search_context(holdings, frozen=(), now=0.0):
         horizon=horizon,
         agents=[SatelliteSpec(a, 0, a, 45.0, 1000 * MB) for a in holdings],
         requests=requests,
-        tasks=tasks,
         tasks_by_agent={a: held + others for a, (held, others) in holdings.items()},
         downlinks_by_agent={a: [] for a in holdings},
         snapshots=build_snapshots(set(requests), [], horizon),
@@ -355,7 +347,6 @@ def search_context(holdings, frozen=(), now=0.0):
             if t.task_id in frozen:
                 st.schedule.freeze(t)
         st.assigned = set(st.schedule.by_request)
-        st.known_executed = set(st.schedule.executed)
     return ctx
 
 
@@ -455,9 +446,9 @@ def test_executed_requests_are_always_held(seed, monkeypatch):
     def checking(self, iteration):
         for st in self.states.values():
             sched = st.schedule
-            assert all(tid in sched for tid in sched.frozen)
+            assert sched.frozen <= {t.task_id for t in sched.tasks()}
             assert sched.executed == {t.request_id for t in sched.tasks() if t.task_id in sched.frozen}
-            assert sched.executed <= set(sched.by_request) and sched.executed <= st.known_executed
+            assert sched.executed <= set(sched.by_request)
         checked.append(any(st.schedule.frozen for st in self.states.values()))
         record(self, iteration)
 
