@@ -14,10 +14,10 @@ how randomized horizon starts are realized.
 Access windows (targets) and downlink passes (stations) come from one path.
 A ground point is visible when it lies inside an off-nadir cone and at or
 above a minimum elevation; targets use the satellite's sensor cone and the
-horizon, stations a 180° cone and their antenna mask. Per satellite, each
-point is scanned on a ``SCAN_STEP_S`` time grid, and then every rising and
-falling edge of every point is bisected in lockstep, one propagation per
-halving, until each bracket is at most 1 s wide.
+horizon, stations a 180° cone and their antenna mask. Per satellite, a scan
+finds the runs of ``SCAN_STEP_S`` grid samples at which each point is
+visible, and then every rising and falling edge of every run is bisected in
+lockstep, one propagation per halving, until each bracket is at most 1 s wide.
 
 The scan evaluates ``visible`` only where it can pass. A point is visible
 only while the Earth-central angle λ between it and the satellite is at most
@@ -26,9 +26,16 @@ the elevation limit gives λ_el = arccos(R cos ε / r) − ε, and, when η < 90
 r sin η / R < 1 and ε ≥ 0, the cone limit gives λ_cone = arcsin(r sin η / R)
 − η; λ_max is the smaller of those that apply. The cone limit needs ε ≥ 0:
 below the horizon the cone's far-side intersection with the Earth can pass.
-Samples with cos λ below cos λ_max, padded far beyond rounding error, are
-invisible without evaluating ``visible``, so the windows are exactly those
-of the full scan.
+The sub-satellite point moves at most n + ω_E rad/s over the Earth (mean
+motion plus Earth rotation), so by the triangle inequality on the sphere λ
+changes by at most (n + ω_E) h within h seconds. A coarse pass tests every
+``COARSE_STRIDE``-th sample and the last against λ_max + (n + ω_E) h, with h
+the largest half gap between coarse samples: each sample lies within h of a
+coarse one, so a gap whose ends both fail holds no sample within λ_max. The
+samples of the other gaps are tested against λ_max itself, and those that
+pass go to one ``visible`` call. Every bound is padded by 1e-6 rad and 1e-6
+off its cosine, far beyond rounding error, so the windows are exactly those
+of ``visible`` on every sample.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ EARTH_RADIUS_KM = 6378.137
 MU_KM3_S2 = 398600.4418
 EARTH_ROT_RAD_S = 7.2921159e-5
 SCAN_STEP_S = 10.0  # visibility scan grid spacing before edge refinement
+COARSE_STRIDE = 12  # grid samples per gap of the coarse visibility pass
 
 
 @dataclass(frozen=True)
@@ -105,21 +113,11 @@ class Constellation:
     memory_bytes: float
 
     def satellites(self) -> list[SatelliteSpec]:
-        sats = []
-        agent_id = 0
-        for pi, plane in enumerate(self.planes):
-            for slot in range(plane.count):
-                sats.append(
-                    SatelliteSpec(
-                        agent_id=agent_id,
-                        plane_index=pi,
-                        slot=slot,
-                        max_off_nadir_deg=self.max_off_nadir_deg,
-                        memory_bytes=self.memory_bytes,
-                    )
-                )
-                agent_id += 1
-        return sats
+        slots = [(pi, slot) for pi, plane in enumerate(self.planes) for slot in range(plane.count)]
+        return [
+            SatelliteSpec(aid, pi, slot, self.max_off_nadir_deg, self.memory_bytes)
+            for aid, (pi, slot) in enumerate(slots)
+        ]
 
     @property
     def size(self) -> int:
@@ -239,8 +237,8 @@ def time_grid(horizon: TimeInterval) -> np.ndarray:
 
 def _ground(latlons) -> tuple[np.ndarray, np.ndarray]:
     """ECEF positions and unit up vectors of ground points given as (lat, lon)."""
-    ecef = np.array([latlon_to_ecef(lat, lon) for lat, lon in latlons])
-    return ecef, np.array([p / np.linalg.norm(p) for p in ecef])
+    ecef = np.array([latlon_to_ecef(lat, lon) for lat, lon in latlons]).reshape(-1, 3)
+    return ecef, np.array([p / np.linalg.norm(p) for p in ecef]).reshape(-1, 3)
 
 
 def _max_central_angle(radius_km: float, cone_deg: np.ndarray, min_el_deg: np.ndarray) -> np.ndarray:
@@ -256,24 +254,36 @@ def _max_central_angle(radius_km: float, cone_deg: np.ndarray, min_el_deg: np.nd
     return np.where(cone_limits, np.minimum(lam, lam_cone), lam)
 
 
-def _scan(pos: np.ndarray, radius_km: float, points: tuple) -> np.ndarray:
-    """Visibility of each ground point (rows) from each satellite position
-    (columns) on a circular orbit of radius ``radius_km``.
-
-    ``visible`` runs only on the positions whose central angle to the point
-    is within the point's λ_max (see the module docstring) plus 1e-6 rad,
-    with a further 1e-6 off its cosine; every other entry is False. The
-    result equals ``visible`` over every position, bit for bit.
-    """
+def _scan(plane: OrbitalPlane, pos: np.ndarray, times: np.ndarray, points: tuple):
+    """Runs of consecutive samples on ``times`` at which each ground point is
+    ``visible`` from a satellite of ``plane`` at ``pos``: the point, first and
+    last sample of each run, in (point, first) order, exactly as ``visible``
+    on every sample gives them (the coarse pass is in the module docstring)."""
     ecef, up, cone, min_el = points
+    n = len(times)
     shat = pos / np.linalg.norm(pos, axis=1, keepdims=True)
-    lam_max = _max_central_angle(radius_km, cone, min_el)
-    cos_min = np.cos(np.minimum(lam_max + 1e-6, np.pi)) - 1e-6
-    mask = np.zeros((len(ecef), len(pos)), dtype=bool)
-    for j in range(len(ecef)):
-        cand = np.flatnonzero(shat @ up[j] >= cos_min[j])
-        mask[j, cand] = visible(pos[cand], ecef[j], up[j], cone[j], min_el[j])
-    return mask
+    lam_max = _max_central_angle(plane.radius_km, cone, min_el)
+    coarse = np.append(np.arange(0, n - 1, COARSE_STRIDE), n - 1)
+    half_gap = 0.5 * np.max(np.diff(times[coarse]), initial=0.0)
+    drift = (plane.mean_motion_rad_s + EARTH_ROT_RAD_S) * half_gap
+    # cosines below which λ exceeds λ_max + drift (coarse) and λ_max (fine), padded
+    lam = np.stack([lam_max + drift, lam_max])
+    coarse_min, cos_min = np.cos(np.minimum(lam + 1e-6, np.pi)) - 1e-6
+    near = shat[coarse] @ up.T >= coarse_min
+    # gap g holds samples coarse[g] up to, not including, coarse[g + 1]; the last one also n - 1
+    j, g = np.nonzero((near[:-1] | near[1:]).T)
+    first = coarse[g]
+    size = np.append(coarse[1:-1], n)[g] - first
+    i = np.arange(size.sum()) + np.repeat(first - (np.cumsum(size) - size), size)
+    j = np.repeat(j, size)
+    within = np.einsum("ij,ij->i", shat[i], up[j]) >= cos_min[j]
+    i, j = i[within], j[within]
+    seen = visible(pos[i], ecef[j], up[j], cone[j], min_el[j])
+    i, j = i[seen], j[seen]
+    new = np.ones(len(i), dtype=bool)
+    new[1:] = (j[1:] != j[:-1]) | (i[1:] != i[:-1] + 1)
+    heads = np.flatnonzero(new)
+    return j[heads], i[heads], np.append(i[heads[1:] - 1], i[-1:])
 
 
 def _satellite_windows(
@@ -282,17 +292,18 @@ def _satellite_windows(
     """Visibility windows of one satellite over every ground point.
 
     ``points`` holds row-aligned arrays: ECEF position, unit up vector, cone
-    and minimum elevation. Each point is scanned on ``times``, evaluating
-    ``visible`` only on the samples within the point's central-angle bound
-    λ_max (``_scan``). Then every rising and falling edge of every point is
-    bisected in lockstep until its bracket is at most 1 s wide. A rising edge
-    keeps its visible (late) end, a falling edge its visible (early) end; runs
-    touching the first or last sample end there.
+    and minimum elevation. Each edge of each run of visible samples on
+    ``times`` (``_scan``) is bisected in lockstep until its bracket is at most
+    1 s wide, keeping its visible end; runs touching the first or last sample
+    end there.
     """
     ecef, up, cone, min_el = points
-    mask = _scan(propagate(plane, slot, times, epoch_offset_s), plane.radius_km, points)
-    k, e = np.nonzero(mask[:, 1:] != mask[:, :-1])
-    rising = ~mask[k, e]
+    run_k, first, last = _scan(plane, propagate(plane, slot, times, epoch_offset_s), times, points)
+    # each run's rising edge precedes ``first``, its falling edge follows ``last``:
+    # run by run, the edges are in the (point, grid index) order of np.nonzero
+    edges = np.flatnonzero(np.stack([first > 0, last < len(times) - 1], axis=1))
+    rising, run = edges % 2 == 0, edges // 2
+    k, e = run_k[run], np.where(rising, first[run] - 1, last[run])
     lo, hi = times[e], times[e + 1]
     while True:
         live = np.flatnonzero(hi - lo > 1.0)
@@ -304,14 +315,12 @@ def _satellite_windows(
         to_hi = visible(pos, ecef[kl], up[kl], cone[kl], min_el[kl]) == rising[live]
         hi[live[to_hi]] = mid[to_hi]
         lo[live[~to_hi]] = mid[~to_hi]
-    edge = np.where(rising, hi, lo)
-
-    windows = []
-    for j in range(len(ecef)):
-        mine = k == j
-        starts = ([times[0]] if mask[j, 0] else []) + list(edge[mine & rising])
-        ends = list(edge[mine & ~rising]) + ([times[-1]] if mask[j, -1] else [])
-        windows.append([TimeInterval(a, b) for a, b in zip(starts, ends) if b > a])
+    bounds = np.tile([times[0], times[-1]], (len(run_k), 1))
+    np.put(bounds, edges, np.where(rising, hi, lo))
+    windows = [[] for _ in range(len(ecef))]
+    for j, (a, b) in zip(run_k.tolist(), bounds.tolist()):
+        if b > a:
+            windows[j].append(TimeInterval(a, b))
     return windows
 
 
@@ -355,33 +364,22 @@ def batch_downlink_windows(
     for sat in constellation.satellites():
         plane = constellation.planes[sat.plane_index]
         wins = _satellite_windows(plane, sat.slot, points, times, epoch_offset_s)
-        passes = [
-            (w, w.duration * station.downlink_rate_bps)
-            for station, ws in zip(stations, wins)
-            for w in ws
-        ]
-        passes.sort(key=lambda wc: (wc[0].start, wc[0].end))
-        out[sat.agent_id] = passes
+        rated = ((w, w.duration * st.downlink_rate_bps) for st, ws in zip(stations, wins) for w in ws)
+        out[sat.agent_id] = sorted(rated, key=lambda wc: (wc[0].start, wc[0].end))
     return out
 
 
 # Constellations modeled after operational low-Earth-orbit systems. The paper
 # sources give plane counts and inclinations; altitudes are our defaults.
 def planet_constellation() -> Constellation:
-    planes = []
-    for i in range(2):
-        planes.append(OrbitalPlane(95.0, 475.0, raan_deg=180.0 * i, count=95))
-    for i in range(2):
-        planes.append(OrbitalPlane(52.0, 475.0, raan_deg=90.0 + 180.0 * i, count=5))
+    planes = [OrbitalPlane(95.0, 475.0, raan_deg=180.0 * i, count=95) for i in range(2)]
+    planes += [OrbitalPlane(52.0, 475.0, raan_deg=90.0 + 180.0 * i, count=5) for i in range(2)]
     return Constellation("planet", tuple(planes), max_off_nadir_deg=60.0, memory_bytes=125e9)
 
 
 def walker_constellation() -> Constellation:
-    planes = []
-    for i in range(6):
-        planes.append(OrbitalPlane(88.0, 500.0, raan_deg=30.0 * i, count=14))
-    for i in range(2):
-        planes.append(OrbitalPlane(51.6, 500.0, raan_deg=15.0 + 90.0 * i, count=12))
+    planes = [OrbitalPlane(88.0, 500.0, raan_deg=30.0 * i, count=14) for i in range(6)]
+    planes += [OrbitalPlane(51.6, 500.0, raan_deg=15.0 + 90.0 * i, count=12) for i in range(2)]
     return Constellation("walker", tuple(planes), max_off_nadir_deg=45.0, memory_bytes=125e9)
 
 

@@ -114,7 +114,9 @@ def branch_and_bound(
     insertable), so its flag is already clear. After the insert, only the
     still-flagged tasks of that bucket are re-checked with ``can_insert``;
     the flags that cleared are logged and set again when c is removed,
-    which restores the state exactly as it was before the insert.
+    which restores the state exactly as it was before the insert. The number
+    of remaining requests with a flagged task is kept the same way: a count
+    that crosses zero moves it, and so does stepping past a request.
     """
     order = sorted(
         (rid for rid in inst.request_ids if inst.candidates.get(rid)),
@@ -136,9 +138,13 @@ def branch_and_bound(
             insertable[t.task_id] = st.can_insert(t)
             buckets.setdefault((t.agent_id, st.bucket(t)), []).append(t)
         count[rid] = sum(insertable[t.task_id] for t in inst.candidates[rid])
+    position = {rid: i for i, rid in enumerate(order)}
+    depth = 0  # the current node's index into ``order``
+    live = sum(1 for rid in order if count[rid])  # requests in order[depth:] with a positive count
 
     def insert(task: Task) -> list[Task]:
         """Insert task; return the tasks whose flag the insert cleared."""
+        nonlocal live
         st = states[task.agent_id]
         st.insert(task)
         cleared = [
@@ -148,13 +154,26 @@ def branch_and_bound(
         for t in cleared:
             insertable[t.task_id] = False
             count[t.request_id] -= 1
+            if not count[t.request_id] and position[t.request_id] >= depth:
+                live -= 1
         return cleared
 
     def remove(task: Task, cleared: list[Task]) -> None:
+        nonlocal live
         states[task.agent_id].remove(task)
         for t in cleared:
             insertable[t.task_id] = True
             count[t.request_id] += 1
+            if count[t.request_id] == 1 and position[t.request_id] >= depth:
+                live += 1
+
+    def descend(i: int, satisfied: int) -> None:
+        """Search below order[i], with ``live`` stepped past it and back."""
+        nonlocal depth, live
+        head = count[order[i]] > 0
+        depth, live = i + 1, live - head
+        dfs(i + 1, satisfied)
+        depth, live = i, live + head
 
     def dfs(i: int, satisfied: int):
         nonlocal nodes, best_count, best_schedules, exhausted
@@ -167,28 +186,26 @@ def branch_and_bound(
             best_schedules = _schedules(states)
         if i == len(order):
             return
-        bound = satisfied + sum(1 for rid in order[i:] if count[rid])
-        if bound <= best_count:
+        if satisfied + live <= best_count:
             return
-        rid = order[i]
-        for task in inst.candidates[rid]:
+        for task in inst.candidates[order[i]]:
             if insertable[task.task_id]:
                 cleared = insert(task)
-                dfs(i + 1, satisfied + 1)
+                descend(i, satisfied + 1)
                 remove(task, cleared)
-        dfs(i + 1, satisfied)  # skip branch
+        descend(i, satisfied)  # skip branch
 
-    # the search recurses once per request; the caller's limit comes back after
+    # the search recurses twice per request; the caller's limit comes back after
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, len(order) + 100))
+    sys.setrecursionlimit(max(limit, 2 * len(order) + 100))
     try:
         dfs(0, 0)
     except BudgetExhausted:
         pass
     finally:
         sys.setrecursionlimit(limit)
-        # dfs refers to itself; break that cycle so the tables go now
-        del dfs
+        # dfs and descend refer to each other; break that cycle so the tables go now
+        del dfs, descend
     result = OracleResult(
         satisfied=best_count,
         proven_optimal=not exhausted,

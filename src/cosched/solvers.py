@@ -194,15 +194,21 @@ class ScheduleState:
 
     def closest_removable(self, start: float) -> Task | None:
         """Non-frozen scheduled task nearest in start time; ties prefer the
-        larger data volume (frees more capacity), then the lower id."""
+        larger data volume (frees more capacity), then the lower id.
+
+        Walks outward from ``start`` on both sides of the start-ordered list;
+        a side stops at the first task farther away than the best so far."""
         best = None
         best_key = None
-        for _, tid, t in self._starts:
-            if tid in self.frozen:
-                continue
-            key = (abs(t.start - start), -t.volume_bytes, t.task_id)
-            if best_key is None or key < best_key:
-                best, best_key = t, key
+        i = bisect_left(self._starts, (start,))
+        for side in (range(i - 1, -1, -1), range(i, len(self._starts))):
+            for j in side:
+                _, tid, t = self._starts[j]
+                key = (abs(t.start - start), -t.volume_bytes, tid)
+                if best_key is not None and key[0] > best_key[0]:
+                    break
+                if tid not in self.frozen and (best_key is None or key < best_key):
+                    best, best_key = t, key
         return best
 
 

@@ -208,31 +208,41 @@ def test_batch_windows_match_dense_sampling_per_pair():
 
 
 def test_pruned_scan_matches_visible_on_every_sample():
-    """The central-angle prefilter only skips samples ``visible`` rejects,
-    whatever the orbit, point, cone (narrow, wider than the horizon, or a
-    station's 180°) and minimum elevation (including below the horizon)."""
+    """The coarse pass and the central-angle prefilter only skip samples
+    ``visible`` rejects, whatever the orbit, point, cone (narrow, wider than
+    the horizon, or a station's 180°), minimum elevation (including below the
+    horizon) and horizon (a day, or not a multiple of the grid step or the
+    coarse stride, down to two samples)."""
     rng = np.random.default_rng(20261018)
-    times = time_grid(DAY)
     n = 40
     lat = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n)))
     lat[:2] = 90.0, -90.0
     lon = rng.uniform(-180.0, 180.0, n)
     ecef = np.array([latlon_to_ecef(a, b) for a, b in zip(lat, lon)])
     up = ecef / np.linalg.norm(ecef, axis=1, keepdims=True)
-    for _ in range(16):
-        plane = OrbitalPlane(
-            inclination_deg=rng.uniform(0.0, 180.0),
-            altitude_km=rng.uniform(200.0, 3000.0),
-            raan_deg=rng.uniform(0.0, 360.0),
-            count=1,
-        )
-        pos = propagate(plane, 0, times, rng.uniform(0.0, 86400.0))
-        cone = np.where(rng.random(n) < 0.2, 180.0, rng.uniform(1e-3, 90.0 - 1e-3, n))
-        min_el = rng.uniform(-30.0, 40.0, n)
-        mask = _scan(pos, plane.radius_km, (ecef, up, cone, min_el))
-        full = np.array([visible(pos, ecef[j], up[j], cone[j], min_el[j]) for j in range(n)])
-        assert np.array_equal(mask, full)
-        assert full.any()
+    for horizon_s in (86400.0, 21603.7, 95.0, 5.0):
+        times = time_grid(TimeInterval(0.0, horizon_s))
+        seen = 0
+        for _ in range(16):
+            plane = OrbitalPlane(
+                inclination_deg=rng.uniform(0.0, 180.0),
+                altitude_km=rng.uniform(200.0, 3000.0),
+                raan_deg=rng.uniform(0.0, 360.0),
+                count=1,
+            )
+            pos = propagate(plane, 0, times, rng.uniform(0.0, 86400.0))
+            cone = np.where(rng.random(n) < 0.2, 180.0, rng.uniform(1e-3, 90.0 - 1e-3, n))
+            min_el = rng.uniform(-30.0, 40.0, n)
+            point, first, last = _scan(plane, pos, times, (ecef, up, cone, min_el))
+            mask = np.zeros((n, len(times)), dtype=bool)
+            for j, a, b in zip(point, first, last):
+                assert not mask[j, max(a - 1, 0):b + 2].any(), "runs overlap, touch or repeat"
+                mask[j, a:b + 1] = True
+            assert list(zip(point, first)) == sorted(zip(point, first))
+            full = np.array([visible(pos, ecef[j], up[j], cone[j], min_el[j]) for j in range(n)])
+            assert np.array_equal(mask, full)
+            seen += full.any()
+        assert seen >= 12  # most orbits see some point, even over two samples
 
 
 def test_windows_match_dense_sampling_without_cone_limit():
@@ -278,6 +288,11 @@ def test_wider_sensor_cone_contains_narrow_cone_windows():
         assert any(
             v.start <= w.start + 1e-6 and w.end - 1e-6 <= v.end for v in wide
         ), f"{w} not contained in any wide-cone window"
+
+
+def test_no_ground_points_give_no_windows():
+    assert batch_access_windows(one_sat(POLAR), [], DAY) == {}
+    assert batch_downlink_windows(one_sat(POLAR), [], DAY) == {0: []}
 
 
 def test_access_windows_deterministic():

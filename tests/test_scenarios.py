@@ -241,3 +241,34 @@ def test_scenario_files_match_pinned_digests(tmp_path, index):
     path = tmp_path / f"tiny-{index:03d}.json"
     save_scenario(generate_scenario(preset("tiny"), index), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TINY_FILE_DIGESTS[index]
+
+
+# SHA-256 over every task and downlink of a generated problem, one line per
+# record with each float written by ``float.hex``, so a change to the scan,
+# the edge refinement or the task tiling that moves any value by one bit
+# fails here. Unlike the file digests above these include geometry output,
+# so they hold for the numpy and libm the floats were computed with.
+PROBLEM_DIGESTS = {
+    ("tiny", 0): "bbb570e07aff7a777172016b8b4b96e749cdd465a9078c22fe66de685d24a863",
+    ("tiny", 1): "d97caf6bfbe1411ca87b31f18a2d7a3b9ad94d3b47ca1be0b1544015f936ccf5",
+    ("tiny", 2): "daa716bd08ecdf28231859313e59b7cb38d5f8bca13153ca897218406b901fe4",
+    ("small-walker", 0): "d7dbaeffc50336de95da9f8be2c23a4830470d66998dd0f1e428d6eff7da4c41",
+}
+
+
+def problem_digest(problem) -> str:
+    h = hashlib.sha256()
+    for t in problem.tasks.values():
+        fields = (t.start, t.end, t.volume_bytes)
+        h.update(f"t {t.task_id} {t.agent_id} {t.request_id} {' '.join(map(float.hex, fields))}\n".encode())
+    for dls in problem.downlinks_by_agent.values():
+        for d in dls:
+            fields = (d.start, d.end, d.capacity_bytes)
+            h.update(f"d {d.downlink_id} {d.agent_id} {' '.join(map(float.hex, fields))}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, index", list(PROBLEM_DIGESTS), ids=lambda v: str(v))
+def test_generated_problems_match_pinned_digests(name, index):
+    problem = generate_scenario(preset(name), index).problem
+    assert problem_digest(problem) == PROBLEM_DIGESTS[(name, index)]

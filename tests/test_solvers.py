@@ -161,6 +161,38 @@ def test_closest_removable_prefers_near_then_large():
     assert st.closest_removable(120).task_id == 1
 
 
+def linear_closest_removable(st, start):
+    """Reference: the minimum of (|Δstart|, -volume, id) over every non-frozen task."""
+    keys = [
+        (abs(t.start - start), -t.volume_bytes, t.task_id, t)
+        for t in st.tasks() if t.task_id not in st.frozen
+    ]
+    return min(keys)[3] if keys else None
+
+
+def test_closest_removable_matches_linear_scan():
+    """The outward walk from the bisection point picks what a scan of every
+    task picks, on schedules with frozen tasks, shared starts, equidistant
+    neighbours and equal volumes, at queries on, between and beyond starts."""
+    rng = random.Random(11)
+    ties = 0
+    for _ in range(300):
+        st = ScheduleState(agent(), [])
+        ids = rng.sample(range(1000), rng.randint(0, 12))
+        for rid, tid in enumerate(ids):
+            s = 10.0 * rng.randint(0, 8)
+            st.insert(task(tid, rid, s, s + 5.0, vol=rng.choice([1, 2]) * MB))
+        for t in st.tasks():
+            if rng.random() < 0.3:
+                st.freeze(t)
+        removable = [t for t in st.tasks() if t.task_id not in st.frozen]
+        for q in range(-10, 95, 5):
+            assert st.closest_removable(float(q)) == linear_closest_removable(st, float(q))
+            dist = sorted(abs(t.start - q) for t in removable)
+            ties += len(dist) > 1 and dist[0] == dist[1]
+    assert ties > 100  # equidistant nearest candidates are exercised, not just possible
+
+
 # ---------------------------------------------------------------------------
 # insertion with displacement
 
