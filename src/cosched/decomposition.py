@@ -10,6 +10,7 @@ the shared scenario definition.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from .geometry import SatelliteSpec
@@ -67,12 +68,17 @@ def allocate(
     uncontested neighborhoods first). Only the groups' agents are read; the
     result holds new groups, in the same order, with the requests allocated
     to each. Requests with zero supply everywhere are reported as
-    unallocatable rather than dropped.
+    unallocatable rather than dropped. A request's conflicts in a
+    neighborhood are the allocated windows overlapping its own; every
+    request window must have start < end.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     member_sets = [set(nb.agents) for nb in neighborhoods]
-    allocated: list[dict[int, tuple[float, float]]] = [{} for _ in neighborhoods]  # rid -> window
+    allocated: list[set[int]] = [set() for _ in neighborhoods]
+    # sorted starts and ends of each neighborhood's allocated request windows
+    starts: list[list[float]] = [[] for _ in neighborhoods]
+    ends: list[list[float]] = [[] for _ in neighborhoods]
     unallocatable: set[int] = set()
 
     order = sorted(requests, key=lambda rid: (len(candidates.get(rid, ())), rid))
@@ -84,14 +90,18 @@ def allocate(
             ns = len(cand & members)
             if ns == 0:
                 continue
-            conflicts = sum(1 for s, e in allocated[i].values() if s < req.end and req.start < e)
+            # windows that start before req.end, less those that end by req.start
+            # (each of which also starts before req.end, as start < end)
+            conflicts = bisect_left(starts[i], req.end) - bisect_right(ends[i], req.start)
             scored.append((-ns / (1.0 + conflicts), i))
         if not scored:
             unallocatable.add(rid)
             continue
         scored.sort()
         for _, i in scored[:n]:
-            allocated[i][rid] = (req.start, req.end)
+            allocated[i].add(rid)
+            insort(starts[i], req.start)
+            insort(ends[i], req.end)
     groups = [SearchGroup(nb.agents, frozenset(rs)) for nb, rs in zip(neighborhoods, allocated)]
     return Allocation(groups, unallocatable)
 

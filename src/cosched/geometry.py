@@ -11,13 +11,17 @@ the start of the scheduling horizon. A per-scenario ``epoch_offset_s`` shifts
 the constellation along its orbits and the Earth in its rotation, which is
 how randomized horizon starts are realized.
 
-Access windows (targets) and downlink passes (stations) come from one path.
-A ground point is visible when it lies inside an off-nadir cone and at or
-above a minimum elevation; targets use the satellite's sensor cone and the
-horizon, stations a 180° cone and their antenna mask. Per satellite, a scan
-finds the runs of ``SCAN_STEP_S`` grid samples at which each point is
-visible, and then every rising and falling edge of every run is bisected in
-lockstep, one propagation per halving, until each bracket is at most 1 s wide.
+Access windows (targets) and downlink passes (stations) come from one pass
+per satellite over every ground point (``batch_windows``). A ground point is
+visible when it lies inside an off-nadir cone and at or above a minimum
+elevation; targets use the satellite's sensor cone and the horizon, stations
+a 180° cone and their antenna mask, so the targets and stations are stacked
+into one set of points, each with its own cone and minimum elevation. Per
+satellite, one scan finds the runs of ``SCAN_STEP_S`` grid samples at which
+each point is visible, and then every rising and falling edge of every run
+is bisected in lockstep, one propagation per halving, until each bracket is
+at most 1 s wide. The scan computes positions only at the samples it reads:
+the coarse samples, then each sample of the gaps near some point once.
 
 The scan evaluates ``visible`` only where it can pass. A point is visible
 only while the Earth-central angle λ between it and the satellite is at most
@@ -254,14 +258,21 @@ def _max_central_angle(radius_km: float, cone_deg: np.ndarray, min_el_deg: np.nd
     return np.where(cone_limits, np.minimum(lam, lam_cone), lam)
 
 
-def _scan(plane: OrbitalPlane, pos: np.ndarray, times: np.ndarray, points: tuple):
+def _unit(pos: np.ndarray) -> np.ndarray:
+    return pos / np.linalg.norm(pos, axis=1, keepdims=True)
+
+
+def _scan(plane: OrbitalPlane, slot: int, times: np.ndarray, points: tuple, epoch_offset_s: float):
     """Runs of consecutive samples on ``times`` at which each ground point is
-    ``visible`` from a satellite of ``plane`` at ``pos``: the point, first and
-    last sample of each run, in (point, first) order, exactly as ``visible``
-    on every sample gives them (the coarse pass is in the module docstring)."""
+    ``visible`` from satellite ``slot`` of ``plane``: the point, first and last
+    sample of each run, in (point, first) order, exactly as ``visible`` on
+    every sample gives them (the coarse pass is in the module docstring).
+
+    Positions are propagated only at the coarse samples and, once each, at
+    the samples of the gaps near some point; ``propagate`` is elementwise, so
+    they equal the full grid's rows bit for bit."""
     ecef, up, cone, min_el = points
     n = len(times)
-    shat = pos / np.linalg.norm(pos, axis=1, keepdims=True)
     lam_max = _max_central_angle(plane.radius_km, cone, min_el)
     coarse = np.append(np.arange(0, n - 1, COARSE_STRIDE), n - 1)
     half_gap = 0.5 * np.max(np.diff(times[coarse]), initial=0.0)
@@ -269,16 +280,21 @@ def _scan(plane: OrbitalPlane, pos: np.ndarray, times: np.ndarray, points: tuple
     # cosines below which λ exceeds λ_max + drift (coarse) and λ_max (fine), padded
     lam = np.stack([lam_max + drift, lam_max])
     coarse_min, cos_min = np.cos(np.minimum(lam + 1e-6, np.pi)) - 1e-6
-    near = shat[coarse] @ up.T >= coarse_min
+    near = _unit(propagate(plane, slot, times[coarse], epoch_offset_s)) @ up.T >= coarse_min
     # gap g holds samples coarse[g] up to, not including, coarse[g + 1]; the last one also n - 1
     j, g = np.nonzero((near[:-1] | near[1:]).T)
     first = coarse[g]
     size = np.append(coarse[1:-1], n)[g] - first
     i = np.arange(size.sum()) + np.repeat(first - (np.cumsum(size) - size), size)
     j = np.repeat(j, size)
-    within = np.einsum("ij,ij->i", shat[i], up[j]) >= cos_min[j]
-    i, j = i[within], j[within]
-    seen = visible(pos[i], ecef[j], up[j], cone[j], min_el[j])
+    # each sample of a near gap is propagated once; pair k reads row[k] of pos
+    take = np.zeros(n, dtype=bool)
+    take[i] = True
+    row = (np.cumsum(take) - 1)[i]
+    pos = propagate(plane, slot, times[take], epoch_offset_s)
+    within = np.einsum("ij,ij->i", _unit(pos)[row], up[j]) >= cos_min[j]
+    i, j, row = i[within], j[within], row[within]
+    seen = visible(pos[row], ecef[j], up[j], cone[j], min_el[j])
     i, j = i[seen], j[seen]
     new = np.ones(len(i), dtype=bool)
     new[1:] = (j[1:] != j[:-1]) | (i[1:] != i[:-1] + 1)
@@ -295,10 +311,12 @@ def _satellite_windows(
     and minimum elevation. Each edge of each run of visible samples on
     ``times`` (``_scan``) is bisected in lockstep until its bracket is at most
     1 s wide, keeping its visible end; runs touching the first or last sample
-    end there.
+    end there. Each point's windows are sorted by start and pairwise
+    disjoint: an invisible sample separates consecutive runs, and each
+    bisected edge stays within one grid step of its run.
     """
     ecef, up, cone, min_el = points
-    run_k, first, last = _scan(plane, propagate(plane, slot, times, epoch_offset_s), times, points)
+    run_k, first, last = _scan(plane, slot, times, points, epoch_offset_s)
     # each run's rising edge precedes ``first``, its falling edge follows ``last``:
     # run by run, the edges are in the (point, grid index) order of np.nonzero
     edges = np.flatnonzero(np.stack([first > 0, last < len(times) - 1], axis=1))
@@ -324,49 +342,55 @@ def _satellite_windows(
     return windows
 
 
-def batch_access_windows(
+def batch_windows(
     constellation: Constellation,
     targets: list[Target],
-    horizon: TimeInterval,
-    epoch_offset_s: float = 0.0,
-) -> dict[tuple[int, int], list[TimeInterval]]:
-    """Maximal intervals during which each target lies inside each satellite's
-    sensor cone and above its horizon."""
-    times = time_grid(horizon)
-    ecef, up = _ground((t.latitude_deg, t.longitude_deg) for t in targets)
-    min_el = np.zeros(len(targets))
-    out: dict[tuple[int, int], list[TimeInterval]] = {}
-    for sat in constellation.satellites():
-        points = (ecef, up, np.full(len(targets), sat.max_off_nadir_deg), min_el)
-        plane = constellation.planes[sat.plane_index]
-        wins = _satellite_windows(plane, sat.slot, points, times, epoch_offset_s)
-        for target, w in zip(targets, wins):
-            out[(sat.agent_id, target.target_id)] = w
-    return out
-
-
-def batch_downlink_windows(
-    constellation: Constellation,
     stations: list[GroundStation],
     horizon: TimeInterval,
     epoch_offset_s: float = 0.0,
-) -> dict[int, list[tuple[TimeInterval, float]]]:
-    """Merged, time-sorted station passes per satellite, each with its
-    capacity (duration x downlink rate).
+) -> tuple[dict[tuple[int, int], list[TimeInterval]], dict[int, list[tuple[TimeInterval, float]]]]:
+    """Access windows and downlink passes from one pass per satellite over
+    every target and station.
 
-    A station antenna is not a sensor cone: its 180° cone admits every
-    direction, so only the minimum elevation applies.
+    ``access[(agent, target)]`` holds the maximal intervals during which the
+    target lies inside the satellite's sensor cone and above its horizon.
+    ``passes[agent]`` holds the merged, time-sorted station passes, each with
+    its capacity (duration x downlink rate). A station antenna is not a
+    sensor cone: its 180° cone admits every direction, so only the minimum
+    elevation applies.
     """
     times = time_grid(horizon)
-    ecef, up = _ground((s.latitude_deg, s.longitude_deg) for s in stations)
-    points = (ecef, up, np.full(len(stations), 180.0), np.array([s.min_elevation_deg for s in stations]))
-    out: dict[int, list[tuple[TimeInterval, float]]] = {}
+    ecef, up = _ground(
+        [(t.latitude_deg, t.longitude_deg) for t in targets]
+        + [(s.latitude_deg, s.longitude_deg) for s in stations]
+    )
+    n = len(targets)
+    min_el = np.array([0.0] * n + [s.min_elevation_deg for s in stations])
+    access: dict[tuple[int, int], list[TimeInterval]] = {}
+    passes: dict[int, list[tuple[TimeInterval, float]]] = {}
     for sat in constellation.satellites():
+        cone = np.array([sat.max_off_nadir_deg] * n + [180.0] * len(stations))
         plane = constellation.planes[sat.plane_index]
-        wins = _satellite_windows(plane, sat.slot, points, times, epoch_offset_s)
-        rated = ((w, w.duration * st.downlink_rate_bps) for st, ws in zip(stations, wins) for w in ws)
-        out[sat.agent_id] = sorted(rated, key=lambda wc: (wc[0].start, wc[0].end))
-    return out
+        wins = _satellite_windows(plane, sat.slot, (ecef, up, cone, min_el), times, epoch_offset_s)
+        for target, w in zip(targets, wins):
+            access[(sat.agent_id, target.target_id)] = w
+        rated = ((w, w.duration * st.downlink_rate_bps) for st, ws in zip(stations, wins[n:]) for w in ws)
+        passes[sat.agent_id] = sorted(rated, key=lambda wc: (wc[0].start, wc[0].end))
+    return access, passes
+
+
+def batch_access_windows(
+    constellation: Constellation, targets: list[Target], horizon: TimeInterval, epoch_offset_s: float = 0.0
+) -> dict[tuple[int, int], list[TimeInterval]]:
+    """The access windows of ``batch_windows`` over targets alone."""
+    return batch_windows(constellation, targets, [], horizon, epoch_offset_s)[0]
+
+
+def batch_downlink_windows(
+    constellation: Constellation, stations: list[GroundStation], horizon: TimeInterval, epoch_offset_s: float = 0.0
+) -> dict[int, list[tuple[TimeInterval, float]]]:
+    """The downlink passes of ``batch_windows`` over stations alone."""
+    return batch_windows(constellation, [], stations, horizon, epoch_offset_s)[1]
 
 
 # Constellations modeled after operational low-Earth-orbit systems. The paper

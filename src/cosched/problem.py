@@ -10,7 +10,7 @@ by tasks that were scheduled during the interval in which they actually ran.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -367,20 +367,27 @@ def generate_tasks(
     """Candidate tasks for one agent: tile each access window overlapping a
     request window from its start with back-to-back ``TASK_DURATION_S`` tasks.
 
+    Each target's windows must be sorted by start and pairwise disjoint, as
+    ``geometry.batch_windows`` returns them, so their ends are sorted too: a
+    bisection skips the windows that end by the request's start, and the walk
+    stops at the first window that starts at or after its end.
+
     Data volumes are drawn from a truncated normal (resampled below the
     floor). Iteration order is fixed by request id then window order, so task
     ids and volumes are deterministic for a given RNG state.
     """
+    ends = {tid: [w.end for w in ws] for tid, ws in windows_by_target.items()}
     tasks: list[Task] = []
     next_id = id_start
     for req in sorted(requests, key=lambda r: r.request_id):
-        for window in windows_by_target.get(req.target_id, []):
-            overlap = window.intersect(req.interval)
-            if overlap is None:
-                continue
-            t0 = overlap.start
+        windows = windows_by_target.get(req.target_id, [])
+        k = bisect_right(ends.get(req.target_id, []), req.start)
+        while k < len(windows) and windows[k].start < req.end:
+            t0 = max(windows[k].start, req.start)
+            end = min(windows[k].end, req.end)
+            k += 1
             # tolerance absorbs float noise from window refinement
-            while t0 + TASK_DURATION_S <= overlap.end + 1e-9:
+            while t0 + TASK_DURATION_S <= end + 1e-9:
                 vol = rng.gauss(TASK_MEAN_VOLUME_BYTES, TASK_SD_VOLUME_BYTES)
                 while vol < TASK_MIN_VOLUME_BYTES:
                     vol = rng.gauss(TASK_MEAN_VOLUME_BYTES, TASK_SD_VOLUME_BYTES)

@@ -328,9 +328,8 @@ def _assemble_problem(
 ) -> DynamicProblem:
     sats = constellation.satellites()
     epoch_offset = _epoch_offset_s(seed)
-    access = geometry.batch_access_windows(constellation, targets, horizon, epoch_offset)
-    passes = geometry.batch_downlink_windows(
-        constellation, list(geometry.DEFAULT_STATIONS), horizon, epoch_offset
+    access, passes = geometry.batch_windows(
+        constellation, targets, list(geometry.DEFAULT_STATIONS), horizon, epoch_offset
     )
 
     downlinks_by_agent: dict[int, list[Downlink]] = {}

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from cosched.decomposition import gnd, partition_agents
+from cosched.decomposition import Allocation, SearchGroup, allocate, gnd, partition_agents
 from cosched.geometry import SatelliteSpec
 from cosched.problem import Request
 
@@ -131,3 +133,49 @@ def test_locality_bound_each_request_in_at_most_n_neighborhoods():
         for rid in reqs:
             homes = sum(1 for nb in alloc.neighborhoods if rid in nb.requests)
             assert homes <= n
+
+
+def linear_allocate(requests, neighborhoods, candidates, n):
+    """Reference: ``allocate`` counting each conflict with a scan over every
+    request already allocated to the neighborhood."""
+    member_sets = [set(nb.agents) for nb in neighborhoods]
+    allocated = [{} for _ in neighborhoods]
+    unallocatable = set()
+    for rid in sorted(requests, key=lambda rid: (len(candidates.get(rid, ())), rid)):
+        req = requests[rid]
+        cand = candidates.get(rid, set())
+        scored = []
+        for i, members in enumerate(member_sets):
+            ns = len(cand & members)
+            if ns == 0:
+                continue
+            conflicts = sum(1 for s, e in allocated[i].values() if s < req.end and req.start < e)
+            scored.append((-ns / (1.0 + conflicts), i))
+        if not scored:
+            unallocatable.add(rid)
+            continue
+        scored.sort()
+        for _, i in scored[:n]:
+            allocated[i][rid] = (req.start, req.end)
+    groups = [SearchGroup(nb.agents, frozenset(rs)) for nb, rs in zip(neighborhoods, allocated)]
+    return Allocation(groups, unallocatable)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bisected_conflict_count_matches_linear_scan(seed):
+    """Windows on a 50 s lattice make equal, nested and abutting windows
+    common, where ``s < end`` against ``start < e`` decides a conflict."""
+    rng = random.Random(seed)
+    agents = sats([rng.randint(1, 7) for _ in range(rng.randint(1, 3))])
+    neighborhoods = partition_agents(agents, rng.randint(1, 4))
+    ids = [a.agent_id for a in agents]
+    requests = {}
+    candidates = {}
+    for rid in range(rng.randint(1, 60)):
+        start = 50.0 * rng.randrange(20)
+        requests[rid] = Request(rid, rid % 7, start, start + 50.0 * rng.randint(1, 4))
+        candidates[rid] = set(rng.sample(ids, rng.randint(0, min(4, len(ids)))))
+    for n in (1, 2, 3):
+        assert allocate(requests, neighborhoods, candidates, n) == linear_allocate(
+            requests, neighborhoods, candidates, n
+        )

@@ -14,6 +14,7 @@ from cosched.geometry import (
     Target,
     batch_access_windows,
     batch_downlink_windows,
+    batch_windows,
     elevation_deg,
     latlon_to_ecef,
     off_nadir_deg,
@@ -150,8 +151,10 @@ def test_access_windows_match_dense_sampling():
 
 
 def test_batch_windows_match_dense_sampling_per_pair():
-    """Every (satellite, point) column of one batch call matches its own dense
-    scan, so no edge is credited to another satellite or point."""
+    """Every (satellite, point) column of one batch call over targets and
+    stations together matches its own dense scan, so no edge is credited to
+    another satellite or point, and each point keeps its own cone and minimum
+    elevation."""
     cfg = preset("tiny")
     constellation = build_constellation(cfg)
     horizon = TimeInterval(0.0, 21600.0)
@@ -161,9 +164,11 @@ def test_batch_windows_match_dense_sampling_per_pair():
     # sub-points of satellite 0 at the horizon ends pin windows to both ends
     targets.append(Target(100, *subpoint(plane0, 0, horizon.start, epoch)))
     targets.append(Target(101, *subpoint(plane0, 0, horizon.end, epoch)))
-    stations = list(DEFAULT_STATIONS)
-    access_out = batch_access_windows(constellation, targets, horizon, epoch)
-    passes_out = batch_downlink_windows(constellation, stations, horizon, epoch)
+    # a third station with its own antenna mask and rate
+    stations = [*DEFAULT_STATIONS, GroundStation("cape", -40.0, 20.0, 20.0, 10e6)]
+    access_out, passes_out = batch_windows(constellation, targets, stations, horizon, epoch)
+    assert batch_access_windows(constellation, targets, horizon, epoch) == access_out
+    assert batch_downlink_windows(constellation, stations, horizon, epoch) == passes_out
 
     assert access_out[(0, 100)][0].start == horizon.start
     assert access_out[(0, 101)][-1].end == horizon.end
@@ -230,10 +235,11 @@ def test_pruned_scan_matches_visible_on_every_sample():
                 raan_deg=rng.uniform(0.0, 360.0),
                 count=1,
             )
-            pos = propagate(plane, 0, times, rng.uniform(0.0, 86400.0))
+            epoch = rng.uniform(0.0, 86400.0)
+            pos = propagate(plane, 0, times, epoch)
             cone = np.where(rng.random(n) < 0.2, 180.0, rng.uniform(1e-3, 90.0 - 1e-3, n))
             min_el = rng.uniform(-30.0, 40.0, n)
-            point, first, last = _scan(plane, pos, times, (ecef, up, cone, min_el))
+            point, first, last = _scan(plane, 0, times, (ecef, up, cone, min_el), epoch)
             mask = np.zeros((n, len(times)), dtype=bool)
             for j, a, b in zip(point, first, last):
                 assert not mask[j, max(a - 1, 0):b + 2].any(), "runs overlap, touch or repeat"

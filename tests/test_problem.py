@@ -10,6 +10,9 @@ from cosched.intervals import TimeInterval
 from cosched.problem import (
     MB,
     TASK_DURATION_S,
+    TASK_MEAN_VOLUME_BYTES,
+    TASK_MIN_VOLUME_BYTES,
+    TASK_SD_VOLUME_BYTES,
     ChangeEvent,
     Downlink,
     GenerationError,
@@ -505,6 +508,59 @@ def test_generate_tasks_deterministic():
     a = generate_tasks(0, [req], windows, random.Random(7))
     b = generate_tasks(0, [req], windows, random.Random(7))
     assert a == b
+
+
+def linear_tiling(agent_id, requests, windows_by_target, rng, *, id_start=0):
+    """Reference: ``generate_tasks`` intersecting every window of the
+    request's target with the request window."""
+    tasks = []
+    next_id = id_start
+    for req in sorted(requests, key=lambda r: r.request_id):
+        for window in windows_by_target.get(req.target_id, []):
+            overlap = window.intersect(req.interval)
+            if overlap is None:
+                continue
+            t0 = overlap.start
+            while t0 + TASK_DURATION_S <= overlap.end + 1e-9:
+                vol = rng.gauss(TASK_MEAN_VOLUME_BYTES, TASK_SD_VOLUME_BYTES)
+                while vol < TASK_MIN_VOLUME_BYTES:
+                    vol = rng.gauss(TASK_MEAN_VOLUME_BYTES, TASK_SD_VOLUME_BYTES)
+                tasks.append(Task(next_id, req.request_id, agent_id, t0, t0 + TASK_DURATION_S, vol))
+                next_id += 1
+                t0 += TASK_DURATION_S
+    return tasks
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bisected_tiling_matches_linear_tiling(seed):
+    """Sorted, disjoint windows on a coarse lattice, so windows abut each
+    other, touch a request's edges, lie wholly before or after it, or are
+    missing for a target; plus off-lattice windows like refined edges."""
+    rng = random.Random(seed)
+    windows = {}
+    targets = rng.randint(1, 4)
+    for target in range(targets):
+        t, ws = 0.0, []
+        for _ in range(rng.randint(0, 15)):
+            t += 30.0 * rng.randint(0, 3) if rng.random() < 0.8 else rng.uniform(0.0, 200.0)
+            end = t + (30.0 * rng.randint(1, 6) if rng.random() < 0.8 else rng.uniform(1.0, 300.0))
+            ws.append(TimeInterval(t, end))
+            t = end
+        windows[target] = ws
+    requests = []
+    for rid in range(rng.randint(1, 25)):
+        start = 30.0 * rng.randrange(60)
+        # target id ``targets`` has no windows
+        requests.append(Request(rid, rng.randrange(targets + 1), start, start + 30.0 * rng.randint(1, 20)))
+    # requests that end where a window starts, start where it ends, or equal it
+    for target, ws in windows.items():
+        for w in rng.sample(ws, min(2, len(ws))):
+            for start, end in ((w.start - 90.0, w.start), (w.end, w.end + 90.0), (w.start, w.end)):
+                requests.append(Request(len(requests), target, start, end))
+    rng.shuffle(requests)
+    assert generate_tasks(3, requests, windows, random.Random(seed), id_start=5) == linear_tiling(
+        3, requests, windows, random.Random(seed), id_start=5
+    )
 
 
 def test_campaign_partitions_horizon(rng):

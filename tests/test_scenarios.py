@@ -87,11 +87,14 @@ def test_scenario_label_and_validation():
 
 
 def test_generation_rejects_overlapping_downlinks(monkeypatch):
-    def overlapping(constellation, *args):
-        passes = [(TimeInterval(100.0, 400.0), 1e9), (TimeInterval(300.0, 600.0), 1e9)]
-        return {s.agent_id: passes for s in constellation.satellites()}
+    batch_windows = geometry.batch_windows
 
-    monkeypatch.setattr(geometry, "batch_downlink_windows", overlapping)
+    def overlapping(constellation, *args):
+        access, _ = batch_windows(constellation, *args)
+        passes = [(TimeInterval(100.0, 400.0), 1e9), (TimeInterval(300.0, 600.0), 1e9)]
+        return access, {s.agent_id: passes for s in constellation.satellites()}
+
+    monkeypatch.setattr(geometry, "batch_windows", overlapping)
     with pytest.raises(ValueError, match="overlapping downlinks"):
         generate_scenario(preset("tiny", target_count=2), 0)
 
@@ -253,6 +256,8 @@ PROBLEM_DIGESTS = {
     ("tiny", 1): "d97caf6bfbe1411ca87b31f18a2d7a3b9ad94d3b47ca1be0b1544015f936ccf5",
     ("tiny", 2): "daa716bd08ecdf28231859313e59b7cb38d5f8bca13153ca897218406b901fe4",
     ("small-walker", 0): "d7dbaeffc50336de95da9f8be2c23a4830470d66998dd0f1e428d6eff7da4c41",
+    # 634 targets and two stations through one pass per satellite
+    ("walker", 0): "94af65bb91f45e60d07cf536a7e796f2a99aecc3943f8621db48cb88c8a94cc5",
 }
 
 
