@@ -32,7 +32,7 @@ from .scenarios import (
     read_json_object,
     save_scenario,
 )
-from .sim import RunResult, run
+from .sim import RunResult, run, stability_drops
 from .solvers import SOLVER_NAMES, SolverConfig, SolverInvariantError
 
 EXIT_OK = 0
@@ -146,7 +146,10 @@ def cmd_bench(args) -> int:
                 json.dumps(record, indent=1, sort_keys=True) + "\n"
             )
             _write_trace_csv(out / f"{sc.label}_{name}_trace.csv", name, result)
-            rows.append(record)
+            # the table also shows the run's mean post-event drop, which the
+            # record leaves out: its trace already determines it
+            drops = stability_drops(m.trace, sc.problem.num_changes)
+            rows.append(dict(record, drop_pp=sum(drops) / len(drops) if drops else None))
 
     table = _format_table(rows)
     (out / "results_table.txt").write_text(table + "\n")
@@ -155,11 +158,15 @@ def cmd_bench(args) -> int:
 
 
 def _format_table(rows: list[dict]) -> str:
+    """Per-solver means over the scenarios: optimality gap, wall time,
+    message volume and post-event quality drop (each run's ``drop_pp``; runs
+    without change events are left out of it)."""
     by_solver: dict[str, list[dict]] = {}
     for r in rows:
         by_solver.setdefault(r["solver"], []).append(r)
     lines = [
-        f"{'Algorithm':<10} {'Opt. Gap (%)':>14} {'Time (ms)':>12} {'Messages (KB)':>15}  Reference"
+        f"{'Algorithm':<10} {'Opt. Gap (%)':>14} {'Time (ms)':>12} {'Messages (KB)':>15} "
+        f"{'Drop (pp)':>10}  Reference"
     ]
     for name in SOLVER_NAMES:
         if name not in by_solver:
@@ -171,7 +178,9 @@ def _format_table(rows: list[dict]) -> str:
         ref = "optimal" if refs == {"optimal"} else ("/".join(sorted(refs)))
         ms = 1000.0 * sum(r["wall_time_s"] for r in rs) / len(rs)
         kb = sum(r["run"]["metrics"]["message_bytes"] for r in rs) / len(rs) / 1000.0
-        lines.append(f"{name:<10} {gap_str:>14} {ms:>12.1f} {kb:>15.1f}  {ref}")
+        drops = [r["drop_pp"] for r in rs if r["drop_pp"] is not None]
+        drop_str = f"{sum(drops)/len(drops):+.2f}" if drops else "n/a"
+        lines.append(f"{name:<10} {gap_str:>14} {ms:>12.1f} {kb:>15.1f} {drop_str:>10}  {ref}")
     return "\n".join(lines)
 
 

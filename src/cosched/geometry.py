@@ -111,7 +111,6 @@ class SatelliteSpec:
 
 @dataclass(frozen=True)
 class Constellation:
-    name: str
     planes: tuple[OrbitalPlane, ...]
     max_off_nadir_deg: float
     memory_bytes: float
@@ -122,10 +121,6 @@ class Constellation:
             SatelliteSpec(aid, pi, slot, self.max_off_nadir_deg, self.memory_bytes)
             for aid, (pi, slot) in enumerate(slots)
         ]
-
-    @property
-    def size(self) -> int:
-        return sum(p.count for p in self.planes)
 
 
 @dataclass(frozen=True)
@@ -354,9 +349,10 @@ def batch_windows(
 
     ``access[(agent, target)]`` holds the maximal intervals during which the
     target lies inside the satellite's sensor cone and above its horizon.
-    ``passes[agent]`` holds the merged, time-sorted station passes, each with
-    its capacity (duration x downlink rate). A station antenna is not a
-    sensor cone: its 180° cone admits every direction, so only the minimum
+    ``passes[agent]`` holds the station passes sorted by start, each with its
+    capacity (duration x downlink rate); they are not merged, so passes over
+    two stations in view at once overlap. A station antenna is not a sensor
+    cone: its 180° cone admits every direction, so only the minimum
     elevation applies.
     """
     times = time_grid(horizon)
@@ -398,13 +394,13 @@ def batch_downlink_windows(
 def planet_constellation() -> Constellation:
     planes = [OrbitalPlane(95.0, 475.0, raan_deg=180.0 * i, count=95) for i in range(2)]
     planes += [OrbitalPlane(52.0, 475.0, raan_deg=90.0 + 180.0 * i, count=5) for i in range(2)]
-    return Constellation("planet", tuple(planes), max_off_nadir_deg=60.0, memory_bytes=125e9)
+    return Constellation(tuple(planes), max_off_nadir_deg=60.0, memory_bytes=125e9)
 
 
 def walker_constellation() -> Constellation:
     planes = [OrbitalPlane(88.0, 500.0, raan_deg=30.0 * i, count=14) for i in range(6)]
     planes += [OrbitalPlane(51.6, 500.0, raan_deg=15.0 + 90.0 * i, count=12) for i in range(2)]
-    return Constellation("walker", tuple(planes), max_off_nadir_deg=45.0, memory_bytes=125e9)
+    return Constellation(tuple(planes), max_off_nadir_deg=45.0, memory_bytes=125e9)
 
 
 DEFAULT_STATIONS = (

@@ -15,17 +15,14 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .geometry import SatelliteSpec
-from .problem import Downlink, DynamicProblem, Task, check_constraints
-from .solvers import ScheduleState
+from .problem import DynamicProblem, Task, check_constraints
+from .solvers import ScheduleState, fresh_schedules
 
 
 @dataclass
 class CollapsedInstance:
-    request_ids: frozenset[int]  # every request that was ever active
+    problem: DynamicProblem
     candidates: dict[int, list[Task]]  # request -> surviving tasks, by start
-    agents: dict[int, SatelliteSpec]
-    downlinks_by_agent: dict[int, list[Downlink]]
 
 
 def collapse(problem: DynamicProblem) -> CollapsedInstance:
@@ -44,19 +41,7 @@ def collapse(problem: DynamicProblem) -> CollapsedInstance:
                 break
     for lst in candidates.values():
         lst.sort(key=lambda t: (t.start, t.task_id))
-    return CollapsedInstance(
-        request_ids=problem.ever_active,
-        candidates=candidates,
-        agents={a.agent_id: a for a in problem.agents},
-        downlinks_by_agent=problem.downlinks_by_agent,
-    )
-
-
-def _fresh_states(inst: CollapsedInstance) -> dict[int, ScheduleState]:
-    return {
-        aid: ScheduleState(agent, inst.downlinks_by_agent.get(aid, []))
-        for aid, agent in inst.agents.items()
-    }
+    return CollapsedInstance(problem=problem, candidates=candidates)
 
 
 def _schedules(states: dict[int, ScheduleState]) -> dict[int, list[Task]]:
@@ -64,10 +49,10 @@ def _schedules(states: dict[int, ScheduleState]) -> dict[int, list[Task]]:
 
 
 def verify_schedules(inst: CollapsedInstance, schedules: dict[int, list[Task]]) -> None:
+    problem = inst.problem
+    memory = {a.agent_id: a.memory_bytes for a in problem.agents}
     for aid, tasks in schedules.items():
-        verdict = check_constraints(
-            tasks, inst.agents[aid].memory_bytes, inst.downlinks_by_agent.get(aid, [])
-        )
+        verdict = check_constraints(tasks, memory[aid], problem.downlinks_by_agent.get(aid, []))
         if not verdict:
             raise AssertionError(f"agent {aid}: {verdict.reason} ({verdict.detail})")
 
@@ -119,10 +104,10 @@ def branch_and_bound(
     that crosses zero moves it, and so does stepping past a request.
     """
     order = sorted(
-        (rid for rid in inst.request_ids if inst.candidates.get(rid)),
+        (rid for rid in inst.problem.ever_active if inst.candidates.get(rid)),
         key=lambda rid: (len(inst.candidates[rid]), rid),
     )
-    states = _fresh_states(inst)
+    states = fresh_schedules(inst.problem)
     best_count = -1
     best_schedules: dict[int, list[Task]] = {}
     nodes = 0
@@ -218,7 +203,7 @@ def branch_and_bound(
 
 def _construct(inst: CollapsedInstance, priority: list[int]) -> tuple[int, dict[int, ScheduleState], set[int]]:
     """Centralized greedy build: earliest feasible task per request, in order."""
-    states = _fresh_states(inst)
+    states = fresh_schedules(inst.problem)
     satisfied: set[int] = set()
     for rid in priority:
         for task in inst.candidates.get(rid, []):
@@ -232,7 +217,7 @@ def _construct(inst: CollapsedInstance, priority: list[int]) -> tuple[int, dict[
 
 def greedy_priority(inst: CollapsedInstance) -> list[int]:
     """The start-time greedy order: requests by their earliest candidate task."""
-    with_tasks = [rid for rid in inst.request_ids if inst.candidates.get(rid)]
+    with_tasks = [rid for rid in inst.problem.ever_active if inst.candidates.get(rid)]
     return sorted(
         with_tasks, key=lambda rid: (inst.candidates[rid][0].start, rid)
     )
@@ -247,7 +232,7 @@ def swo(inst: CollapsedInstance, *, rounds: int = 50) -> OracleResult:
     bound on the optimum.
     """
     priority = greedy_priority(inst)
-    jump = max(1, math.ceil(len(inst.request_ids) / 10))
+    jump = max(1, math.ceil(len(inst.problem.ever_active) / 10))
     best_count = -1
     best_schedules: dict[int, list[Task]] = {}
     done = 0

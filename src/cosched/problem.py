@@ -373,13 +373,14 @@ def generate_tasks(
     stops at the first window that starts at or after its end.
 
     Data volumes are drawn from a truncated normal (resampled below the
-    floor). Iteration order is fixed by request id then window order, so task
-    ids and volumes are deterministic for a given RNG state.
+    floor). ``requests`` must come in request id order; tasks follow it, then
+    window order, so task ids and volumes are deterministic for a given RNG
+    state.
     """
     ends = {tid: [w.end for w in ws] for tid, ws in windows_by_target.items()}
     tasks: list[Task] = []
     next_id = id_start
-    for req in sorted(requests, key=lambda r: r.request_id):
+    for req in requests:
         windows = windows_by_target.get(req.target_id, [])
         k = bisect_right(ends.get(req.target_id, []), req.start)
         while k < len(windows) and windows[k].start < req.end:

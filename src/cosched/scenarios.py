@@ -216,11 +216,11 @@ def build_constellation(config: ScenarioConfig) -> Constellation:
         base = geometry.walker_constellation()
     else:
         planes = tuple(OrbitalPlane(**p) for p in config.custom_planes)
-        base = Constellation("custom", planes, 45.0, config.memory_bytes)
+        base = Constellation(planes, 45.0, config.memory_bytes)
     off_nadir = config.max_off_nadir_deg
     if off_nadir is None:
         off_nadir = base.max_off_nadir_deg
-    return Constellation(base.name, base.planes, off_nadir, config.memory_bytes)
+    return Constellation(base.planes, off_nadir, config.memory_bytes)
 
 
 def sample_targets(config: ScenarioConfig, seed: int) -> list[Target]:
@@ -293,7 +293,9 @@ def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
     fixed label so the pieces stay independent. The assembled problem is
     checked with :meth:`DynamicProblem.validate`, so every generated or
     loaded scenario satisfies its structural invariants. A config whose
-    campaign is too small to generate is a ConfigError.
+    campaign is too small to generate, or whose problem breaks an invariant
+    (an orbit high enough to see two stations at once gives overlapping
+    downlinks), is a ConfigError naming the scenario.
     """
     config.validate()
     seed = config.scenario_seed + index
@@ -306,14 +308,18 @@ def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
     )
     vol_lo, vol_hi = config._volatility_range()
     volatility = random.Random(f"volatility:{seed}").randint(vol_lo, vol_hi)
+    label = f"{config.name}-{index:03d}"
     try:
         initial, events = generate_dynamics(
             campaign, volatility, horizon, random.Random(f"dynamics:{seed}")
         )
     except GenerationError as exc:
-        raise ConfigError(f"{config.name}-{index:03d}: {exc}") from None
+        raise ConfigError(f"{label}: {exc}") from None
     problem = _assemble_problem(constellation, targets, campaign, initial, events, horizon, seed)
-    problem.validate()
+    try:
+        problem.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
     return Scenario(config=config, index=index, targets=targets, problem=problem)
 
 
@@ -343,6 +349,7 @@ def _assemble_problem(
 
     tasks_by_agent: dict[int, list] = {}
     next_task = 0
+    campaign = sorted(campaign, key=lambda r: r.request_id)  # the order generate_tasks takes
     for sat in sats:
         windows_by_target = {
             t.target_id: access[(sat.agent_id, t.target_id)] for t in targets

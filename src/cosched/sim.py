@@ -19,11 +19,11 @@ from .problem import DynamicProblem, check_constraints, dynamic_utility
 from .solvers import (
     AgentState,
     RunContext,
-    ScheduleState,
     Solver,
     SolverConfig,
     SolverInvariantError,
     TraceRow,
+    fresh_schedules,
     make_solver,
 )
 
@@ -79,13 +79,9 @@ def build_context(problem: DynamicProblem) -> RunContext:
     # their one-off cost would land in the first solver step that reads them.
     problem.tasks_by_start, problem.agent_requests, problem.request_agents
     ops = OpCounter()
-    states = {}
-    for agent in problem.agents:
-        sched = ScheduleState(agent, problem.downlinks_by_agent.get(agent.agent_id, []), ops)
-        states[agent.agent_id] = AgentState(sched)
     return RunContext(
         problem=problem,
-        states=states,
+        states={aid: AgentState(sched) for aid, sched in fresh_schedules(problem, ops).items()},
         ledger=MessageLedger(),
         ops=ops,
         now=problem.horizon.start,

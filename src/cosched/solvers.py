@@ -212,6 +212,14 @@ class ScheduleState:
         return best
 
 
+def fresh_schedules(problem: DynamicProblem, ops: OpCounter | None = None) -> dict[int, ScheduleState]:
+    """An empty schedule for every agent of the problem, in agent order."""
+    return {
+        a.agent_id: ScheduleState(a, problem.downlinks_by_agent.get(a.agent_id, []), ops)
+        for a in problem.agents
+    }
+
+
 @dataclass
 class AgentState:
     schedule: ScheduleState

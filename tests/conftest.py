@@ -22,7 +22,7 @@ from cosched.problem import (
     Task,
     build_snapshots,
 )
-from cosched.solvers import ScheduleState
+from cosched.solvers import fresh_schedules
 
 
 def make_problem(
@@ -134,12 +134,7 @@ def random_trace(problem: DynamicProblem, rng: random.Random) -> list[set[int]]:
     """
     trace: list[set[int]] = []
     for snap in problem.snapshots:
-        states = {
-            a.agent_id: ScheduleState(
-                a, problem.downlinks_by_agent.get(a.agent_id, [])
-            )
-            for a in problem.agents
-        }
+        states = fresh_schedules(problem)
         pool = [t for t in problem.tasks.values() if t.request_id in snap.active]
         rng.shuffle(pool)
         scheduled: set[int] = set()

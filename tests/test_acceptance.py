@@ -23,8 +23,8 @@ from cosched.scenarios import generate_scenario, preset
 from cosched.sim import run, stability_drops
 from cosched.solvers import (
     SOLVER_NAMES,
-    ScheduleState,
     SolverConfig,
+    fresh_schedules,
     stochastic_update,
 )
 
@@ -87,7 +87,7 @@ def test_01_collapse_equivalence():
             dyn = dynamic_utility(trace, problem)
             # independent event-replay interpreter agrees
             assert dyn == replay_utility(trace, problem)
-            stat = static_utility(executed, problem.tasks, inst.request_ids)
+            stat = static_utility(executed, problem.tasks, problem.ever_active)
             assert dyn == stat
             checked += 1
     elapsed = time.perf_counter() - t0
@@ -295,10 +295,7 @@ def exhaustive_optimum(inst) -> int:
     """Plain depth-first enumeration over (at most) one task per request with
     incremental feasibility; no bounding, independent of branch_and_bound."""
     rids = sorted(inst.candidates)
-    states = {
-        aid: ScheduleState(agent, inst.downlinks_by_agent.get(aid, []))
-        for aid, agent in inst.agents.items()
-    }
+    states = fresh_schedules(inst.problem)
     best = 0
 
     def dfs(i: int, chosen: int) -> None:
@@ -331,7 +328,7 @@ def test_09_oracle_sandwich(tiny_scenarios):
         for name in SOLVER_NAMES:
             m = run(sc.problem, sc.targets, name, cfg).metrics
             assert m.satisfied <= b.satisfied, (sc.label, name)
-        if len(inst.request_ids) <= 12:
+        if len(sc.problem.ever_active) <= 12:
             # truncating candidate lists yields a smaller valid instance on
             # which unpruned enumeration is affordable
             small = dataclasses.replace(

@@ -76,6 +76,24 @@ def test_bench_writes_per_run_traces(workspace):
     assert len(trace) > 1
 
 
+def test_bench_fixed_iterations_runs_every_round(workspace, tmp_path):
+    """Under --fixed-iterations every search solver records, per event, one
+    trace row as the event arrives plus one for each of all max_iters
+    rounds; the table shows the mean post-event drop."""
+    scen, _ = workspace
+    out = tmp_path / "results"
+    search = ("dnss", "0nss", "ddsa", "0dsa")
+    argv = ["bench", "--scenarios", str(scen), "--out", str(out), "--solvers", ",".join(search),
+            "--oracle", "none", "--fixed-iterations"]
+    assert main(argv) == EXIT_OK
+    events = load_scenario(scen / "tiny-000.json").problem.num_changes + 1
+    for solver in search:
+        rec = json.loads((out / f"tiny-000_{solver}.json").read_text())
+        rows_per_event = rec["solver_config"]["max_iters"] + 1
+        assert rec["run"]["metrics"]["iterations_total"] == events * rows_per_event, solver
+    assert "Drop (pp)" in (out / "results_table.txt").read_text().splitlines()[0]
+
+
 def test_replay_reproduces_run(workspace):
     _, out = workspace
     assert main(["replay", "--run", str(out / "tiny-000_dnss.json")]) == EXIT_OK
@@ -216,6 +234,21 @@ def test_replay_rejects_malformed_record(workspace, tmp_path, capsys, tamper, me
     capsys.readouterr()
     assert main(["replay", "--run", str(path)]) == EXIT_CONFIG
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_overlapping_downlink_passes_are_config_error(tmp_path, capsys):
+    """A plane at 2,000 km sees both default stations at once, so its passes
+    overlap: generate exits 2 naming the scenario, where 1,500 km works."""
+    data = preset("tiny").to_dict()
+    data.update(name="high", target_count=5, periodicity="fixed-3", volatility="fixed-3")
+    path = tmp_path / "config.json"
+    for altitude_km, code in ((1500.0, EXIT_OK), (2000.0, EXIT_CONFIG)):
+        data["custom_planes"] = [
+            {"inclination_deg": 50.0, "altitude_km": altitude_km, "raan_deg": 0.0, "count": 2}
+        ]
+        path.write_text(json.dumps(data))
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    assert "config error: high-000: agent 0 has overlapping downlinks" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -34,7 +34,7 @@ DAY = TimeInterval(0.0, 86400.0)
 
 
 def one_sat(plane, max_off_nadir=45.0):
-    return Constellation("one", (plane,), max_off_nadir_deg=max_off_nadir, memory_bytes=1.25e11)
+    return Constellation((plane,), max_off_nadir_deg=max_off_nadir, memory_bytes=1.25e11)
 
 
 def access(plane, max_off_nadir, target):
@@ -257,7 +257,7 @@ def test_windows_match_dense_sampling_without_cone_limit():
     horizon = TimeInterval(0.0, 21600.0)
     plane = OrbitalPlane(inclination_deg=70.0, altitude_km=500.0, raan_deg=20.0, count=2)
     assert 80.0 > math.degrees(math.asin(EARTH_RADIUS_KM / plane.radius_km))
-    constellation = Constellation("wide", (plane,), max_off_nadir_deg=80.0, memory_bytes=1.25e11)
+    constellation = Constellation((plane,), max_off_nadir_deg=80.0, memory_bytes=1.25e11)
     station = GroundStation("low", 60.0, 10.0, min_elevation_deg=-2.0, downlink_rate_bps=62.5e6)
     targets = [Target(i, lat, lon) for i, (lat, lon) in enumerate([(55.0, 5.0), (-30.0, 150.0), (90.0, 0.0)])]
     access_out = batch_access_windows(constellation, targets, horizon)
@@ -325,7 +325,6 @@ def test_time_grid_covers_horizon():
 
 def test_constellation_enumeration_is_plane_major_and_sized():
     c = Constellation(
-        name="toy",
         planes=(
             OrbitalPlane(90.0, 500.0, 0.0, 2),
             OrbitalPlane(52.0, 500.0, 40.0, 3),
@@ -334,7 +333,7 @@ def test_constellation_enumeration_is_plane_major_and_sized():
         memory_bytes=1.0,
     )
     sats = c.satellites()
-    assert c.size == 5 and len(sats) == 5
+    assert len(sats) == 5
     assert [s.agent_id for s in sats] == [0, 1, 2, 3, 4]
     assert [(s.plane_index, s.slot) for s in sats] == [
         (0, 0), (0, 1), (1, 0), (1, 1), (1, 2),
@@ -342,5 +341,5 @@ def test_constellation_enumeration_is_plane_major_and_sized():
 
 
 def test_reference_constellation_sizes():
-    assert planet_constellation().size == 200
-    assert walker_constellation().size == 108
+    assert len(planet_constellation().satellites()) == 200
+    assert len(walker_constellation().satellites()) == 108

@@ -8,9 +8,7 @@ import pytest
 from cosched.geometry import SatelliteSpec
 from cosched.oracle import (
     BudgetExhausted,
-    CollapsedInstance,
     OracleResult,
-    _fresh_states,
     _schedules,
     branch_and_bound,
     collapse,
@@ -18,8 +16,17 @@ from cosched.oracle import (
     swo,
     verify_schedules,
 )
-from cosched.problem import MB, Task, check_constraints, static_utility
-from cosched.solvers import ScheduleState
+from cosched.intervals import TimeInterval
+from cosched.problem import (
+    MB,
+    DynamicProblem,
+    Request,
+    Task,
+    build_snapshots,
+    check_constraints,
+    static_utility,
+)
+from cosched.solvers import fresh_schedules
 
 from conftest import make_problem
 
@@ -34,7 +41,7 @@ def test_collapse_of_static_problem_is_identity(rng):
     active = problem.snapshots[0].active
     expected = {t.task_id for t in problem.tasks.values() if t.request_id in active}
     assert surviving_ids(inst) == expected
-    assert inst.request_ids == active
+    assert inst.problem.ever_active == active
 
 
 def test_collapse_drops_tasks_outside_activity_windows(rng):
@@ -55,6 +62,8 @@ def exhaustive_optimum(inst) -> int:
     candidate task per request and keep the best feasible combination."""
     rids = sorted(inst.candidates)
     options = [[None] + inst.candidates[r] for r in rids]
+    problem = inst.problem
+    memory = {a.agent_id: a.memory_bytes for a in problem.agents}
     best = 0
     for combo in itertools.product(*options):
         chosen = [t for t in combo if t is not None]
@@ -62,9 +71,7 @@ def exhaustive_optimum(inst) -> int:
         for t in chosen:
             by_agent.setdefault(t.agent_id, []).append(t)
         ok = all(
-            check_constraints(
-                ts, inst.agents[a].memory_bytes, inst.downlinks_by_agent.get(a, [])
-            )
+            check_constraints(ts, memory[a], problem.downlinks_by_agent.get(a, []))
             for a, ts in by_agent.items()
         )
         if ok:
@@ -108,13 +115,15 @@ def test_branch_and_bound_restores_recursion_limit():
     """A search deeper than the caller's recursion limit raises the limit for
     its own run only."""
     n = 960  # one recursion level per request: deeper than a 1000-frame limit
-    tasks = {i: Task(i, i, 0, 10.0 * i, 10.0 * i + 5.0, MB) for i in range(n)}
-    inst = CollapsedInstance(
-        request_ids=frozenset(tasks),
-        candidates={i: [t] for i, t in tasks.items()},
-        agents={0: SatelliteSpec(0, 0, 0, 45.0, 1e15)},
+    horizon = TimeInterval(0.0, 10.0 * n)
+    inst = collapse(DynamicProblem(
+        horizon=horizon,
+        agents=[SatelliteSpec(0, 0, 0, 45.0, 1e15)],
+        requests={i: Request(i, i, 10.0 * i, 10.0 * i + 5.0) for i in range(n)},
+        tasks_by_agent={0: [Task(i, i, 0, 10.0 * i, 10.0 * i + 5.0, MB) for i in range(n)]},
         downlinks_by_agent={},
-    )
+        snapshots=build_snapshots(set(range(n)), [], horizon),
+    ))
     caller = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -142,7 +151,7 @@ def test_oracle_schedules_verified_and_sandwich_holds(rng):
             # reported count is consistent with the returned schedules
             scheduled = {t.task_id for ts in res.schedules.values() for t in ts}
             assert res.satisfied == static_utility(
-                scheduled, problem.tasks, inst.request_ids
+                scheduled, problem.tasks, problem.ever_active
             )
 
 
@@ -168,10 +177,10 @@ def reference_branch_and_bound(
     """The search as it was before its bound became incremental: at every
     node, every remaining request's candidates are re-checked from scratch."""
     order = sorted(
-        (rid for rid in inst.request_ids if inst.candidates.get(rid)),
+        (rid for rid in inst.problem.ever_active if inst.candidates.get(rid)),
         key=lambda rid: (len(inst.candidates[rid]), rid),
     )
-    states = _fresh_states(inst)
+    states = fresh_schedules(inst.problem)
     best_count = -1
     best_schedules: dict = {}
     nodes = 0

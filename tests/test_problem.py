@@ -557,7 +557,7 @@ def test_bisected_tiling_matches_linear_tiling(seed):
         for w in rng.sample(ws, min(2, len(ws))):
             for start, end in ((w.start - 90.0, w.start), (w.end, w.end + 90.0), (w.start, w.end)):
                 requests.append(Request(len(requests), target, start, end))
-    rng.shuffle(requests)
+    requests.sort(key=lambda r: r.request_id)  # generate_tasks takes them in id order
     assert generate_tasks(3, requests, windows, random.Random(seed), id_start=5) == linear_tiling(
         3, requests, windows, random.Random(seed), id_start=5
     )

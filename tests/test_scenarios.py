@@ -51,8 +51,8 @@ def test_invalid_solver_name_rejected():
 
 
 def test_reference_constellation_sizes():
-    assert build_constellation(preset("planet")).size == 200
-    assert build_constellation(preset("walker")).size == 108
+    assert len(build_constellation(preset("planet")).satellites()) == 200
+    assert len(build_constellation(preset("walker")).satellites()) == 108
 
 
 def test_sampled_targets_deterministic_and_bounded():
@@ -95,7 +95,8 @@ def test_generation_rejects_overlapping_downlinks(monkeypatch):
         return access, {s.agent_id: passes for s in constellation.satellites()}
 
     monkeypatch.setattr(geometry, "batch_windows", overlapping)
-    with pytest.raises(ValueError, match="overlapping downlinks"):
+    # validate()'s ValueError comes back as a ConfigError naming the scenario
+    with pytest.raises(ConfigError, match="tiny-000: agent 0 has overlapping downlinks"):
         generate_scenario(preset("tiny", target_count=2), 0)
 
 
