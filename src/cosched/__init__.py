@@ -1,6 +1,5 @@
 """Dynamic constellation observation scheduling toolkit."""
 
-from .intervals import TimeInterval
 from .problem import (
     ChangeEvent,
     Downlink,
@@ -16,7 +15,6 @@ from .solvers import SOLVER_NAMES, SolverConfig
 from .sim import run
 
 __all__ = [
-    "TimeInterval",
     "ChangeEvent",
     "Downlink",
     "DynamicProblem",

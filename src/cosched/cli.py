@@ -198,8 +198,8 @@ def cmd_replay(args) -> int:
         raise ConfigError(f"solver_config: {exc}") from None
     sc = load_scenario(record["scenario_file"])
     result = run(sc.problem, sc.targets, record["solver"], solver_cfg)
-    fresh = result.to_record()
-    if fresh != record["run"]:
+    # canonical bytes, not parsed values: 12.0 for 12, or true for 1, differs
+    if json.dumps(result.to_record(), sort_keys=True) != json.dumps(record["run"], sort_keys=True):
         print("replay mismatch: stored run differs from deterministic re-run", file=sys.stderr)
         return EXIT_INVARIANT
     print(f"replay ok: {record['scenario']} / {record['solver']} reproduced bit-identically")
@@ -222,7 +222,8 @@ def _agent_tasks(problem: DynamicProblem, aid: int, task_ids: list[int]) -> list
     return tasks
 
 
-# (key path, kind) of every record field ``verify`` reads, parents first
+# (key path, kind) of every record field ``verify`` reads, parents first;
+# each int is a count, so it must be non-negative
 RECORD_LAYOUT = (
     (("scenario_file",), str),
     (("solver",), str),
@@ -231,7 +232,13 @@ RECORD_LAYOUT = (
     (("run", "final_schedules"), dict),
     (("run", "metrics"), dict),
     (("run", "metrics", "satisfied"), int),
+    (("run", "metrics", "total_requests"), int),
+    (("run", "metrics", "iterations_total"), int),
     (("run", "metrics", "message_bytes"), int),
+    (("run", "metrics", "message_count"), int),
+    (("run", "metrics", "constraint_checks"), int),
+    (("run", "metrics", "rng_draws"), int),
+    (("run", "metrics", "trace"), list),
 )
 
 
@@ -243,8 +250,30 @@ def _record_error(record: dict) -> str | None:
             if key not in value:
                 return f"{'.'.join(keys)}: missing"
             value = value[key]
-        if not isinstance(value, kind):
+        if not isinstance(value, kind) or isinstance(value, bool):
             return f"{'.'.join(keys)}: expected {kind.__name__}, got {type(value).__name__}"
+        if kind is int and value < 0:
+            return f"{'.'.join(keys)}: expected a non-negative count, got {value}"
+    return None
+
+
+def _trace_error(metrics: dict) -> str | None:
+    """Why the trace contradicts the record's counters, or None: each row has
+    six fields (event, iteration, satisfied, satisfaction %, message bytes,
+    op count), there is one row per iteration, and the last row holds the
+    run's totals."""
+    trace = metrics["trace"]
+    bad = next((i for i, row in enumerate(trace) if not isinstance(row, list) or len(row) != 6), None)
+    if bad is not None:
+        return f"row {bad} does not have 6 fields"
+    if len(trace) != metrics["iterations_total"]:
+        return f"{len(trace)} rows, the record {metrics['iterations_total']} iterations"
+    if not trace:
+        return "no rows"
+    sent, ops = trace[-1][4:]
+    total_ops = metrics["constraint_checks"] + metrics["rng_draws"]
+    if sent != metrics["message_bytes"] or ops != total_ops:
+        return f"last row has {sent!r} bytes and {ops!r} ops, the record {metrics['message_bytes']} and {total_ops}"
     return None
 
 
@@ -297,6 +326,12 @@ def cmd_verify(args) -> int:
         if satisfied is not None and satisfied != record["run"]["metrics"]["satisfied"]:
             print(f"{path.name}: recorded utility {record['run']['metrics']['satisfied']} != replay {satisfied}")
             ok = False
+        if record["run"]["metrics"]["total_requests"] != len(problem.ever_active):
+            print(
+                f"{path.name}: recorded total_requests {record['run']['metrics']['total_requests']} "
+                f"!= {len(problem.ever_active)} ever-active requests"
+            )
+            ok = False
         # final schedules feasible
         agents = {a.agent_id: a for a in problem.agents}
         for aid_str, task_ids in record["run"]["final_schedules"].items():
@@ -316,6 +351,10 @@ def cmd_verify(args) -> int:
             if not verdict:
                 print(f"{path.name}: agent {aid} infeasible: {verdict.reason}")
                 ok = False
+        trace_error = _trace_error(record["run"]["metrics"])
+        if trace_error is not None:
+            print(f"{path.name}: trace inconsistent: {trace_error}")
+            ok = False
         # zero-communication baselines
         if record["solver"] in ("greedy", "random"):
             if record["run"]["metrics"]["message_bytes"] != 0:

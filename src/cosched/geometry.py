@@ -49,8 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import TimeInterval
-
 EARTH_RADIUS_KM = 6378.137
 MU_KM3_S2 = 398600.4418
 EARTH_ROT_RAD_S = 7.2921159e-5
@@ -226,11 +224,11 @@ def visible(
     return within & (_elevation_deg(sat_pos, point_ecef, up) >= min_elevation_deg)
 
 
-def time_grid(horizon: TimeInterval) -> np.ndarray:
-    """Scan grid covering the horizon; last sample pinned to the horizon end."""
-    n = int(math.ceil(horizon.duration / SCAN_STEP_S))
-    times = horizon.start + SCAN_STEP_S * np.arange(n + 1, dtype=float)
-    times[-1] = horizon.end
+def time_grid(horizon_s: float) -> np.ndarray:
+    """Scan grid covering [0, horizon_s]; last sample pinned to the horizon end."""
+    n = int(math.ceil(horizon_s / SCAN_STEP_S))
+    times = SCAN_STEP_S * np.arange(n + 1, dtype=float)
+    times[-1] = horizon_s
     return times
 
 
@@ -299,16 +297,16 @@ def _scan(plane: OrbitalPlane, slot: int, times: np.ndarray, points: tuple, epoc
 
 def _satellite_windows(
     plane: OrbitalPlane, slot: int, points: tuple, times: np.ndarray, epoch_offset_s: float
-) -> list[list[TimeInterval]]:
+) -> list[list[tuple[float, float]]]:
     """Visibility windows of one satellite over every ground point.
 
     ``points`` holds row-aligned arrays: ECEF position, unit up vector, cone
     and minimum elevation. Each edge of each run of visible samples on
     ``times`` (``_scan``) is bisected in lockstep until its bracket is at most
     1 s wide, keeping its visible end; runs touching the first or last sample
-    end there. Each point's windows are sorted by start and pairwise
-    disjoint: an invisible sample separates consecutive runs, and each
-    bisected edge stays within one grid step of its run.
+    end there. Each point's windows are (start, end) pairs, sorted by start
+    and pairwise disjoint: an invisible sample separates consecutive runs,
+    and each bisected edge stays within one grid step of its run.
     """
     ecef, up, cone, min_el = points
     run_k, first, last = _scan(plane, slot, times, points, epoch_offset_s)
@@ -333,7 +331,7 @@ def _satellite_windows(
     windows = [[] for _ in range(len(ecef))]
     for j, (a, b) in zip(run_k.tolist(), bounds.tolist()):
         if b > a:
-            windows[j].append(TimeInterval(a, b))
+            windows[j].append((a, b))
     return windows
 
 
@@ -341,52 +339,53 @@ def batch_windows(
     constellation: Constellation,
     targets: list[Target],
     stations: list[GroundStation],
-    horizon: TimeInterval,
+    horizon_s: float,
     epoch_offset_s: float = 0.0,
-) -> tuple[dict[tuple[int, int], list[TimeInterval]], dict[int, list[tuple[TimeInterval, float]]]]:
-    """Access windows and downlink passes from one pass per satellite over
-    every target and station.
+) -> tuple[dict[tuple[int, int], list[tuple[float, float]]], dict[int, list[tuple[float, float, float]]]]:
+    """Access windows and downlink passes over [0, horizon_s] seconds, from
+    one pass per satellite over every target and station.
 
-    ``access[(agent, target)]`` holds the maximal intervals during which the
-    target lies inside the satellite's sensor cone and above its horizon.
-    ``passes[agent]`` holds the station passes sorted by start, each with its
-    capacity (duration x downlink rate); they are not merged, so passes over
-    two stations in view at once overlap. A station antenna is not a sensor
-    cone: its 180° cone admits every direction, so only the minimum
-    elevation applies.
+    ``access[(agent, target)]`` holds the maximal (start, end) intervals
+    during which the target lies inside the satellite's sensor cone and above
+    its horizon. ``passes[agent]`` holds the station passes as (start, end,
+    capacity) triples, capacity being duration x downlink rate, sorted by
+    (start, end) and otherwise in station order; they are not merged, so
+    passes over two stations in view at once overlap. A station antenna is
+    not a sensor cone: its 180° cone admits every direction, so only the
+    minimum elevation applies.
     """
-    times = time_grid(horizon)
+    times = time_grid(horizon_s)
     ecef, up = _ground(
         [(t.latitude_deg, t.longitude_deg) for t in targets]
         + [(s.latitude_deg, s.longitude_deg) for s in stations]
     )
     n = len(targets)
     min_el = np.array([0.0] * n + [s.min_elevation_deg for s in stations])
-    access: dict[tuple[int, int], list[TimeInterval]] = {}
-    passes: dict[int, list[tuple[TimeInterval, float]]] = {}
+    access: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    passes: dict[int, list[tuple[float, float, float]]] = {}
     for sat in constellation.satellites():
         cone = np.array([sat.max_off_nadir_deg] * n + [180.0] * len(stations))
         plane = constellation.planes[sat.plane_index]
         wins = _satellite_windows(plane, sat.slot, (ecef, up, cone, min_el), times, epoch_offset_s)
         for target, w in zip(targets, wins):
             access[(sat.agent_id, target.target_id)] = w
-        rated = ((w, w.duration * st.downlink_rate_bps) for st, ws in zip(stations, wins[n:]) for w in ws)
-        passes[sat.agent_id] = sorted(rated, key=lambda wc: (wc[0].start, wc[0].end))
+        rated = ((a, b, (b - a) * st.downlink_rate_bps) for st, ws in zip(stations, wins[n:]) for a, b in ws)
+        passes[sat.agent_id] = sorted(rated, key=lambda p: p[:2])
     return access, passes
 
 
 def batch_access_windows(
-    constellation: Constellation, targets: list[Target], horizon: TimeInterval, epoch_offset_s: float = 0.0
-) -> dict[tuple[int, int], list[TimeInterval]]:
+    constellation: Constellation, targets: list[Target], horizon_s: float, epoch_offset_s: float = 0.0
+) -> dict[tuple[int, int], list[tuple[float, float]]]:
     """The access windows of ``batch_windows`` over targets alone."""
-    return batch_windows(constellation, targets, [], horizon, epoch_offset_s)[0]
+    return batch_windows(constellation, targets, [], horizon_s, epoch_offset_s)[0]
 
 
 def batch_downlink_windows(
-    constellation: Constellation, stations: list[GroundStation], horizon: TimeInterval, epoch_offset_s: float = 0.0
-) -> dict[int, list[tuple[TimeInterval, float]]]:
+    constellation: Constellation, stations: list[GroundStation], horizon_s: float, epoch_offset_s: float = 0.0
+) -> dict[int, list[tuple[float, float, float]]]:
     """The downlink passes of ``batch_windows`` over stations alone."""
-    return batch_windows(constellation, [], stations, horizon, epoch_offset_s)[1]
+    return batch_windows(constellation, [], stations, horizon_s, epoch_offset_s)[1]
 
 
 # Constellations modeled after operational low-Earth-orbit systems. The paper

@@ -35,8 +35,8 @@ def collapse(problem: DynamicProblem) -> CollapsedInstance:
     actives = [snap.active for snap in problem.snapshots]
     candidates: dict[int, list[Task]] = {}
     for task in problem.tasks.values():
-        for w, active in zip(windows, actives):
-            if task.request_id in active and max(task.start, w.start) < min(task.end, w.end):
+        for (lo, hi), active in zip(windows, actives):
+            if task.request_id in active and max(task.start, lo) < min(task.end, hi):
                 candidates.setdefault(task.request_id, []).append(task)
                 break
     for lst in candidates.values():

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .geometry import SatelliteSpec, Target
-from .intervals import TimeInterval
 
 TASK_DURATION_S = 63.0
 MB = 1e6
@@ -40,9 +39,21 @@ class Request:
     start: float
     end: float
 
-    @property
-    def interval(self) -> TimeInterval:
-        return TimeInterval(self.start, self.end)
+
+@dataclass(frozen=True)
+class TimeInterval:
+    """A task's [start, end] in seconds, as ``Task.interval`` returns it."""
+
+    start: float
+    end: float
+
+    def overlaps(self, other: "TimeInterval") -> bool:
+        """True iff the intervals share positive-length time.
+
+        Abutting intervals ([0, 63] and [63, 126]) do not overlap; two tasks
+        may be executed back to back.
+        """
+        return max(self.start, other.start) < min(self.end, other.end)
 
 
 @dataclass(frozen=True)
@@ -67,10 +78,6 @@ class Downlink:
     end: float
     capacity_bytes: float
 
-    @property
-    def interval(self) -> TimeInterval:
-        return TimeInterval(self.start, self.end)
-
 
 @dataclass(frozen=True)
 class ChangeEvent:
@@ -89,7 +96,7 @@ class Snapshot:
 
 @dataclass
 class DynamicProblem:
-    horizon: TimeInterval
+    horizon_s: float  # the horizon is [0, horizon_s] seconds
     agents: list[SatelliteSpec]
     requests: dict[int, Request]
     tasks_by_agent: dict[int, list[Task]]
@@ -98,8 +105,8 @@ class DynamicProblem:
 
     def __post_init__(self):
         starts = [s.start for s in self.snapshots]
-        if starts and starts[0] != self.horizon.start:
-            raise ValueError("first snapshot must start at the horizon start")
+        if starts and starts[0] != 0.0:
+            raise ValueError("first snapshot must start at the horizon start, 0")
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("change times must be strictly increasing")
 
@@ -154,12 +161,12 @@ class DynamicProblem:
         """All requests that were active in at least one snapshot."""
         return frozenset().union(*(s.active for s in self.snapshots))
 
-    def static_window(self, t: int) -> TimeInterval:
-        """Interval during which snapshot t is the live problem."""
+    def static_window(self, t: int) -> tuple[float, float]:
+        """(start, end) of the interval during which snapshot t is the live problem."""
         start = self.snapshots[t].start
         if t + 1 < len(self.snapshots):
-            return TimeInterval(start, self.snapshots[t + 1].start)
-        return TimeInterval(start, self.horizon.end)
+            return start, self.snapshots[t + 1].start
+        return start, self.horizon_s
 
     def events(self) -> list[ChangeEvent]:
         evs = []
@@ -329,7 +336,7 @@ def executed_task_ids(
         )
     executed: set[int] = set()
     for t, scheduled in enumerate(trace):
-        window = problem.static_window(t)
+        lo, hi = problem.static_window(t)
         active = problem.snapshots[t].active
         for tid in scheduled:
             task = problem.tasks.get(tid)
@@ -340,7 +347,7 @@ def executed_task_ids(
                     f"snapshot {t} schedules task {tid} of inactive request "
                     f"{task.request_id}"
                 )
-            if max(task.start, window.start) < min(task.end, window.end):
+            if max(task.start, lo) < min(task.end, hi):
                 executed.add(tid)
     return executed
 
@@ -359,7 +366,7 @@ def dynamic_utility(trace: list[set[int]], problem: DynamicProblem) -> int:
 def generate_tasks(
     agent_id: int,
     requests: list[Request],
-    windows_by_target: dict[int, list[TimeInterval]],
+    windows_by_target: dict[int, list[tuple[float, float]]],
     rng,
     *,
     id_start: int = 0,
@@ -367,25 +374,26 @@ def generate_tasks(
     """Candidate tasks for one agent: tile each access window overlapping a
     request window from its start with back-to-back ``TASK_DURATION_S`` tasks.
 
-    Each target's windows must be sorted by start and pairwise disjoint, as
-    ``geometry.batch_windows`` returns them, so their ends are sorted too: a
-    bisection skips the windows that end by the request's start, and the walk
-    stops at the first window that starts at or after its end.
+    Each target's windows are (start, end) pairs that must be sorted by start
+    and pairwise disjoint, as ``geometry.batch_windows`` returns them, so
+    their ends are sorted too: a bisection skips the windows that end by the
+    request's start, and the walk stops at the first window that starts at or
+    after its end.
 
     Data volumes are drawn from a truncated normal (resampled below the
     floor). ``requests`` must come in request id order; tasks follow it, then
     window order, so task ids and volumes are deterministic for a given RNG
     state.
     """
-    ends = {tid: [w.end for w in ws] for tid, ws in windows_by_target.items()}
+    ends = {tid: [end for _, end in ws] for tid, ws in windows_by_target.items()}
     tasks: list[Task] = []
     next_id = id_start
     for req in requests:
         windows = windows_by_target.get(req.target_id, [])
         k = bisect_right(ends.get(req.target_id, []), req.start)
-        while k < len(windows) and windows[k].start < req.end:
-            t0 = max(windows[k].start, req.start)
-            end = min(windows[k].end, req.end)
+        while k < len(windows) and windows[k][0] < req.end:
+            t0 = max(windows[k][0], req.start)
+            end = min(windows[k][1], req.end)
             k += 1
             # tolerance absorbs float noise from window refinement
             while t0 + TASK_DURATION_S <= end + 1e-9:
@@ -409,7 +417,7 @@ def generate_tasks(
 
 def generate_campaign(
     targets: list[Target],
-    horizon: TimeInterval,
+    horizon_s: float,
     periodicity_range: tuple[int, int],
     rng,
 ) -> list[Request]:
@@ -421,10 +429,10 @@ def generate_campaign(
     requests: list[Request] = []
     for target in sorted(targets, key=lambda t: t.target_id):
         p = rng.randint(lo, hi)
-        width = horizon.duration / p
+        width = horizon_s / p
         for k in range(p):
-            start = horizon.start + k * width
-            end = horizon.start + (k + 1) * width if k < p - 1 else horizon.end
+            start = k * width
+            end = (k + 1) * width if k < p - 1 else horizon_s
             requests.append(Request(len(requests), target.target_id, start, end))
     return requests
 
@@ -432,7 +440,7 @@ def generate_campaign(
 def generate_dynamics(
     campaign: list[Request],
     volatility: int,
-    horizon: TimeInterval,
+    horizon_s: float,
     rng,
 ) -> tuple[set[int], list[ChangeEvent]]:
     """Initial active set plus one change event per unit of volatility.
@@ -460,8 +468,8 @@ def generate_dynamics(
     active = set(initial)
     pool = set(ids) - active  # never activated yet
 
-    earliest = horizon.start + (2.0 / (3.0 * volatility)) * horizon.duration
-    times = sorted(rng.uniform(earliest, horizon.end) for _ in range(volatility))
+    earliest = (2.0 / (3.0 * volatility)) * horizon_s
+    times = sorted(rng.uniform(earliest, horizon_s) for _ in range(volatility))
 
     add_count = math.ceil(n * 2.0 / (3.0 * volatility))
     events: list[ChangeEvent] = []
@@ -480,10 +488,8 @@ def generate_dynamics(
     return initial, events
 
 
-def build_snapshots(
-    initial_active: set[int], events: list[ChangeEvent], horizon: TimeInterval
-) -> list[Snapshot]:
-    snaps = [Snapshot(horizon.start, frozenset(initial_active))]
+def build_snapshots(initial_active: set[int], events: list[ChangeEvent]) -> list[Snapshot]:
+    snaps = [Snapshot(0.0, frozenset(initial_active))]
     active = set(initial_active)
     for ev in events:
         active |= set(ev.added)

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import geometry
 from .geometry import Constellation, OrbitalPlane, Target
-from .intervals import TimeInterval
 from .problem import (
     ChangeEvent,
     Downlink,
@@ -299,23 +298,22 @@ def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
     """
     config.validate()
     seed = config.scenario_seed + index
-    horizon = TimeInterval(0.0, config.horizon_s)
     constellation = build_constellation(config)
     targets = sample_targets(config, seed)
 
     campaign = generate_campaign(
-        targets, horizon, config._periodicity_range(), random.Random(f"campaign:{seed}")
+        targets, config.horizon_s, config._periodicity_range(), random.Random(f"campaign:{seed}")
     )
     vol_lo, vol_hi = config._volatility_range()
     volatility = random.Random(f"volatility:{seed}").randint(vol_lo, vol_hi)
     label = f"{config.name}-{index:03d}"
     try:
         initial, events = generate_dynamics(
-            campaign, volatility, horizon, random.Random(f"dynamics:{seed}")
+            campaign, volatility, config.horizon_s, random.Random(f"dynamics:{seed}")
         )
     except GenerationError as exc:
         raise ConfigError(f"{label}: {exc}") from None
-    problem = _assemble_problem(constellation, targets, campaign, initial, events, horizon, seed)
+    problem = _assemble_problem(constellation, targets, campaign, initial, events, config.horizon_s, seed)
     try:
         problem.validate()
     except ValueError as exc:
@@ -329,21 +327,21 @@ def _assemble_problem(
     campaign: list[Request],
     initial: set[int],
     events: list[ChangeEvent],
-    horizon: TimeInterval,
+    horizon_s: float,
     seed: int,
 ) -> DynamicProblem:
     sats = constellation.satellites()
     epoch_offset = _epoch_offset_s(seed)
     access, passes = geometry.batch_windows(
-        constellation, targets, list(geometry.DEFAULT_STATIONS), horizon, epoch_offset
+        constellation, targets, list(geometry.DEFAULT_STATIONS), horizon_s, epoch_offset
     )
 
     downlinks_by_agent: dict[int, list[Downlink]] = {}
     next_dl = 0
     for sat in sats:
         dls = []
-        for window, capacity in passes[sat.agent_id]:
-            dls.append(Downlink(next_dl, sat.agent_id, window.start, window.end, capacity))
+        for start, end, capacity in passes[sat.agent_id]:
+            dls.append(Downlink(next_dl, sat.agent_id, start, end, capacity))
             next_dl += 1
         downlinks_by_agent[sat.agent_id] = dls
 
@@ -365,12 +363,12 @@ def _assemble_problem(
         tasks_by_agent[sat.agent_id] = agent_tasks
 
     return DynamicProblem(
-        horizon=horizon,
+        horizon_s=horizon_s,
         agents=sats,
         requests={r.request_id: r for r in campaign},
         tasks_by_agent=tasks_by_agent,
         downlinks_by_agent=downlinks_by_agent,
-        snapshots=build_snapshots(initial, events, horizon),
+        snapshots=build_snapshots(initial, events),
     )
 
 

@@ -84,7 +84,6 @@ def build_context(problem: DynamicProblem) -> RunContext:
         states={aid: AgentState(sched) for aid, sched in fresh_schedules(problem, ops).items()},
         ledger=MessageLedger(),
         ops=ops,
-        now=problem.horizon.start,
     )
 
 

@@ -12,7 +12,6 @@ import random
 import pytest
 
 from cosched.geometry import SatelliteSpec, Target
-from cosched.intervals import TimeInterval
 from cosched.problem import (
     MB,
     ChangeEvent,
@@ -36,7 +35,6 @@ def make_problem(
     memory_bytes: float = 120 * MB,
 ) -> tuple[DynamicProblem, list[Target]]:
     """A small synthetic instance with randomized windows, tasks and dynamics."""
-    horizon = TimeInterval(0.0, horizon_len)
     agents = [
         SatelliteSpec(
             agent_id=a,
@@ -103,9 +101,9 @@ def make_problem(
         pool -= set(adds)
         events.append(ChangeEvent(c, tuple(sorted(adds)), tuple(sorted(rems))))
 
-    snapshots = build_snapshots(initial, events, horizon)
+    snapshots = build_snapshots(initial, events)
     problem = DynamicProblem(
-        horizon=horizon,
+        horizon_s=horizon_len,
         agents=agents,
         requests=requests,
         tasks_by_agent=_group_tasks(tasks, n_agents),

@@ -99,6 +99,29 @@ def test_replay_reproduces_run(workspace):
     assert main(["replay", "--run", str(out / "tiny-000_dnss.json")]) == EXIT_OK
 
 
+def _float_satisfied(metrics):
+    metrics["satisfied"] = float(metrics["satisfied"])
+
+
+def _true_iteration(metrics):
+    row = next(r for r in metrics["trace"] if r[1] == 1)
+    row[1] = True
+
+
+@pytest.mark.parametrize("tamper", [_float_satisfied, _true_iteration], ids=["satisfied-a-float", "iteration-true"])
+def test_replay_compares_bytes(workspace, tmp_path, capsys, tamper):
+    """A stored value that equals the re-run's only after parsing (12.0 for
+    12, true for 1) is a replay mismatch: records compare byte for byte."""
+    _, out = workspace
+    record = json.loads((out / "tiny-000_dnss.json").read_text())
+    tamper(record["run"]["metrics"])
+    path = tmp_path / "tiny-000_dnss.json"
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["replay", "--run", str(path)]) == EXIT_INVARIANT
+    assert "replay mismatch" in capsys.readouterr().err
+
+
 def test_verify_accepts_results(workspace):
     _, out = workspace
     assert main(["verify", "--runs", str(out)]) == EXIT_OK
@@ -266,10 +289,6 @@ def contended_runs(tmp_path_factory):
     return out
 
 
-def _overstate_utility(record):
-    record["run"]["metrics"]["satisfied"] += 1
-
-
 def _add_overlapping_task(record):
     """Add to some agent's final schedule a task that overlaps a scheduled one."""
     problem = load_scenario(record["scenario_file"]).problem
@@ -282,16 +301,56 @@ def _add_overlapping_task(record):
     raise AssertionError("no overlapping task to add")
 
 
-def _greedy_sends_messages(record):
-    record["run"]["metrics"]["message_bytes"] = 25
+def _set_metric(key, value):
+    def tamper(record):
+        record["run"]["metrics"][key] = value
+    return tamper
+
+
+def _shift_metric(key):
+    def tamper(record):
+        record["run"]["metrics"][key] += 1
+    return tamper
+
+
+def _shift_last_trace_field(index):
+    def tamper(record):
+        record["run"]["metrics"]["trace"][-1][index] += 1
+    return tamper
+
+
+def _shorten_trace_row(record):
+    record["run"]["metrics"]["trace"][0].pop()
 
 
 @pytest.mark.parametrize(
-    "solver, tamper",
-    [("dnss", _overstate_utility), ("dnss", _add_overlapping_task), ("greedy", _greedy_sends_messages)],
-    ids=["satisfied-plus-one", "overlapping-task", "greedy-message-bytes"],
+    "solver, tamper, failure",
+    [
+        ("dnss", _shift_metric("satisfied"), "recorded utility"),
+        ("dnss", _add_overlapping_task, "infeasible: processing-conflict"),
+        ("greedy", _set_metric("message_bytes", 25), "greedy sent messages"),
+        ("dnss", _set_metric("message_bytes", -1),
+         "malformed record: run.metrics.message_bytes: expected a non-negative count, got -1"),
+        ("dnss", _set_metric("message_count", -1),
+         "malformed record: run.metrics.message_count: expected a non-negative count, got -1"),
+        ("dnss", _set_metric("constraint_checks", 1.5),
+         "malformed record: run.metrics.constraint_checks: expected int, got float"),
+        ("dnss", _set_metric("rng_draws", True), "malformed record: run.metrics.rng_draws: expected int, got bool"),
+        ("dnss", _set_metric("trace", "rows"), "malformed record: run.metrics.trace: expected list, got str"),
+        ("dnss", _shorten_trace_row, "trace inconsistent: row 0 does not have 6 fields"),
+        ("dnss", _shift_last_trace_field(4), "trace inconsistent: last row has"),
+        ("dnss", _shift_last_trace_field(5), "trace inconsistent: last row has"),
+        ("dnss", _shift_metric("iterations_total"), "trace inconsistent: "),
+        ("dnss", _shift_metric("total_requests"), "recorded total_requests"),
+    ],
+    ids=[
+        "satisfied-plus-one", "overlapping-task", "greedy-message-bytes", "message-bytes-negative",
+        "message-count-negative", "constraint-checks-a-float", "rng-draws-a-bool", "trace-a-string",
+        "trace-row-of-five", "trace-bytes-off", "trace-ops-off", "iterations-total-off",
+        "total-requests-off",
+    ],
 )
-def test_verify_rejects_tampered_record(contended_runs, tmp_path, capsys, solver, tamper):
+def test_verify_rejects_tampered_record(contended_runs, tmp_path, capsys, solver, tamper, failure):
     runs = tmp_path / "results"
     shutil.copytree(contended_runs, runs)
     path = runs / f"tiny-000_{solver}.json"
@@ -304,6 +363,7 @@ def test_verify_rejects_tampered_record(contended_runs, tmp_path, capsys, solver
     assert [line for line in lines if line.endswith(": ok")] == [
         f"tiny-000_{other}.json: ok" for other in ("dnss", "greedy") if other != solver
     ]
+    assert any(line.startswith(f"tiny-000_{solver}.json: ") and failure in line for line in lines), lines
 
 
 

@@ -25,12 +25,11 @@ from cosched.geometry import (
     walker_constellation,
     _scan,
 )
-from cosched.intervals import TimeInterval, disjoint_sorted
 from cosched.scenarios import build_constellation, preset, sample_targets
 
 POLAR = OrbitalPlane(inclination_deg=90.0, altitude_km=500.0, raan_deg=0.0, count=1)
 EQUATORIAL = OrbitalPlane(inclination_deg=0.0, altitude_km=500.0, raan_deg=0.0, count=1)
-DAY = TimeInterval(0.0, 86400.0)
+DAY_S = 86400.0
 
 
 def one_sat(plane, max_off_nadir=45.0):
@@ -39,7 +38,7 @@ def one_sat(plane, max_off_nadir=45.0):
 
 def access(plane, max_off_nadir, target):
     """One day's access windows of the single satellite of ``plane`` over one target."""
-    out = batch_access_windows(one_sat(plane, max_off_nadir), [target], DAY)
+    out = batch_access_windows(one_sat(plane, max_off_nadir), [target], DAY_S)
     assert list(out) == [(0, target.target_id)]
     return out[(0, target.target_id)]
 
@@ -119,18 +118,28 @@ def subpoint(plane, slot, t, epoch_offset_s):
     return math.degrees(math.asin(z / math.hypot(x, y, z))), math.degrees(math.atan2(y, x))
 
 
+def assert_sorted_disjoint_pairs(windows):
+    """Each window is a (float, float) pair with start < end, and each ends
+    at or before the next one starts: sorted by start, pairwise disjoint."""
+    for w in windows:
+        assert type(w) is tuple and len(w) == 2 and all(type(x) is float for x in w), w
+        assert w[0] < w[1], w
+    for (_, end), (start, _) in zip(windows, windows[1:]):
+        assert end <= start, (end, start)
+
+
 def assert_matches_dense(windows, dense, pos_at, seen):
     """Windows agree with visibility ``seen(positions)`` sampled every second:
     same run count, visible midpoints, and every hit inside a window (1 s slack)."""
-    assert disjoint_sorted(windows)
+    assert_sorted_disjoint_pairs(windows)
     mask = seen(pos_at(dense))
     runs = int(np.sum(mask[1:] & ~mask[:-1])) + int(mask[0])
     assert len(windows) == runs
-    for w in windows:
-        assert bool(seen(pos_at(0.5 * (w.start + w.end))))
+    for start, end in windows:
+        assert bool(seen(pos_at(0.5 * (start + end))))
     hits = dense[mask]
-    starts = np.array([w.start for w in windows]) - 1.0
-    ends = np.array([w.end for w in windows]) + 1.0
+    starts = np.array([start for start, _ in windows]) - 1.0
+    ends = np.array([end for _, end in windows]) + 1.0
     i = np.searchsorted(starts, hits, side="right") - 1
     assert np.all(i >= 0) and np.all(hits <= ends[i])
 
@@ -139,8 +148,8 @@ def test_access_windows_match_dense_sampling():
     tgt = Target(0, 40.0, -100.0)
     windows = access(POLAR, 60.0, tgt)
     assert windows, "mid-latitude target should be seen by a polar satellite"
-    for w in windows:
-        assert DAY.contains(w)
+    for start, end in windows:
+        assert 0.0 <= start and end <= DAY_S
     point = latlon_to_ecef(tgt.latitude_deg, tgt.longitude_deg)
     assert_matches_dense(
         windows,
@@ -157,24 +166,24 @@ def test_batch_windows_match_dense_sampling_per_pair():
     elevation."""
     cfg = preset("tiny")
     constellation = build_constellation(cfg)
-    horizon = TimeInterval(0.0, 21600.0)
+    horizon_s = 21600.0
     epoch = 1234.5
     plane0 = constellation.planes[0]
     targets = sample_targets(cfg, 7)[:6]
     # sub-points of satellite 0 at the horizon ends pin windows to both ends
-    targets.append(Target(100, *subpoint(plane0, 0, horizon.start, epoch)))
-    targets.append(Target(101, *subpoint(plane0, 0, horizon.end, epoch)))
+    targets.append(Target(100, *subpoint(plane0, 0, 0.0, epoch)))
+    targets.append(Target(101, *subpoint(plane0, 0, horizon_s, epoch)))
     # a third station with its own antenna mask and rate
     stations = [*DEFAULT_STATIONS, GroundStation("cape", -40.0, 20.0, 20.0, 10e6)]
-    access_out, passes_out = batch_windows(constellation, targets, stations, horizon, epoch)
-    assert batch_access_windows(constellation, targets, horizon, epoch) == access_out
-    assert batch_downlink_windows(constellation, stations, horizon, epoch) == passes_out
+    access_out, passes_out = batch_windows(constellation, targets, stations, horizon_s, epoch)
+    assert batch_access_windows(constellation, targets, horizon_s, epoch) == access_out
+    assert batch_downlink_windows(constellation, stations, horizon_s, epoch) == passes_out
 
-    assert access_out[(0, 100)][0].start == horizon.start
-    assert access_out[(0, 101)][-1].end == horizon.end
+    assert access_out[(0, 100)][0][0] == 0.0
+    assert access_out[(0, 101)][-1][1] == horizon_s
     assert all(passes_out.values()), "every satellite should pass a station in 6 h"
 
-    dense = np.arange(horizon.start, horizon.end + 1.0, 1.0)
+    dense = np.arange(0.0, horizon_s + 1.0, 1.0)
     cone = constellation.max_off_nadir_deg
     station_points = [latlon_to_ecef(st.latitude_deg, st.longitude_deg) for st in stations]
     for sat in constellation.satellites():
@@ -195,17 +204,17 @@ def test_batch_windows_match_dense_sampling_per_pair():
         # merged passes: each belongs to exactly one station and carries its rate
         passes = passes_out[sat.agent_id]
         owners = []
-        for w, cap in passes:
-            mid = pos_at(0.5 * (w.start + w.end))
+        for start, end, cap in passes:
+            mid = pos_at(0.5 * (start + end))
             (k,) = [
                 k for k, st in enumerate(stations)
                 if elevation_deg(mid, station_points[k]) >= st.min_elevation_deg
             ]
             owners.append(k)
-            assert cap == w.duration * stations[k].downlink_rate_bps
+            assert cap == (end - start) * stations[k].downlink_rate_bps
         for k, st in enumerate(stations):
             assert_matches_dense(
-                [w for (w, _), o in zip(passes, owners) if o == k],
+                [(start, end) for (start, end, _), o in zip(passes, owners) if o == k],
                 dense,
                 pos_at,
                 lambda p, k=k, st=st: elevation_deg(p, station_points[k]) >= st.min_elevation_deg,
@@ -226,7 +235,7 @@ def test_pruned_scan_matches_visible_on_every_sample():
     ecef = np.array([latlon_to_ecef(a, b) for a, b in zip(lat, lon)])
     up = ecef / np.linalg.norm(ecef, axis=1, keepdims=True)
     for horizon_s in (86400.0, 21603.7, 95.0, 5.0):
-        times = time_grid(TimeInterval(0.0, horizon_s))
+        times = time_grid(horizon_s)
         seen = 0
         for _ in range(16):
             plane = OrbitalPlane(
@@ -254,23 +263,23 @@ def test_pruned_scan_matches_visible_on_every_sample():
 def test_windows_match_dense_sampling_without_cone_limit():
     """Windows where the scan bound drops the cone limit: a station masked
     below the horizon, and a sensor cone wider than the horizon cone."""
-    horizon = TimeInterval(0.0, 21600.0)
+    horizon_s = 21600.0
     plane = OrbitalPlane(inclination_deg=70.0, altitude_km=500.0, raan_deg=20.0, count=2)
     assert 80.0 > math.degrees(math.asin(EARTH_RADIUS_KM / plane.radius_km))
     constellation = Constellation((plane,), max_off_nadir_deg=80.0, memory_bytes=1.25e11)
     station = GroundStation("low", 60.0, 10.0, min_elevation_deg=-2.0, downlink_rate_bps=62.5e6)
     targets = [Target(i, lat, lon) for i, (lat, lon) in enumerate([(55.0, 5.0), (-30.0, 150.0), (90.0, 0.0)])]
-    access_out = batch_access_windows(constellation, targets, horizon)
-    passes_out = batch_downlink_windows(constellation, [station], horizon)
+    access_out = batch_access_windows(constellation, targets, horizon_s)
+    passes_out = batch_downlink_windows(constellation, [station], horizon_s)
     assert all(access_out.values()), "every satellite should see every target in 6 h"
 
-    dense = np.arange(horizon.start, horizon.end + 1.0, 1.0)
+    dense = np.arange(0.0, horizon_s + 1.0, 1.0)
     station_point = latlon_to_ecef(station.latitude_deg, station.longitude_deg)
     for sat in constellation.satellites():
         def pos_at(t, slot=sat.slot):
             return propagate(plane, slot, t)
 
-        passes = [w for w, _ in passes_out[sat.agent_id]]
+        passes = [(start, end) for start, end, _ in passes_out[sat.agent_id]]
         assert passes
         assert_matches_dense(
             passes, dense, pos_at, lambda p: elevation_deg(p, station_point) >= -2.0
@@ -292,13 +301,13 @@ def test_wider_sensor_cone_contains_narrow_cone_windows():
     assert narrow, "need at least one pass to make the test meaningful"
     for w in narrow:
         assert any(
-            v.start <= w.start + 1e-6 and w.end - 1e-6 <= v.end for v in wide
+            v[0] <= w[0] + 1e-6 and w[1] - 1e-6 <= v[1] for v in wide
         ), f"{w} not contained in any wide-cone window"
 
 
 def test_no_ground_points_give_no_windows():
-    assert batch_access_windows(one_sat(POLAR), [], DAY) == {}
-    assert batch_downlink_windows(one_sat(POLAR), [], DAY) == {0: []}
+    assert batch_access_windows(one_sat(POLAR), [], DAY_S) == {}
+    assert batch_downlink_windows(one_sat(POLAR), [], DAY_S) == {0: []}
 
 
 def test_access_windows_deterministic():
@@ -308,17 +317,17 @@ def test_access_windows_deterministic():
 
 def test_downlink_capacity_is_duration_times_rate():
     station = GroundStation("fairbanks", 64.86, -147.85, 5.0, 62.5e6)
-    passes = batch_downlink_windows(one_sat(POLAR), [station], DAY)[0]
+    passes = batch_downlink_windows(one_sat(POLAR), [station], DAY_S)[0]
     assert passes, "polar orbit must see a high-latitude station daily"
-    for window, cap in passes:
-        assert cap == pytest.approx(window.duration * 62.5e6)
+    for start, end, cap in passes:
+        assert cap == pytest.approx((end - start) * 62.5e6)
     # arithmetic check: a 160 s pass at 62.5 MB/s carries 10 000 MB
     assert 160.0 * 62.5e6 == pytest.approx(1e10)
 
 
 def test_time_grid_covers_horizon():
-    grid = time_grid(TimeInterval(10.0, 95.0))
-    assert grid[0] == 10.0 and grid[-1] == 95.0
+    grid = time_grid(95.0)
+    assert grid[0] == 0.0 and grid[-1] == 95.0
     assert np.all(np.diff(grid) > 0)
     assert np.all(np.diff(grid) <= SCAN_STEP_S)
 

@@ -16,12 +16,12 @@ from cosched.oracle import (
     swo,
     verify_schedules,
 )
-from cosched.intervals import TimeInterval
 from cosched.problem import (
     MB,
     DynamicProblem,
     Request,
     Task,
+    TimeInterval,
     build_snapshots,
     check_constraints,
     static_utility,
@@ -51,7 +51,7 @@ def test_collapse_drops_tasks_outside_activity_windows(rng):
         windows = [problem.static_window(t) for t in range(len(problem.snapshots))]
         for task in problem.tasks.values():
             executable = any(
-                task.request_id in snap.active and task.interval.overlaps(w)
+                task.request_id in snap.active and task.interval.overlaps(TimeInterval(*w))
                 for snap, w in zip(problem.snapshots, windows)
             )
             assert (task.task_id in surviving) == executable
@@ -115,14 +115,13 @@ def test_branch_and_bound_restores_recursion_limit():
     """A search deeper than the caller's recursion limit raises the limit for
     its own run only."""
     n = 960  # one recursion level per request: deeper than a 1000-frame limit
-    horizon = TimeInterval(0.0, 10.0 * n)
     inst = collapse(DynamicProblem(
-        horizon=horizon,
+        horizon_s=10.0 * n,
         agents=[SatelliteSpec(0, 0, 0, 45.0, 1e15)],
         requests={i: Request(i, i, 10.0 * i, 10.0 * i + 5.0) for i in range(n)},
         tasks_by_agent={0: [Task(i, i, 0, 10.0 * i, 10.0 * i + 5.0, MB) for i in range(n)]},
         downlinks_by_agent={},
-        snapshots=build_snapshots(set(range(n)), [], horizon),
+        snapshots=build_snapshots(set(range(n)), []),
     ))
     caller = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosched.geometry import Target
-from cosched.intervals import TimeInterval
 from cosched.problem import (
     MB,
     TASK_DURATION_S,
@@ -19,6 +18,7 @@ from cosched.problem import (
     MalformedScheduleError,
     Request,
     Task,
+    TimeInterval,
     Verdict,
     build_snapshots,
     check_constraints,
@@ -125,7 +125,7 @@ def test_random_schedules_verdict_matches_bruteforce(rng):
             for b in tasks[k + 1 :]
         )
         ok = ok and all(
-            not t.interval.overlaps(d.interval) for t in tasks for d in dls
+            not t.interval.overlaps(TimeInterval(d.start, d.end)) for t in tasks for d in dls
         )
         if ok:
             starts = [d.start for d in dls]
@@ -161,7 +161,7 @@ def nested_loop_check_constraints(tasks, memory_bytes, downlinks):
     dls = sorted(downlinks, key=lambda d: d.start)
     for t in ordered:
         for d in dls:
-            if t.interval.overlaps(d.interval):
+            if t.interval.overlaps(TimeInterval(d.start, d.end)):
                 return Verdict(
                     False,
                     "downlink-conflict",
@@ -430,7 +430,7 @@ def replay_utility(trace, problem):
     """Independent evaluator: walk the timeline and apply the utility
     definition literally — a request counts iff one of its tasks was
     scheduled in an instance whose static window overlaps the task."""
-    starts = [s.start for s in problem.snapshots] + [problem.horizon.end]
+    starts = [s.start for s in problem.snapshots] + [problem.horizon_s]
     satisfied = set()
     for t, scheduled in enumerate(trace):
         lo, hi = starts[t], starts[t + 1]
@@ -473,27 +473,27 @@ def test_static_problem_utility_equals_static_utility(rng):
 
 def test_generate_tasks_tiling_counts(rng):
     req = Request(0, 0, 0.0, 1000.0)
-    windows = {0: [TimeInterval(100.0, 100.0 + 300.0)]}
+    windows = {0: [(100.0, 100.0 + 300.0)]}
     tasks = generate_tasks(0, [req], windows, rng)
     assert len(tasks) == 4  # floor(300 / 63)
     assert [t.start for t in tasks] == [100.0, 163.0, 226.0, 289.0]
     assert all(t.end - t.start == TASK_DURATION_S for t in tasks)
 
-    assert generate_tasks(0, [req], {0: [TimeInterval(0.0, 62.0)]}, rng) == []
-    exact = generate_tasks(0, [req], {0: [TimeInterval(0.0, 63.0)]}, rng)
+    assert generate_tasks(0, [req], {0: [(0.0, 62.0)]}, rng) == []
+    exact = generate_tasks(0, [req], {0: [(0.0, 63.0)]}, rng)
     assert len(exact) == 1
 
 
 def test_generate_tasks_respects_request_window(rng):
     req = Request(0, 0, 200.0, 400.0)
-    windows = {0: [TimeInterval(0.0, 1000.0)]}
+    windows = {0: [(0.0, 1000.0)]}
     tasks = generate_tasks(0, [req], windows, rng)
     assert tasks and all(200.0 <= t.start and t.end <= 400.0 + 1e-9 for t in tasks)
 
 
 def test_generate_tasks_volumes_truncated_normal(rng):
     req = Request(0, 0, 0.0, 100000.0)
-    windows = {0: [TimeInterval(0.0, 100000.0)]}
+    windows = {0: [(0.0, 100000.0)]}
     tasks = generate_tasks(0, [req], windows, rng)
     vols = [t.volume_bytes for t in tasks]
     assert len(vols) > 1000
@@ -504,7 +504,7 @@ def test_generate_tasks_volumes_truncated_normal(rng):
 
 def test_generate_tasks_deterministic():
     req = Request(0, 0, 0.0, 1000.0)
-    windows = {0: [TimeInterval(0.0, 500.0)]}
+    windows = {0: [(0.0, 500.0)]}
     a = generate_tasks(0, [req], windows, random.Random(7))
     b = generate_tasks(0, [req], windows, random.Random(7))
     assert a == b
@@ -516,12 +516,11 @@ def linear_tiling(agent_id, requests, windows_by_target, rng, *, id_start=0):
     tasks = []
     next_id = id_start
     for req in sorted(requests, key=lambda r: r.request_id):
-        for window in windows_by_target.get(req.target_id, []):
-            overlap = window.intersect(req.interval)
-            if overlap is None:
+        for w_start, w_end in windows_by_target.get(req.target_id, []):
+            t0, end = max(w_start, req.start), min(w_end, req.end)
+            if t0 >= end:
                 continue
-            t0 = overlap.start
-            while t0 + TASK_DURATION_S <= overlap.end + 1e-9:
+            while t0 + TASK_DURATION_S <= end + 1e-9:
                 vol = rng.gauss(TASK_MEAN_VOLUME_BYTES, TASK_SD_VOLUME_BYTES)
                 while vol < TASK_MIN_VOLUME_BYTES:
                     vol = rng.gauss(TASK_MEAN_VOLUME_BYTES, TASK_SD_VOLUME_BYTES)
@@ -544,7 +543,7 @@ def test_bisected_tiling_matches_linear_tiling(seed):
         for _ in range(rng.randint(0, 15)):
             t += 30.0 * rng.randint(0, 3) if rng.random() < 0.8 else rng.uniform(0.0, 200.0)
             end = t + (30.0 * rng.randint(1, 6) if rng.random() < 0.8 else rng.uniform(1.0, 300.0))
-            ws.append(TimeInterval(t, end))
+            ws.append((t, end))
             t = end
         windows[target] = ws
     requests = []
@@ -554,8 +553,8 @@ def test_bisected_tiling_matches_linear_tiling(seed):
         requests.append(Request(rid, rng.randrange(targets + 1), start, start + 30.0 * rng.randint(1, 20)))
     # requests that end where a window starts, start where it ends, or equal it
     for target, ws in windows.items():
-        for w in rng.sample(ws, min(2, len(ws))):
-            for start, end in ((w.start - 90.0, w.start), (w.end, w.end + 90.0), (w.start, w.end)):
+        for w_start, w_end in rng.sample(ws, min(2, len(ws))):
+            for start, end in ((w_start - 90.0, w_start), (w_end, w_end + 90.0), (w_start, w_end)):
                 requests.append(Request(len(requests), target, start, end))
     requests.sort(key=lambda r: r.request_id)  # generate_tasks takes them in id order
     assert generate_tasks(3, requests, windows, random.Random(seed), id_start=5) == linear_tiling(
@@ -564,16 +563,15 @@ def test_bisected_tiling_matches_linear_tiling(seed):
 
 
 def test_campaign_partitions_horizon(rng):
-    horizon = TimeInterval(0.0, 86400.0)
     targets = [Target(i, 10.0 * i - 40, 5.0 * i) for i in range(8)]
-    reqs = generate_campaign(targets, horizon, (3, 3), rng)
+    reqs = generate_campaign(targets, 86400.0, (3, 3), rng)
     assert len(reqs) == 24
     by_target: dict[int, list[Request]] = {}
     for r in reqs:
         by_target.setdefault(r.target_id, []).append(r)
     for rs in by_target.values():
         rs.sort(key=lambda r: r.start)
-        assert rs[0].start == horizon.start and rs[-1].end == horizon.end
+        assert rs[0].start == 0.0 and rs[-1].end == 86400.0
         for a, b in zip(rs, rs[1:]):
             assert a.end == b.start  # abutting, evenly spaced
         widths = {round(r.end - r.start, 6) for r in rs}
@@ -581,48 +579,41 @@ def test_campaign_partitions_horizon(rng):
 
 
 def test_campaign_single_period_covers_horizon(rng):
-    horizon = TimeInterval(0.0, 86400.0)
-    reqs = generate_campaign([Target(0, 0.0, 0.0)], horizon, (1, 1), rng)
-    assert len(reqs) == 1 and reqs[0].interval == horizon
+    reqs = generate_campaign([Target(0, 0.0, 0.0)], 86400.0, (1, 1), rng)
+    assert len(reqs) == 1 and (reqs[0].start, reqs[0].end) == (0.0, 86400.0)
 
 
 def test_campaign_count_is_sum_of_periodicities():
-    horizon = TimeInterval(0.0, 86400.0)
     targets = [Target(i, 0.0, float(i)) for i in range(20)]
     rng = random.Random(99)
-    reqs = generate_campaign(targets, horizon, (3, 7), rng)
+    reqs = generate_campaign(targets, 86400.0, (3, 7), rng)
     # recompute the same draws independently
     rng2 = random.Random(99)
     expected = sum(rng2.randint(3, 7) for _ in targets)
     assert len(reqs) == expected
 
 
-def make_campaign(n, horizon):
-    width = horizon.duration / n
-    return [
-        Request(i, i, horizon.start + i * width, horizon.start + (i + 1) * width)
-        for i in range(n)
-    ]
+def make_campaign(n, horizon_s):
+    width = horizon_s / n
+    return [Request(i, i, i * width, (i + 1) * width) for i in range(n)]
 
 
 def test_dynamics_initial_third_and_event_count():
-    horizon = TimeInterval(0.0, 86400.0)
-    campaign = make_campaign(30, horizon)
+    campaign = make_campaign(30, 86400.0)
     for v in (1, 3, 5):
-        initial, events = generate_dynamics(campaign, v, horizon, random.Random(5))
+        initial, events = generate_dynamics(campaign, v, 86400.0, random.Random(5))
         assert len(initial) == math.ceil(30 / 3)
         assert len(events) == v
-        earliest = horizon.start + (2.0 / (3.0 * v)) * horizon.duration
-        assert all(earliest <= e.time <= horizon.end for e in events)
+        earliest = (2.0 / (3.0 * v)) * 86400.0
+        assert all(earliest <= e.time <= 86400.0 for e in events)
         assert [e.time for e in events] == sorted(e.time for e in events)
 
 
 def test_dynamics_never_touches_open_requests_and_never_readds():
-    horizon = TimeInterval(0.0, 86400.0)
-    campaign = make_campaign(60, horizon)
+    campaign = make_campaign(60, 86400.0)
     by_id = {r.request_id: r for r in campaign}
     for seed in range(20):
-        initial, events = generate_dynamics(campaign, 4, horizon, random.Random(seed))
+        initial, events = generate_dynamics(campaign, 4, 86400.0, random.Random(seed))
         active = set(initial)
         seen = set(initial)
         removed_ever: set[int] = set()
@@ -639,10 +630,9 @@ def test_dynamics_never_touches_open_requests_and_never_readds():
 
 
 def test_dynamics_fractions_bounded():
-    horizon = TimeInterval(0.0, 86400.0)
     n, v = 90, 3
-    campaign = make_campaign(n, horizon)
-    initial, events = generate_dynamics(campaign, v, horizon, random.Random(11))
+    campaign = make_campaign(n, 86400.0)
+    initial, events = generate_dynamics(campaign, v, 86400.0, random.Random(11))
     add_cap = math.ceil(n * 2.0 / (3.0 * v))
     active = set(initial)
     for e in events:
@@ -653,24 +643,21 @@ def test_dynamics_fractions_bounded():
 
 
 def test_dynamics_deterministic():
-    horizon = TimeInterval(0.0, 86400.0)
-    campaign = make_campaign(30, horizon)
-    a = generate_dynamics(campaign, 3, horizon, random.Random(4))
-    b = generate_dynamics(campaign, 3, horizon, random.Random(4))
+    campaign = make_campaign(30, 86400.0)
+    a = generate_dynamics(campaign, 3, 86400.0, random.Random(4))
+    b = generate_dynamics(campaign, 3, 86400.0, random.Random(4))
     assert a == b
 
 
 def test_dynamics_rejects_degenerate_inputs():
-    horizon = TimeInterval(0.0, 100.0)
     with pytest.raises(GenerationError):
-        generate_dynamics(make_campaign(2, horizon), 3, horizon, random.Random(0))
+        generate_dynamics(make_campaign(2, 100.0), 3, 100.0, random.Random(0))
     with pytest.raises(GenerationError):
-        generate_dynamics(make_campaign(9, horizon), 0, horizon, random.Random(0))
+        generate_dynamics(make_campaign(9, 100.0), 0, 100.0, random.Random(0))
 
 
 def test_build_snapshots_applies_events():
-    horizon = TimeInterval(0.0, 100.0)
     events = [ChangeEvent(40.0, (3,), (1,)), ChangeEvent(70.0, (), (3,))]
-    snaps = build_snapshots({1, 2}, events, horizon)
+    snaps = build_snapshots({1, 2}, events)
     assert [s.start for s in snaps] == [0.0, 40.0, 70.0]
     assert [set(s.active) for s in snaps] == [{1, 2}, {2, 3}, {2}]

@@ -6,7 +6,6 @@ import re
 import pytest
 
 from cosched import geometry
-from cosched.intervals import TimeInterval
 from cosched.scenarios import (
     ConfigError,
     PRESETS,
@@ -91,7 +90,7 @@ def test_generation_rejects_overlapping_downlinks(monkeypatch):
 
     def overlapping(constellation, *args):
         access, _ = batch_windows(constellation, *args)
-        passes = [(TimeInterval(100.0, 400.0), 1e9), (TimeInterval(300.0, 600.0), 1e9)]
+        passes = [(100.0, 400.0, 1e9), (300.0, 600.0, 1e9)]
         return access, {s.agent_id: passes for s in constellation.satellites()}
 
     monkeypatch.setattr(geometry, "batch_windows", overlapping)

@@ -9,7 +9,6 @@ import pytest
 
 from cosched import sim
 from cosched.geometry import SatelliteSpec
-from cosched.intervals import TimeInterval
 from cosched.problem import (
     MB,
     ChangeEvent,
@@ -187,7 +186,6 @@ def test_zero_variants_discard_then_recover(rng):
 def two_agent_problem() -> DynamicProblem:
     """Agent 1 has 100 MB of memory and downlinks at [100, 150] and
     [600, 650]; one change event at t=50, before any task starts."""
-    horizon = TimeInterval(0.0, 1000.0)
     agents = [SatelliteSpec(a, 0, a, 45.0, 100 * MB) for a in (0, 1)]
     spans = {
         10: (200.0, 263.0, 60 * MB),  # feasible on its own
@@ -199,12 +197,12 @@ def two_agent_problem() -> DynamicProblem:
     requests = {tid: Request(tid, tid, 0.0, 1000.0) for tid in tasks}
     downlinks = [Downlink(0, 1, 100.0, 150.0, 500 * MB), Downlink(1, 1, 600.0, 650.0, 500 * MB)]
     return DynamicProblem(
-        horizon=horizon,
+        horizon_s=1000.0,
         agents=agents,
         requests=requests,
         tasks_by_agent={0: [], 1: sorted(tasks.values(), key=lambda t: t.start)},
         downlinks_by_agent={0: [], 1: downlinks},
-        snapshots=build_snapshots(set(tasks), [ChangeEvent(50.0, (), ())], horizon),
+        snapshots=build_snapshots(set(tasks), [ChangeEvent(50.0, (), ())]),
     )
 
 

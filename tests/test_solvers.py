@@ -5,7 +5,6 @@ import pytest
 
 from cosched.accounting import message_bytes
 from cosched.geometry import SatelliteSpec
-from cosched.intervals import TimeInterval
 from cosched.problem import (
     MB,
     Downlink,
@@ -357,16 +356,15 @@ def search_context(holdings, frozen=(), now=0.0):
     the held tasks whose ids are in ``frozen`` already ran. Every request is
     active over the whole horizon.
     """
-    horizon = TimeInterval(0.0, 1000.0)
     tasks = {t.task_id: t for held, others in holdings.values() for t in held + others}
     requests = {t.request_id: Request(t.request_id, t.request_id, 0.0, 1000.0) for t in tasks.values()}
     problem = DynamicProblem(
-        horizon=horizon,
+        horizon_s=1000.0,
         agents=[SatelliteSpec(a, 0, a, 45.0, 1000 * MB) for a in holdings],
         requests=requests,
         tasks_by_agent={a: held + others for a, (held, others) in holdings.items()},
         downlinks_by_agent={a: [] for a in holdings},
-        snapshots=build_snapshots(set(requests), [], horizon),
+        snapshots=build_snapshots(set(requests), []),
     )
     problem.validate()
     ctx = build_context(problem)
