@@ -20,6 +20,7 @@ from .problem import (
     Task,
     check_constraints,
     dynamic_utility,
+    satisfaction_pct,
 )
 from .scenarios import (
     ConfigError,
@@ -232,6 +233,7 @@ RECORD_LAYOUT = (
     (("run", "final_schedules"), dict),
     (("run", "metrics"), dict),
     (("run", "metrics", "satisfied"), int),
+    (("run", "metrics", "satisfaction_pct"), float),
     (("run", "metrics", "total_requests"), int),
     (("run", "metrics", "iterations_total"), int),
     (("run", "metrics", "message_bytes"), int),
@@ -257,15 +259,43 @@ def _record_error(record: dict) -> str | None:
     return None
 
 
+# the kind of each trace row field: event, iteration, satisfied, satisfaction %,
+# message bytes, op count; each int is a count, so it must be non-negative
+TRACE_ROW_KINDS = (int, int, int, float, int, int)
+
+
+def _trace_row_error(row) -> str | None:
+    if not isinstance(row, list) or len(row) != len(TRACE_ROW_KINDS):
+        return f"does not have {len(TRACE_ROW_KINDS)} fields"
+    for value, kind in zip(row, TRACE_ROW_KINDS):
+        if not isinstance(value, kind) or isinstance(value, bool) or (kind is int and value < 0):
+            return f"holds {value!r} where a {'non-negative count' if kind is int else kind.__name__} belongs"
+    return None
+
+
 def _trace_error(metrics: dict) -> str | None:
     """Why the trace contradicts the record's counters, or None: each row has
     six fields (event, iteration, satisfied, satisfaction %, message bytes,
-    op count), there is one row per iteration, and the last row holds the
-    run's totals."""
+    op count); events, bytes and op counts never decrease; each event's
+    iterations count up from 0; each row's percentage is its satisfied count
+    over ``total_requests``; there is one row per iteration; and the last row
+    holds the run's totals."""
     trace = metrics["trace"]
-    bad = next((i for i, row in enumerate(trace) if not isinstance(row, list) or len(row) != 6), None)
-    if bad is not None:
-        return f"row {bad} does not have 6 fields"
+    total = metrics["total_requests"]
+    prev = None
+    for i, row in enumerate(trace):
+        error = _trace_row_error(row)
+        if error is not None:
+            return f"row {i} {error}"
+        event, iteration, satisfied, pct, sent, ops = row
+        if prev is not None and (event < prev[0] or sent < prev[4] or ops < prev[5]):
+            return f"row {i} decreases the event, message bytes or op count of row {i - 1}"
+        expected = prev[1] + 1 if prev is not None and event == prev[0] else 0
+        if iteration != expected:
+            return f"row {i} has iteration {iteration}, expected {expected}"
+        if pct != satisfaction_pct(satisfied, total):
+            return f"row {i} has satisfaction_pct {pct!r}, not 100 * {satisfied} / {total}"
+        prev = row
     if len(trace) != metrics["iterations_total"]:
         return f"{len(trace)} rows, the record {metrics['iterations_total']} iterations"
     if not trace:
@@ -308,6 +338,7 @@ def cmd_verify(args) -> int:
             failures += 1
             continue
         problem = scenarios[sc_file].problem
+        metrics = record["run"]["metrics"]
         ok = True
         # schedule trace re-scores to the recorded utility
         try:
@@ -323,12 +354,18 @@ def cmd_verify(args) -> int:
             print(f"{path.name}: snapshot consistency violated: {exc}")
             ok = False
             satisfied = None
-        if satisfied is not None and satisfied != record["run"]["metrics"]["satisfied"]:
-            print(f"{path.name}: recorded utility {record['run']['metrics']['satisfied']} != replay {satisfied}")
+        if satisfied is not None and satisfied != metrics["satisfied"]:
+            print(f"{path.name}: recorded utility {metrics['satisfied']} != replay {satisfied}")
             ok = False
-        if record["run"]["metrics"]["total_requests"] != len(problem.ever_active):
+        if metrics["satisfaction_pct"] != satisfaction_pct(metrics["satisfied"], metrics["total_requests"]):
             print(
-                f"{path.name}: recorded total_requests {record['run']['metrics']['total_requests']} "
+                f"{path.name}: recorded satisfaction_pct {metrics['satisfaction_pct']!r} "
+                f"!= 100 * {metrics['satisfied']} / {metrics['total_requests']}"
+            )
+            ok = False
+        if metrics["total_requests"] != len(problem.ever_active):
+            print(
+                f"{path.name}: recorded total_requests {metrics['total_requests']} "
                 f"!= {len(problem.ever_active)} ever-active requests"
             )
             ok = False
@@ -351,13 +388,13 @@ def cmd_verify(args) -> int:
             if not verdict:
                 print(f"{path.name}: agent {aid} infeasible: {verdict.reason}")
                 ok = False
-        trace_error = _trace_error(record["run"]["metrics"])
+        trace_error = _trace_error(metrics)
         if trace_error is not None:
             print(f"{path.name}: trace inconsistent: {trace_error}")
             ok = False
         # zero-communication baselines
         if record["solver"] in ("greedy", "random"):
-            if record["run"]["metrics"]["message_bytes"] != 0:
+            if metrics["message_bytes"] != 0:
                 print(f"{path.name}: {record['solver']} sent messages")
                 ok = False
         if ok:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 import sys
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .problem import DynamicProblem, Task, check_constraints
+from .problem import DynamicProblem, Task, check_constraints, satisfaction_pct
 from .solvers import ScheduleState, fresh_schedules
 
 
@@ -66,13 +67,32 @@ class OracleResult:
     rounds: int = 0
 
     def satisfaction_pct(self, total_requests: int) -> float:
-        if total_requests == 0:
-            return 100.0
-        return 100.0 * self.satisfied / total_requests
+        return satisfaction_pct(self.satisfied, total_requests)
 
 
 class BudgetExhausted(Exception):
     pass
+
+
+class _Bucket:
+    """One (agent, downlink bucket)'s candidate tasks in start order and in
+    descending volume, for ``branch_and_bound``'s re-checks."""
+
+    MARGIN_S = 1.0  # far above the rounding of any task's start or length
+
+    def __init__(self, tasks: list[Task]):
+        self.by_start = sorted(tasks, key=lambda t: (t.start, t.task_id))
+        self.starts = [t.start for t in self.by_start]
+        self.reach = max(t.end - t.start for t in tasks) + self.MARGIN_S
+        self.by_volume = sorted(tasks, key=lambda t: (-t.volume_bytes, t.task_id))
+
+    def may_overlap(self, task: Task) -> list[Task]:
+        """``task`` and a superset of the tasks that overlap it: the tasks
+        that start in [task.start - reach, task.end), and those that start
+        with ``task``, which covers a task of zero length."""
+        lo = bisect_left(self.starts, task.start - self.reach)
+        hi = max(bisect_left(self.starts, task.end), bisect_right(self.starts, task.start))
+        return self.by_start[lo:hi]
 
 
 def branch_and_bound(
@@ -96,12 +116,27 @@ def branch_and_bound(
     agent: a task in another bucket shares no capacity with c, and if it
     overlapped c it would also overlap a downlink (the downlink that
     separates the two buckets starts inside one of the two tasks, and c was
-    insertable), so its flag is already clear. After the insert, only the
-    still-flagged tasks of that bucket are re-checked with ``can_insert``;
-    the flags that cleared are logged and set again when c is removed,
-    which restores the state exactly as it was before the insert. The number
-    of remaining requests with a flagged task is kept the same way: a count
-    that crosses zero moves it, and so does stepping past a request.
+    insertable), so its flag is already clear. Within the bucket, a flag
+    clears for one of two reasons, and only those tasks are re-checked with
+    ``can_insert``:
+
+    - overlap: the task overlaps c, or is c, which is now held. Every task
+      that overlaps c starts in [c.start - reach, c.end), where reach is the
+      bucket's longest task plus a margin far above float rounding, so
+      bisecting the bucket's start order over that range, with c added,
+      finds a superset of them;
+    - capacity: the bucket's load rose by c's volume. The bucket's flagged
+      tasks are re-checked in descending volume down to the first that
+      passes, or that is no larger than a task that passed its overlap
+      re-check: ``fl(load + v) > cap`` is monotone in v, so every smaller
+      task still fits.
+
+    Any other flagged task neither overlaps c nor lacks room, so its verdict
+    stands. The flags that cleared are logged and set again when c is
+    removed, which restores the state exactly as it was before the insert.
+    The number of remaining requests with a flagged task is kept the same
+    way: a count that crosses zero moves it, and so does stepping past a
+    request.
     """
     order = sorted(
         (rid for rid in inst.problem.ever_active if inst.candidates.get(rid)),
@@ -116,13 +151,14 @@ def branch_and_bound(
 
     insertable: dict[int, bool] = {}  # task id -> can_insert on the current schedules
     count: dict[int, int] = {}  # request id -> number of its insertable tasks
-    buckets: dict[tuple[int, int], list[Task]] = {}  # (agent, downlink bucket) -> tasks
+    grouped: dict[tuple[int, int], list[Task]] = {}  # (agent, downlink bucket) -> tasks
     for rid in order:
         for t in inst.candidates[rid]:
             st = states[t.agent_id]
             insertable[t.task_id] = st.can_insert(t)
-            buckets.setdefault((t.agent_id, st.bucket(t)), []).append(t)
+            grouped.setdefault((t.agent_id, st.bucket(t)), []).append(t)
         count[rid] = sum(insertable[t.task_id] for t in inst.candidates[rid])
+    buckets = {key: _Bucket(tasks) for key, tasks in grouped.items()}
     position = {rid: i for i, rid in enumerate(order)}
     depth = 0  # the current node's index into ``order``
     live = sum(1 for rid in order if count[rid])  # requests in order[depth:] with a positive count
@@ -132,12 +168,23 @@ def branch_and_bound(
         nonlocal live
         st = states[task.agent_id]
         st.insert(task)
-        cleared = [
-            t for t in buckets[(task.agent_id, st.bucket(task))]
-            if insertable[t.task_id] and not st.can_insert(t)
-        ]
+        bucket = buckets[(task.agent_id, st.bucket(task))]
+        cleared = []
+        fits = -math.inf  # the largest volume that passed a re-check
+        for t in bucket.may_overlap(task):
+            if insertable[t.task_id]:
+                if st.can_insert(t):
+                    fits = max(fits, t.volume_bytes)
+                else:
+                    insertable[t.task_id] = False
+                    cleared.append(t)
+        for t in bucket.by_volume:
+            if insertable[t.task_id]:
+                if t.volume_bytes <= fits or st.can_insert(t):
+                    break
+                insertable[t.task_id] = False
+                cleared.append(t)
         for t in cleared:
-            insertable[t.task_id] = False
             count[t.request_id] -= 1
             if not count[t.request_id] and position[t.request_id] >= depth:
                 live -= 1

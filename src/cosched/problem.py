@@ -204,6 +204,8 @@ class DynamicProblem:
                 listed.add(task.task_id)
                 if task.start > task.end:
                     raise ValueError(f"task {task.task_id} is inverted: start {task.start} > end {task.end}")
+                if task.start == task.end:
+                    raise ValueError(f"task {task.task_id} has zero length at {task.start}")
                 req = self.requests[task.request_id]
                 if not req.start <= task.start <= task.end <= req.end:
                     raise ValueError(f"task {task.task_id} outside its request window")
@@ -357,6 +359,11 @@ def dynamic_utility(trace: list[set[int]], problem: DynamicProblem) -> int:
     executed = executed_task_ids(trace, problem)
     satisfied = {problem.tasks[tid].request_id for tid in executed}
     return len(satisfied & problem.ever_active)
+
+
+def satisfaction_pct(satisfied: int, total: int) -> float:
+    """Percentage of ``total`` requests satisfied; 100.0 when there are none."""
+    return 100.0 * satisfied / total if total else 100.0
 
 
 # ---------------------------------------------------------------------------

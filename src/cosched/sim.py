@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .accounting import MessageLedger, OpCounter
 from .geometry import SatelliteSpec, Target
-from .problem import DynamicProblem, check_constraints, dynamic_utility
+from .problem import DynamicProblem, check_constraints, dynamic_utility, satisfaction_pct
 from .solvers import (
     AgentState,
     RunContext,
@@ -91,10 +91,14 @@ def _advance(ctx: RunContext, window_start: float, now: float) -> None:
     """Freeze every scheduled task that has started.
 
     A task in a schedule at the change time ran during the elapsed static
-    window; it becomes an immutable fact for the rest of the run.
+    window; it becomes an immutable fact for the rest of the run. Only the
+    tasks that end after ``window_start`` and start before ``now`` can have
+    run then, and ``tasks_between`` finds them by bisection: ``_assert_feasible``
+    has just verified that each schedule is disjoint, and a validated
+    problem's tasks have positive length, so the ends rise with the starts.
     """
     for st in ctx.states.values():
-        for task in st.schedule.tasks():
+        for task in st.schedule.tasks_between(window_start, now):
             if max(task.start, window_start) < min(task.end, now):
                 st.schedule.freeze(task)
     ctx.now = now
@@ -139,7 +143,7 @@ def run(
         solver=solver.name,
         satisfied=satisfied,
         total_requests=total,
-        satisfaction_pct=100.0 * satisfied / total if total else 100.0,
+        satisfaction_pct=satisfaction_pct(satisfied, total),
         message_bytes=ctx.ledger.bytes_total,
         message_count=ctx.ledger.count_total,
         constraint_checks=ctx.ops.constraint_checks,

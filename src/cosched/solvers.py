@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .accounting import MessageLedger, OpCounter, message_bytes
 from .decomposition import SearchGroup, gnd
 from .geometry import SatelliteSpec
-from .problem import Downlink, DynamicProblem, Task
+from .problem import Downlink, DynamicProblem, Task, satisfaction_pct
 
 SOLVER_NAMES = ("random", "greedy", "dnss", "0nss", "ddsa", "0dsa")
 
@@ -120,6 +120,15 @@ class ScheduleState:
 
     def __len__(self) -> int:
         return len(self._starts)
+
+    def tasks_between(self, lo: float, hi: float) -> list[Task]:
+        """The held tasks from the first that ends after ``lo`` to the last
+        that starts before ``hi``, in start order.
+
+        The bisection on ends is sound only while ends rise with starts: on a
+        disjoint schedule of positive-length tasks."""
+        i = bisect_right(self._starts, lo, key=lambda e: e[2].end)
+        return [t for _, _, t in self._starts[i:bisect_left(self._starts, (hi,))]]
 
     def _holds(self, task: Task) -> bool:
         held = self.by_request.get(task.request_id)
@@ -254,9 +263,8 @@ class RunContext:
         """Append the row of this event's ``iteration``: how many ever-active
         requests some agent holds, and the counters so far."""
         held = set().union(*(st.schedule.by_request for st in self.states.values()))
-        total = len(self.problem.ever_active)
         sat = len(held & self.problem.ever_active)
-        pct = 100.0 * sat / total if total else 100.0
+        pct = satisfaction_pct(sat, len(self.problem.ever_active))
         self.trace.append(TraceRow(self.event_index, iteration, sat, pct, self.ledger.bytes_total, self.ops.total))
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cosched.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+from cosched.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, _trace_error, main
 from cosched.scenarios import load_scenario, preset
 
 
@@ -323,6 +323,26 @@ def _shorten_trace_row(record):
     record["run"]["metrics"]["trace"][0].pop()
 
 
+def _set_trace_field(row, index, value):
+    def tamper(record):
+        record["run"]["metrics"]["trace"][row][index] = value
+    return tamper
+
+
+def _shift_trace_field(row, index):
+    def tamper(record):
+        record["run"]["metrics"]["trace"][row][index] += 1
+    return tamper
+
+
+def _lower_last_trace_field(index):
+    """Make the last row's field ``index`` one less than the row before's."""
+    def tamper(record):
+        trace = record["run"]["metrics"]["trace"]
+        trace[-1][index] = trace[-2][index] - 1
+    return tamper
+
+
 @pytest.mark.parametrize(
     "solver, tamper, failure",
     [
@@ -342,12 +362,28 @@ def _shorten_trace_row(record):
         ("dnss", _shift_last_trace_field(5), "trace inconsistent: last row has"),
         ("dnss", _shift_metric("iterations_total"), "trace inconsistent: "),
         ("dnss", _shift_metric("total_requests"), "recorded total_requests"),
+        ("dnss", _lower_last_trace_field(0), "trace inconsistent: row 11 decreases the event"),
+        ("dnss", _lower_last_trace_field(4), "trace inconsistent: row 11 decreases the event, message bytes"),
+        ("dnss", _lower_last_trace_field(5), "trace inconsistent: row 11 decreases the event, message bytes or op count"),
+        ("dnss", _set_trace_field(0, 1, 1), "trace inconsistent: row 0 has iteration 1, expected 0"),
+        ("dnss", _shift_trace_field(-1, 1), "trace inconsistent: row 11 has iteration 3, expected 2"),
+        ("dnss", _set_trace_field(2, 1, 2), "trace inconsistent: row 2 has iteration 2, expected 0"),
+        ("dnss", _shift_trace_field(1, 3), "trace inconsistent: row 1 has satisfaction_pct 64.33"),
+        ("dnss", _set_trace_field(1, 2, 19.0),
+         "trace inconsistent: row 1 holds 19.0 where a non-negative count belongs"),
+        ("dnss", _set_trace_field(1, 3, 63), "trace inconsistent: row 1 holds 63 where a float belongs"),
+        ("dnss", _shift_metric("satisfaction_pct"), "recorded satisfaction_pct 91.0 != 100 * 27 / 30"),
+        ("dnss", _set_metric("satisfaction_pct", 90),
+         "malformed record: run.metrics.satisfaction_pct: expected float, got int"),
     ],
     ids=[
         "satisfied-plus-one", "overlapping-task", "greedy-message-bytes", "message-bytes-negative",
         "message-count-negative", "constraint-checks-a-float", "rng-draws-a-bool", "trace-a-string",
         "trace-row-of-five", "trace-bytes-off", "trace-ops-off", "iterations-total-off",
-        "total-requests-off",
+        "total-requests-off", "trace-event-decreases", "trace-bytes-decrease", "trace-ops-decrease",
+        "trace-first-iteration-one", "trace-iteration-skips", "trace-event-starts-at-two",
+        "trace-pct-off", "trace-satisfied-a-float", "trace-pct-an-int", "satisfaction-pct-off",
+        "satisfaction-pct-an-int",
     ],
 )
 def test_verify_rejects_tampered_record(contended_runs, tmp_path, capsys, solver, tamper, failure):
@@ -365,6 +401,16 @@ def test_verify_rejects_tampered_record(contended_runs, tmp_path, capsys, solver
     ]
     assert any(line.startswith(f"tiny-000_{solver}.json: ") and failure in line for line in lines), lines
 
+
+
+@pytest.mark.parametrize("pct, ok", [(100.0, True), (0.0, False)])
+def test_trace_without_requests_reads_one_hundred_percent(pct, ok):
+    """With no requests, every satisfaction percentage is 100.0."""
+    metrics = {
+        "trace": [[0, 0, 0, pct, 0, 0]], "total_requests": 0, "iterations_total": 1,
+        "message_bytes": 0, "constraint_checks": 0, "rng_draws": 0,
+    }
+    assert (_trace_error(metrics) is None) == ok
 
 
 def _first_schedule(record):

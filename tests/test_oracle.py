@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter, defaultdict
 import sys
 import time
 
@@ -26,7 +27,7 @@ from cosched.problem import (
     check_constraints,
     static_utility,
 )
-from cosched.solvers import fresh_schedules
+from cosched.solvers import ScheduleState, fresh_schedules
 
 from conftest import make_problem
 
@@ -260,3 +261,65 @@ def test_incremental_bound_matches_recomputed_bound(node_budget):
         unproven += not new.proven_optimal
     if node_budget is not None:
         assert unproven > 0  # the budget path is exercised, not just passed through
+
+
+def _overlap(a: Task, b: Task) -> bool:
+    return max(a.start, b.start) < min(a.end, b.end)
+
+
+def test_equivalence_corpus_clears_flags_by_overlap_and_by_capacity(monkeypatch):
+    """Over the equivalence corpus, some insert clears the flag of a task that
+    overlaps it, and some insert clears the flag of a task that does not
+    overlap it, by capacity alone; so a search that skipped either re-check
+    would fail test_incremental_bound_matches_recomputed_bound."""
+    can_insert, insert = ScheduleState.can_insert, ScheduleState.insert
+    inserted: list[Task] = []  # the search's last insert, once it made one
+    clears = Counter()
+
+    def spy_insert(self, task):
+        insert(self, task)
+        inserted[:] = [task]
+
+    def spy_can_insert(self, task):
+        ok = can_insert(self, task)
+        if inserted and not ok and task is not inserted[0]:
+            clears["overlap" if _overlap(task, inserted[0]) else "capacity"] += 1
+        return ok
+
+    monkeypatch.setattr(ScheduleState, "insert", spy_insert)
+    monkeypatch.setattr(ScheduleState, "can_insert", spy_can_insert)
+    for inst in bound_equivalence_instances():
+        inserted.clear()  # the next search's initial flags are not re-checks
+        branch_and_bound(inst)
+    assert clears["overlap"] > 0 and clears["capacity"] > 0, clears
+
+
+def test_insert_rechecks_fewer_tasks_than_its_bucket_holds(monkeypatch):
+    """On a fixed instance, the re-checks after the inserts are fewer than the
+    insertable tasks of the inserts' buckets, which a whole-bucket re-check
+    visits, and so fewer than the buckets' sizes."""
+    inst = bound_equivalence_instances()[14]
+    empty = fresh_schedules(inst.problem)
+    buckets = defaultdict(list)
+    for tasks in inst.candidates.values():
+        for t in tasks:
+            buckets[(t.agent_id, empty[t.agent_id].bucket(t))].append(t)
+    can_insert, insert = ScheduleState.can_insert, ScheduleState.insert
+    counts = Counter()
+
+    def spy_insert(self, task):
+        bucket = buckets[(task.agent_id, self.bucket(task))]
+        counts["bucket sizes"] += len(bucket)
+        counts["whole-bucket re-checks"] += sum(can_insert(self, t) for t in bucket)
+        insert(self, task)
+
+    def spy_can_insert(self, task):
+        counts["checks"] += 1
+        return can_insert(self, task)
+
+    monkeypatch.setattr(ScheduleState, "insert", spy_insert)
+    monkeypatch.setattr(ScheduleState, "can_insert", spy_can_insert)
+    res = branch_and_bound(inst)
+    rechecks = counts["checks"] - sum(len(ts) for ts in inst.candidates.values())
+    assert res.proven_optimal
+    assert 0 < rechecks < counts["whole-bucket re-checks"] < counts["bucket sizes"], counts

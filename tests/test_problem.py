@@ -343,6 +343,13 @@ def _invert_task(problem):
     )
 
 
+def _zero_length_task(problem):
+    by_agent, aid = _copy_listing(problem)
+    t = by_agent[aid][0]
+    by_agent[aid][0] = replace(t, end=t.start)
+    return dict(tasks_by_agent=by_agent), f"task {t.task_id} has zero length at {t.start}"
+
+
 def _invert_downlink(problem):
     downlinks = {a: list(dls) for a, dls in problem.downlinks_by_agent.items()}
     dls = next(dls for dls in downlinks.values() if dls)
@@ -368,15 +375,15 @@ def _unordered_downlinks(problem):
 
 @pytest.mark.parametrize(
     "tamper",
-    [_list_task_twice, _list_task_under_other_agent, _invert_task, _invert_downlink,
-     _unordered_downlinks],
-    ids=["task-twice", "task-under-other-agent", "inverted-task", "inverted-downlink",
-         "downlinks-out-of-start-order"],
+    [_list_task_twice, _list_task_under_other_agent, _invert_task, _zero_length_task,
+     _invert_downlink, _unordered_downlinks],
+    ids=["task-twice", "task-under-other-agent", "inverted-task", "zero-length-task",
+         "inverted-downlink", "downlinks-out-of-start-order"],
 )
 def test_validate_rejects_inconsistent_problem(tamper):
     """``tasks_by_agent`` must list each task once, under its own agent, and
     each agent's downlinks must come in start order; an inverted task or
-    downlink is named."""
+    downlink, or a task of zero length, is named."""
     problem, _ = make_problem(random.Random(5))
     changes, message = tamper(problem)
     with pytest.raises(ValueError) as err:

@@ -192,6 +192,25 @@ def test_closest_removable_matches_linear_scan():
     assert ties > 100  # equidistant nearest candidates are exercised, not just possible
 
 
+def test_tasks_between_matches_linear_scan():
+    """On disjoint schedules of positive-length tasks, including abutting ones,
+    the bisections return what a scan for the tasks that end after ``lo`` and
+    start before ``hi`` returns, at bounds on, between and beyond the tasks'
+    ends."""
+    rng = random.Random(12)
+    for _ in range(200):
+        st = ScheduleState(agent(), [])
+        for tid in range(rng.randint(0, 15)):
+            s = 5.0 * rng.randint(0, 20)
+            t = task(tid, tid, s, s + 5.0 * rng.randint(1, 3))
+            if st.can_insert(t):
+                st.insert(t)
+        for lo in range(-5, 115, 5):
+            for hi in range(lo, 120, 10):
+                expected = [t for t in st.tasks() if t.end > lo and t.start < hi]
+                assert st.tasks_between(float(lo), float(hi)) == expected
+
+
 # ---------------------------------------------------------------------------
 # insertion with displacement
 
