@@ -1,8 +1,8 @@
 import itertools
 import random
-from collections import Counter, defaultdict
 import sys
 import time
+from collections import Counter, defaultdict
 
 import pytest
 
