@@ -7,10 +7,11 @@ replay mismatch, 4 oracle budget exhausted where an optimum was required.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, replace
+from functools import cache
 from pathlib import Path
 
 from .oracle import run_oracle
@@ -33,7 +34,7 @@ from .scenarios import (
     read_json_object,
     save_scenario,
 )
-from .sim import RunResult, run, stability_drops
+from .sim import run, stability_drops
 from .solvers import SOLVER_NAMES, SolverConfig, SolverInvariantError
 
 EXIT_OK = 0
@@ -77,16 +78,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _write_trace_csv(path: Path, solver: str, result: RunResult) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["event", "iteration", "solver", "satisfaction_pct", "message_bytes", "op_counter"]
-        )
-        for r in result.metrics.trace:
-            w.writerow([r.event, r.iteration, solver, f"{r.satisfaction_pct:.4f}", r.message_bytes, r.op_count])
-
-
 def cmd_bench(args) -> int:
     paths = sorted(Path(args.scenarios).glob("*.json"))
     if not paths:
@@ -123,11 +114,7 @@ def cmd_bench(args) -> int:
             )
 
         for name in cfg.solvers:
-            try:
-                result = run(sc.problem, sc.targets, name, solver_cfg)
-            except SolverInvariantError as exc:
-                print(f"solver invariant violation: {exc}", file=sys.stderr)
-                return EXIT_INVARIANT
+            result = run(sc.problem, sc.targets, name, solver_cfg)  # main reports an invariant violation
             m = result.metrics
             record = {
                 "scenario": sc.label,
@@ -146,7 +133,6 @@ def cmd_bench(args) -> int:
             (out / f"{sc.label}_{name}.json").write_text(
                 json.dumps(record, indent=1, sort_keys=True) + "\n"
             )
-            _write_trace_csv(out / f"{sc.label}_{name}_trace.csv", name, result)
             # the table also shows the run's mean post-event drop, which the
             # record leaves out: its trace already determines it
             drops = stability_drops(m.trace, sc.problem.num_changes)
@@ -187,11 +173,8 @@ def _format_table(rows: list[dict]) -> str:
 
 def cmd_replay(args) -> int:
     record = read_json_object(args.run, "run record")
-    for key in ("scenario", "scenario_file", "solver", "solver_config", "run"):
-        if key not in record:
-            raise ConfigError(f"{key}: missing from the run record")
-    if record["solver"] not in SOLVER_NAMES:
-        raise ConfigError(f"solver: unknown solver {record['solver']!r}; expected one of {SOLVER_NAMES}")
+    # the inputs of the re-run, and ``run`` only as a whole: it is compared as bytes
+    _check_record(record, [(keys, kind) for keys, kind in RECORD_LAYOUT if len(keys) == 1])
     try:
         solver_cfg = SolverConfig(**record["solver_config"])
         solver_cfg.validate()
@@ -214,7 +197,7 @@ def _agent_tasks(problem: DynamicProblem, aid: int, task_ids: list[int]) -> list
         raise MalformedScheduleError(f"expected a list of task ids, got {task_ids!r}")
     tasks = []
     for tid in task_ids:
-        task = problem.tasks.get(tid) if isinstance(tid, int) else None
+        task = problem.tasks.get(tid) if _is_count(tid) else None
         if task is None:
             raise MalformedScheduleError(f"unknown task id {tid!r}")
         if task.agent_id != aid:
@@ -223,15 +206,31 @@ def _agent_tasks(problem: DynamicProblem, aid: int, task_ids: list[int]) -> list
     return tasks
 
 
-# (key path, kind) of every record field ``verify`` reads, parents first;
-# each int is a count, so it must be non-negative
+def _is_count(value) -> bool:
+    """The one rule for every count and task id of a record: an int that is
+    not a bool (JSON's ``true`` is 1 to Python) and is not negative."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _has_kind(value, kind) -> bool:
+    """Whether ``value`` is of ``kind``: a type (each int a count) or a tuple of values."""
+    if isinstance(kind, tuple):
+        return value in kind
+    return _is_count(value) if kind is int else isinstance(value, kind)
+
+
+# (key path, kind) of every record field ``replay`` or ``verify`` reads,
+# parents first; ``replay`` reads the top-level ones
 RECORD_LAYOUT = (
+    (("scenario",), str),
     (("scenario_file",), str),
-    (("solver",), str),
+    (("solver",), SOLVER_NAMES),
+    (("solver_config",), dict),
     (("run",), dict),
     (("run", "snapshots"), list),
     (("run", "final_schedules"), dict),
     (("run", "metrics"), dict),
+    (("run", "metrics", "solver"), SOLVER_NAMES),
     (("run", "metrics", "satisfied"), int),
     (("run", "metrics", "satisfaction_pct"), float),
     (("run", "metrics", "total_requests"), int),
@@ -244,49 +243,45 @@ RECORD_LAYOUT = (
 )
 
 
-def _record_error(record: dict) -> str | None:
-    """Why ``verify`` cannot read this run record, or None if it can."""
-    for keys, kind in RECORD_LAYOUT:
-        value = record
+def _check_record(record, layout=RECORD_LAYOUT) -> None:
+    """Raise ConfigError naming the first field ``layout`` cannot read."""
+    if not isinstance(record, dict):
+        raise ConfigError(f"expected a JSON object, got {type(record).__name__}")
+    for keys, kind in layout:
+        name, value = ".".join(keys), record
         for key in keys:  # every parent was checked to be an object
             if key not in value:
-                return f"{'.'.join(keys)}: missing"
+                raise ConfigError(f"{name}: missing from the run record")
             value = value[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            return f"{'.'.join(keys)}: expected {kind.__name__}, got {type(value).__name__}"
-        if kind is int and value < 0:
-            return f"{'.'.join(keys)}: expected a non-negative count, got {value}"
-    return None
+        if _has_kind(value, kind):
+            continue
+        if isinstance(kind, tuple):
+            raise ConfigError(f"{name}: unknown {keys[-1]} {value!r}; expected one of {kind}")
+        if type(value) is kind:  # an int, but negative
+            raise ConfigError(f"{name}: expected a non-negative count, got {value}")
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
 
 
 # the kind of each trace row field: event, iteration, satisfied, satisfaction %,
-# message bytes, op count; each int is a count, so it must be non-negative
+# message bytes, op count
 TRACE_ROW_KINDS = (int, int, int, float, int, int)
-
-
-def _trace_row_error(row) -> str | None:
-    if not isinstance(row, list) or len(row) != len(TRACE_ROW_KINDS):
-        return f"does not have {len(TRACE_ROW_KINDS)} fields"
-    for value, kind in zip(row, TRACE_ROW_KINDS):
-        if not isinstance(value, kind) or isinstance(value, bool) or (kind is int and value < 0):
-            return f"holds {value!r} where a {'non-negative count' if kind is int else kind.__name__} belongs"
-    return None
 
 
 def _trace_error(metrics: dict) -> str | None:
     """Why the trace contradicts the record's counters, or None: each row has
-    six fields (event, iteration, satisfied, satisfaction %, message bytes,
-    op count); events, bytes and op counts never decrease; each event's
-    iterations count up from 0; each row's percentage is its satisfied count
-    over ``total_requests``; there is one row per iteration; and the last row
-    holds the run's totals."""
+    six fields of ``TRACE_ROW_KINDS``; events, bytes and op counts never
+    decrease; each event's iterations count up from 0; each row's percentage
+    is its satisfied count over ``total_requests``; there is one row per
+    iteration; and the last row holds the run's totals."""
     trace = metrics["trace"]
     total = metrics["total_requests"]
     prev = None
     for i, row in enumerate(trace):
-        error = _trace_row_error(row)
-        if error is not None:
-            return f"row {i} {error}"
+        if not isinstance(row, list) or len(row) != len(TRACE_ROW_KINDS):
+            return f"row {i} does not have {len(TRACE_ROW_KINDS)} fields"
+        for value, kind in zip(row, TRACE_ROW_KINDS):
+            if not _has_kind(value, kind):
+                return f"row {i} holds {value!r} where a {'non-negative count' if kind is int else kind.__name__} belongs"
         event, iteration, satisfied, pct, sent, ops = row
         if prev is not None and (event < prev[0] or sent < prev[4] or ops < prev[5]):
             return f"row {i} decreases the event, message bytes or op count of row {i - 1}"
@@ -307,100 +302,82 @@ def _trace_error(metrics: dict) -> str | None:
     return None
 
 
+def _verify_failures(path: Path, load: Callable[[str], Scenario]) -> Iterator[str]:
+    """Each reason the run record at ``path`` fails ``verify``, found without
+    re-running the solver; ``load`` loads a scenario file."""
+    try:
+        record = json.loads(path.read_text())
+    except ValueError as exc:
+        yield f"unreadable record: {exc}"
+        return
+    try:
+        _check_record(record)
+        problem = load(record["scenario_file"]).problem
+    except ConfigError as exc:
+        yield f"malformed record: {exc}"
+        return
+    snapshots, metrics = record["run"]["snapshots"], record["run"]["metrics"]
+    # the snapshots re-score to the recorded utility
+    unscheduled: set[int] = set()  # the last snapshot's tasks that no final schedule holds
+    try:
+        for i, snap in enumerate(snapshots):
+            if not isinstance(snap, list):
+                raise ValueError(f"snapshot {i} is not a list of task ids: {snap!r}")
+            bad = [tid for tid in snap if not _is_count(tid)]
+            if bad:
+                raise ValueError(f"snapshot {i} holds a task id that is not an integer: {bad[0]!r}")
+        satisfied = dynamic_utility([set(s) for s in snapshots], problem)
+    except ValueError as exc:
+        yield f"snapshot consistency violated: {exc}"
+    else:
+        unscheduled = set(snapshots[-1])
+        if satisfied != metrics["satisfied"]:
+            yield f"recorded utility {metrics['satisfied']} != replay {satisfied}"
+    if metrics["satisfaction_pct"] != satisfaction_pct(metrics["satisfied"], metrics["total_requests"]):
+        yield (f"recorded satisfaction_pct {metrics['satisfaction_pct']!r} "
+               f"!= 100 * {metrics['satisfied']} / {metrics['total_requests']}")
+    if metrics["total_requests"] != len(problem.ever_active):
+        yield f"recorded total_requests {metrics['total_requests']} != {len(problem.ever_active)} ever-active requests"
+    if metrics["solver"] != record["solver"]:
+        yield f"recorded run of {metrics['solver']} in a record of {record['solver']}"
+    # the final schedules are feasible, and hold the last snapshot's tasks
+    agents = {a.agent_id: a for a in problem.agents}
+    for aid_str, task_ids in record["run"]["final_schedules"].items():
+        try:
+            aid = int(aid_str)
+            if aid not in agents:
+                raise MalformedScheduleError("no such agent in the scenario")
+            verdict = check_constraints(
+                _agent_tasks(problem, aid, task_ids),
+                agents[aid].memory_bytes,
+                problem.downlinks_by_agent.get(aid, []),
+            )
+        except (MalformedScheduleError, ValueError) as exc:
+            yield f"agent {aid_str} malformed schedule: {exc}"
+            unscheduled = set()  # reported as malformed, not again as missing tasks
+            continue
+        unscheduled -= set(task_ids)
+        if not verdict:
+            yield f"agent {aid} infeasible: {verdict.reason}"
+    if unscheduled:
+        yield f"final schedules miss task {min(unscheduled)} of the last snapshot"
+    trace_error = _trace_error(metrics)
+    if trace_error is not None:
+        yield f"trace inconsistent: {trace_error}"
+    if record["solver"] in ("greedy", "random") and metrics["message_bytes"] != 0:
+        yield f"{record['solver']} sent messages"  # zero-communication baselines
+
+
 def cmd_verify(args) -> int:
-    run_files = sorted(Path(args.runs).glob("*_*.json"))
-    run_files = [p for p in run_files if not p.name.endswith("_oracle.json")]
+    load = cache(load_scenario)
     failures = 0
-    scenarios: dict[str, Scenario] = {}
-    for path in run_files:
-        try:
-            record = json.loads(path.read_text())
-        except ValueError as exc:
-            print(f"{path.name}: unreadable record: {exc}")
-            failures += 1
+    for path in sorted(Path(args.runs).glob("*_*.json")):
+        if path.name.endswith("_oracle.json"):
             continue
-        if not isinstance(record, dict):
-            print(f"{path.name}: malformed record: expected a JSON object, got {type(record).__name__}")
-            failures += 1
-            continue
-        if "run" not in record:
-            continue
-        error = _record_error(record)
-        if error is None:
-            sc_file = record["scenario_file"]
-            try:
-                if sc_file not in scenarios:
-                    scenarios[sc_file] = load_scenario(sc_file)
-            except ConfigError as exc:
-                error = str(exc)
-        if error is not None:
-            print(f"{path.name}: malformed record: {error}")
-            failures += 1
-            continue
-        problem = scenarios[sc_file].problem
-        metrics = record["run"]["metrics"]
-        ok = True
-        # schedule trace re-scores to the recorded utility
-        try:
-            snapshots = record["run"]["snapshots"]
-            for i, snap in enumerate(snapshots):
-                if not isinstance(snap, list):
-                    raise ValueError(f"snapshot {i} is not a list of task ids: {snap!r}")
-                bad = [tid for tid in snap if not isinstance(tid, int)]
-                if bad:
-                    raise ValueError(f"snapshot {i} holds a task id that is not an integer: {bad[0]!r}")
-            satisfied = dynamic_utility([set(s) for s in snapshots], problem)
-        except ValueError as exc:
-            print(f"{path.name}: snapshot consistency violated: {exc}")
-            ok = False
-            satisfied = None
-        if satisfied is not None and satisfied != metrics["satisfied"]:
-            print(f"{path.name}: recorded utility {metrics['satisfied']} != replay {satisfied}")
-            ok = False
-        if metrics["satisfaction_pct"] != satisfaction_pct(metrics["satisfied"], metrics["total_requests"]):
-            print(
-                f"{path.name}: recorded satisfaction_pct {metrics['satisfaction_pct']!r} "
-                f"!= 100 * {metrics['satisfied']} / {metrics['total_requests']}"
-            )
-            ok = False
-        if metrics["total_requests"] != len(problem.ever_active):
-            print(
-                f"{path.name}: recorded total_requests {metrics['total_requests']} "
-                f"!= {len(problem.ever_active)} ever-active requests"
-            )
-            ok = False
-        # final schedules feasible
-        agents = {a.agent_id: a for a in problem.agents}
-        for aid_str, task_ids in record["run"]["final_schedules"].items():
-            try:
-                aid = int(aid_str)
-                if aid not in agents:
-                    raise MalformedScheduleError("no such agent in the scenario")
-                verdict = check_constraints(
-                    _agent_tasks(problem, aid, task_ids),
-                    agents[aid].memory_bytes,
-                    problem.downlinks_by_agent.get(aid, []),
-                )
-            except (MalformedScheduleError, ValueError) as exc:
-                print(f"{path.name}: agent {aid_str} malformed schedule: {exc}")
-                ok = False
-                continue
-            if not verdict:
-                print(f"{path.name}: agent {aid} infeasible: {verdict.reason}")
-                ok = False
-        trace_error = _trace_error(metrics)
-        if trace_error is not None:
-            print(f"{path.name}: trace inconsistent: {trace_error}")
-            ok = False
-        # zero-communication baselines
-        if record["solver"] in ("greedy", "random"):
-            if metrics["message_bytes"] != 0:
-                print(f"{path.name}: {record['solver']} sent messages")
-                ok = False
-        if ok:
-            print(f"{path.name}: ok")
-        else:
-            failures += 1
+        lines = list(_verify_failures(path, load))
+        for line in lines or ["ok"]:
+            print(f"{path.name}: {line}")
+        failures += bool(lines)
     if failures:
         print(f"{failures} run(s) failed verification", file=sys.stderr)
         return EXIT_INVARIANT
@@ -447,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -111,8 +111,8 @@ def gnd(
     satellites: list[SatelliteSpec],
     candidates: dict[int, set[int]],
     *,
-    n: int = 2,
-    neighborhood_size: int = 10,
+    n: int,
+    neighborhood_size: int,
 ) -> Allocation:
     """Full decomposition: partition agents, then allocate requests. No
     target position is read: only windows, orbital slots and ``candidates``."""

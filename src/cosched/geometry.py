@@ -163,9 +163,7 @@ def propagate(
     ``times`` may be a scalar or an array; the result has shape (3,) or
     (N, 3). Deterministic pure function of its inputs.
     """
-    t = np.asarray(times, dtype=float)
-    scalar = t.ndim == 0
-    t_abs = t + epoch_offset_s
+    t_abs = np.asarray(times, dtype=float) + epoch_offset_s
 
     r = plane.radius_km
     u = plane.slot_phase_rad(slot) + plane.mean_motion_rad_s * t_abs
@@ -183,8 +181,7 @@ def propagate(
     xe = xi * ct + yi * st
     ye = -xi * st + yi * ct
 
-    pos = np.stack([xe, ye, zi], axis=-1)
-    return pos[()] if not scalar else pos
+    return np.stack([xe, ye, zi], axis=-1)
 
 
 def off_nadir_deg(sat_pos: np.ndarray, point_ecef: np.ndarray) -> np.ndarray:

@@ -211,6 +211,8 @@ class DynamicProblem:
                     raise ValueError(f"task {task.task_id} outside its request window")
         for agent_id, dls in self.downlinks_by_agent.items():
             for d in dls:
+                if d.agent_id != agent_id:
+                    raise ValueError(f"downlinks_by_agent lists downlink {d.downlink_id} of agent {d.agent_id} under agent {agent_id}")
                 if d.start > d.end:
                     raise ValueError(f"downlink {d.downlink_id} is inverted: start {d.start} > end {d.end}")
             # in start order, only neighbours can overlap

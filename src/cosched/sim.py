@@ -91,16 +91,17 @@ def _advance(ctx: RunContext, window_start: float, now: float) -> None:
     """Freeze every scheduled task that has started.
 
     A task in a schedule at the change time ran during the elapsed static
-    window; it becomes an immutable fact for the rest of the run. Only the
-    tasks that end after ``window_start`` and start before ``now`` can have
-    run then, and ``tasks_between`` finds them by bisection: ``_assert_feasible``
-    has just verified that each schedule is disjoint, and a validated
-    problem's tasks have positive length, so the ends rise with the starts.
+    window; it becomes an immutable fact for the rest of the run. A task of
+    positive length ran in the window (change times strictly increase, so it
+    starts before ``now``) exactly when it ends after ``window_start`` and
+    starts before ``now``, and ``tasks_between`` finds those tasks by
+    bisection: ``_assert_feasible`` has just verified that each schedule is
+    disjoint, and a validated problem's tasks have positive length, so the
+    ends rise with the starts.
     """
     for st in ctx.states.values():
         for task in st.schedule.tasks_between(window_start, now):
-            if max(task.start, window_start) < min(task.end, now):
-                st.schedule.freeze(task)
+            st.schedule.freeze(task)
     ctx.now = now
 
 

@@ -1,8 +1,12 @@
+import copy
+import io
 import json
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cosched.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, _trace_error, main
 from cosched.scenarios import load_scenario, preset
@@ -44,11 +48,13 @@ def test_generate_is_byte_identical(tmp_path):
 
 
 def test_bench_outputs_runs_oracle_and_table(workspace):
+    """One JSON record per (scenario, solver), whose ``run.metrics.trace``
+    holds the per-iteration rows, an oracle record and the table: no more."""
     _, out = workspace
-    names = {p.name for p in out.iterdir()}
-    assert {"tiny-000_greedy.json", "tiny-000_random.json", "tiny-000_dnss.json"} <= names
-    assert "tiny-000_oracle.json" in names
-    assert "results_table.txt" in names
+    assert {p.name for p in out.iterdir()} == {
+        "tiny-000_greedy.json", "tiny-000_random.json", "tiny-000_dnss.json",
+        "tiny-000_oracle.json", "results_table.txt",
+    }
     table = (out / "results_table.txt").read_text()
     for solver in ("greedy", "random", "dnss"):
         assert solver in table
@@ -67,13 +73,6 @@ def test_bench_records_have_gap_and_zero_baseline_bytes(workspace):
         rec = json.loads((out / f"tiny-000_{solver}.json").read_text())
         assert rec["run"]["metrics"]["message_bytes"] == 0
         assert rec["run"]["metrics"]["message_count"] == 0
-
-
-def test_bench_writes_per_run_traces(workspace):
-    _, out = workspace
-    trace = (out / "tiny-000_dnss_trace.csv").read_text().splitlines()
-    assert trace[0] == "event,iteration,solver,satisfaction_pct,message_bytes,op_counter"
-    assert len(trace) > 1
 
 
 def test_bench_fixed_iterations_runs_every_round(workspace, tmp_path):
@@ -243,12 +242,19 @@ def test_replay_rejects_out_of_range_solver_setting(workspace, tmp_path, capsys,
     [
         (lambda r: r.update(solver="tabu"), "solver: unknown solver 'tabu'"),
         (lambda r: r.pop("solver_config"), "solver_config: missing from the run record"),
+        (lambda r: r.update(scenario_file=5), "scenario_file: expected str, got int"),
+        (lambda r: r.update(scenario_file=None), "scenario_file: expected str, got NoneType"),
+        (lambda r: r.update(scenario_file=[]), "scenario_file: expected str, got list"),
+        (lambda r: r.update(scenario_file={}), "scenario_file: expected str, got dict"),
+        (lambda r: r.update(solver_config=[]), "solver_config: expected dict, got list"),
     ],
-    ids=["unknown-solver", "no-solver-config"],
+    ids=["unknown-solver", "no-solver-config", "scenario-file-an-int", "scenario-file-null",
+         "scenario-file-a-list", "scenario-file-an-object", "solver-config-a-list"],
 )
 def test_replay_rejects_malformed_record(workspace, tmp_path, capsys, tamper, message):
-    """A record naming no known solver, or carrying no solver settings, is a
-    config error that names the key, not a traceback."""
+    """A record naming no known solver, carrying no solver settings, or
+    holding an input of the wrong kind, is a config error that names the
+    key, not a traceback."""
     _, out = workspace
     record = json.loads((out / "tiny-000_dnss.json").read_text())
     tamper(record)
@@ -335,6 +341,10 @@ def _shift_trace_field(row, index):
     return tamper
 
 
+def _clear_final_schedules(record):
+    record["run"]["final_schedules"] = {}
+
+
 def _lower_last_trace_field(index):
     """Make the last row's field ``index`` one less than the row before's."""
     def tamper(record):
@@ -375,6 +385,9 @@ def _lower_last_trace_field(index):
         ("dnss", _shift_metric("satisfaction_pct"), "recorded satisfaction_pct 91.0 != 100 * 27 / 30"),
         ("dnss", _set_metric("satisfaction_pct", 90),
          "malformed record: run.metrics.satisfaction_pct: expected float, got int"),
+        ("dnss", _set_metric("solver", -1), "malformed record: run.metrics.solver: unknown solver -1"),
+        ("dnss", _set_metric("solver", "greedy"), "recorded run of greedy in a record of dnss"),
+        ("dnss", _clear_final_schedules, "final schedules miss task "),
     ],
     ids=[
         "satisfied-plus-one", "overlapping-task", "greedy-message-bytes", "message-bytes-negative",
@@ -383,7 +396,7 @@ def _lower_last_trace_field(index):
         "total-requests-off", "trace-event-decreases", "trace-bytes-decrease", "trace-ops-decrease",
         "trace-first-iteration-one", "trace-iteration-skips", "trace-event-starts-at-two",
         "trace-pct-off", "trace-satisfied-a-float", "trace-pct-an-int", "satisfaction-pct-off",
-        "satisfaction-pct-an-int",
+        "satisfaction-pct-an-int", "run-solver-unknown", "run-solver-other", "final-schedules-empty",
     ],
 )
 def test_verify_rejects_tampered_record(contended_runs, tmp_path, capsys, solver, tamper, failure):
@@ -456,6 +469,12 @@ def _non_integer_agent(record):
     return "x", "invalid literal for int() with base 10: 'x'"
 
 
+def _bool_task_id(record):
+    aid, ids = _first_schedule(record)
+    ids.append(False)
+    return aid, "unknown task id False"
+
+
 def _non_list_schedule(record):
     record["run"]["final_schedules"]["0"] = 5
     return "0", "expected a list of task ids, got 5"
@@ -464,9 +483,9 @@ def _non_list_schedule(record):
 @pytest.mark.parametrize(
     "tamper",
     [_repeat_task_id, _unknown_task_id, _list_task_id, _other_agents_task_id, _unknown_agent,
-     _non_integer_agent, _non_list_schedule],
+     _non_integer_agent, _non_list_schedule, _bool_task_id],
     ids=["repeated-task-id", "unknown-task-id", "list-task-id", "other-agents-task-id",
-         "unknown-agent", "non-integer-agent", "schedule-not-a-list"],
+         "unknown-agent", "non-integer-agent", "schedule-not-a-list", "bool-task-id"],
 )
 def test_verify_reports_malformed_schedule(contended_runs, tmp_path, capsys, tamper):
     """A final schedule that repeats, invents or borrows a task id, is keyed
@@ -527,18 +546,28 @@ def test_verify_reports_snapshot_that_is_not_a_list(contended_runs, tmp_path, ca
 
 def test_verify_reports_snapshot_task_id_that_is_not_an_integer(contended_runs, tmp_path, capsys):
     """A snapshot holding a task id that is not an integer is a failed record, not a crash."""
+    _check_snapshot_task_id_rejected(contended_runs, tmp_path, capsys, [1])
+
+
+@pytest.mark.parametrize("tid", [False, True])
+def test_verify_reports_snapshot_task_id_that_is_a_bool(contended_runs, tmp_path, capsys, tid):
+    """JSON's ``false`` and ``true`` are 0 and 1 to Python, but not task ids."""
+    _check_snapshot_task_id_rejected(contended_runs, tmp_path, capsys, tid)
+
+
+def _check_snapshot_task_id_rejected(contended_runs, tmp_path, capsys, tid):
     runs = tmp_path / "results"
     shutil.copytree(contended_runs, runs)
     path = runs / "tiny-000_greedy.json"
     record = json.loads(path.read_text())
-    record["run"]["snapshots"][0].append([1])
+    record["run"]["snapshots"][0].append(tid)
     path.write_text(json.dumps(record))
     capsys.readouterr()
     assert main(["verify", "--runs", str(runs)]) == EXIT_INVARIANT
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
         "tiny-000_dnss.json: ok",
-        "tiny-000_greedy.json: snapshot consistency violated: snapshot 0 holds a task id that is not an integer: [1]",
+        f"tiny-000_greedy.json: snapshot consistency violated: snapshot 0 holds a task id that is not an integer: {tid}",
     ]
     assert captured.err == "1 run(s) failed verification\n"
 
@@ -643,3 +672,84 @@ def test_unusable_input_file_is_config_error(tmp_path, capsys, command, what, te
     capsys.readouterr()
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {what} {path}: {detail}")
+
+
+RETYPED = (None, True, "x", 0.5, -1, [], {})
+MUTATIONS = (("delete", None), *(("retype", v) for v in RETYPED), ("shift", 1), ("shift", -1))
+
+
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _mutate(record, walk, mutation):
+    """A copy of ``record`` with one mutation at the key path that ``walk``
+    picks: each step chooses a key (in sorted order) or a list index, and the
+    walk ends early at a value without children."""
+    record = copy.deepcopy(record)
+    path, parent, value = [], None, record
+    for step in walk:
+        keys = sorted(value) if isinstance(value, dict) else range(len(value)) if isinstance(value, list) else ()
+        if not keys:
+            break
+        path.append(keys[step % len(keys)])
+        parent, value = value, value[path[-1]]
+    assume(parent is not None)
+    kind, arg = mutation
+    if kind == "delete":
+        del parent[path[-1]]
+    elif kind == "retype":
+        parent[path[-1]] = copy.deepcopy(arg)
+    else:
+        assume(_is_count(value))
+        parent[path[-1]] = value + arg
+    return record, tuple(path), None if kind == "delete" else parent[path[-1]]
+
+
+def _is_counter_or_task_id(path):
+    """A count field of the metrics or of a trace row, or a task id of a
+    snapshot or final schedule."""
+    if path[:2] == ("run", "metrics"):
+        return (len(path) == 3 and path[2] in ("satisfied", "total_requests", "iterations_total", "message_bytes",
+                                               "message_count", "constraint_checks", "rng_draws")
+                or len(path) == 5 and path[2] == "trace" and path[4] != 3)
+    return len(path) == 4 and path[1] in ("snapshots", "final_schedules")
+
+
+@pytest.fixture(scope="module")
+def mutation_dirs(workspace, tmp_path_factory):
+    """For greedy and dnss: the tiny-000 record, and a directory of its own
+    for one mutated copy."""
+    _, out = workspace
+    root = tmp_path_factory.mktemp("mutations")
+    dirs = {}
+    for solver in ("greedy", "dnss"):
+        (root / solver).mkdir()
+        dirs[solver] = (json.loads((out / f"tiny-000_{solver}.json").read_text()), root / solver)
+    return dirs
+
+
+@settings(max_examples=120, deadline=None)
+@given(solver=st.sampled_from(["greedy", "dnss"]), walk=st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
+       mutation=st.sampled_from(MUTATIONS))
+@example(solver="dnss", walk=[4], mutation=("retype", None))  # scenario_file: null
+@example(solver="greedy", walk=[2, 2, 0, 0], mutation=("retype", True))  # a snapshot's first id: true
+def test_record_mutation_ends_in_a_result(mutation_dirs, solver, walk, mutation):
+    """One deleted, retyped or shifted value anywhere in a real record: each
+    command ends in an exit code, never a traceback. ``replay`` catches every
+    change to the bytes of ``run``, and ``verify`` every count or task id
+    that is not a non-negative integer."""
+    original, directory = mutation_dirs[solver]
+    record, path, value = _mutate(original, walk, mutation)
+    path_file = directory / f"tiny-000_{solver}.json"
+    path_file.write_text(json.dumps(record))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        replay = main(["replay", "--run", str(path_file)])
+        verify = main(["verify", "--runs", str(directory)])
+    assert replay in (EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT)
+    assert verify in (EXIT_OK, EXIT_INVARIANT)
+    if len(path) > 1 and path[0] == "run":
+        if json.dumps(record["run"], sort_keys=True) != json.dumps(original["run"], sort_keys=True):
+            assert replay == EXIT_INVARIANT, path
+    if mutation[0] != "delete" and _is_counter_or_task_id(path) and not _is_count(value):
+        assert verify == EXIT_INVARIANT, path

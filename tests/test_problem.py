@@ -361,6 +361,17 @@ def _invert_downlink(problem):
     )
 
 
+def _misplaced_downlink(problem):
+    downlinks = {a: list(dls) for a, dls in problem.downlinks_by_agent.items()}
+    aid, dls = next((a, dls) for a, dls in downlinks.items() if dls)
+    d = dls[0]
+    dls[0] = replace(d, agent_id=aid + 1)
+    return (
+        dict(downlinks_by_agent=downlinks),
+        f"downlinks_by_agent lists downlink {d.downlink_id} of agent {aid + 1} under agent {aid}",
+    )
+
+
 def _unordered_downlinks(problem):
     """[0, 1000], [2000, 2100], [50, 60]: no two list neighbours overlap,
     but the first and last downlinks do."""
@@ -376,14 +387,14 @@ def _unordered_downlinks(problem):
 @pytest.mark.parametrize(
     "tamper",
     [_list_task_twice, _list_task_under_other_agent, _invert_task, _zero_length_task,
-     _invert_downlink, _unordered_downlinks],
+     _invert_downlink, _misplaced_downlink, _unordered_downlinks],
     ids=["task-twice", "task-under-other-agent", "inverted-task", "zero-length-task",
-         "inverted-downlink", "downlinks-out-of-start-order"],
+         "inverted-downlink", "misplaced-downlink", "downlinks-out-of-start-order"],
 )
 def test_validate_rejects_inconsistent_problem(tamper):
     """``tasks_by_agent`` must list each task once, under its own agent, and
-    each agent's downlinks must come in start order; an inverted task or
-    downlink, or a task of zero length, is named."""
+    ``downlinks_by_agent`` each downlink under its own agent, in start order;
+    an inverted task or downlink, or a task of zero length, is named."""
     problem, _ = make_problem(random.Random(5))
     changes, message = tamper(problem)
     with pytest.raises(ValueError) as err:
