@@ -125,11 +125,8 @@ def cmd_bench(args) -> int:
                 "wall_time_s": m.wall_time_s,
             }
             if oracle_res is not None:
-                gap = oracle_res.satisfaction_pct(m.total_requests) - m.satisfaction_pct
-                record["gap_pct"] = gap
-                record["gap_reference"] = (
-                    "optimal" if oracle_res.proven_optimal else "lower-bound"
-                )
+                record.update(gap_fields(oracle_res.satisfied, oracle_res.proven_optimal,
+                                         m.total_requests, m.satisfaction_pct))
             (out / f"{sc.label}_{name}.json").write_text(
                 json.dumps(record, indent=1, sort_keys=True) + "\n"
             )
@@ -142,6 +139,12 @@ def cmd_bench(args) -> int:
     (out / "results_table.txt").write_text(table + "\n")
     print(table)
     return EXIT_ORACLE_BUDGET if (budget_hit and args.require_optimal) else EXIT_OK
+
+
+def gap_fields(oracle_satisfied: int, proven_optimal: bool, total_requests: int, pct: float) -> dict:
+    """A record's gap fields: the oracle's satisfaction minus the run's, and whether the oracle proved it."""
+    return {"gap_pct": satisfaction_pct(oracle_satisfied, total_requests) - pct,
+            "gap_reference": "optimal" if proven_optimal else "lower-bound"}
 
 
 def _format_table(rows: list[dict]) -> str:
@@ -302,6 +305,30 @@ def _trace_error(metrics: dict) -> str | None:
     return None
 
 
+def _gap_failures(record: dict, runs: Path) -> Iterator[str]:
+    """Each reason the record's gap fields disagree with those ``gap_fields``
+    derives from its scenario's oracle record in ``runs``; a record with neither has none."""
+    present = {"gap_pct", "gap_reference"} & set(record)
+    if len(present) < 2:
+        if present:
+            yield "gap_pct and gap_reference must be recorded together"
+        return
+    name = f"{record['scenario']}_oracle.json"
+    try:
+        oracle = read_json_object(runs / name, "oracle record")
+    except ConfigError as exc:
+        yield str(exc)
+        return
+    satisfied, proven = oracle.get("satisfied"), oracle.get("proven_optimal")
+    if not _is_count(satisfied) or not isinstance(proven, bool):
+        yield f"malformed oracle record {name}: satisfied {satisfied!r}, proven_optimal {proven!r}"
+        return
+    metrics = record["run"]["metrics"]
+    for key, value in gap_fields(satisfied, proven, metrics["total_requests"], metrics["satisfaction_pct"]).items():
+        if type(record[key]) is not type(value) or record[key] != value:  # 0 is not the gap 0.0
+            yield f"recorded {key} {record[key]!r} != {value!r} from {name}"
+
+
 def _verify_failures(path: Path, load: Callable[[str], Scenario]) -> Iterator[str]:
     """Each reason the run record at ``path`` fails ``verify``, found without
     re-running the solver; ``load`` loads a scenario file."""
@@ -366,6 +393,7 @@ def _verify_failures(path: Path, load: Callable[[str], Scenario]) -> Iterator[st
         yield f"trace inconsistent: {trace_error}"
     if record["solver"] in ("greedy", "random") and metrics["message_bytes"] != 0:
         yield f"{record['solver']} sent messages"  # zero-communication baselines
+    yield from _gap_failures(record, path.parent)
 
 
 def cmd_verify(args) -> int:

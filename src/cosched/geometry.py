@@ -68,10 +68,10 @@ class OrbitalPlane:
     def __post_init__(self):
         if not 0.0 <= self.inclination_deg <= 180.0:
             raise ValueError(f"inclination {self.inclination_deg} outside [0, 180]")
-        if self.count < 1:
-            raise ValueError("plane must hold at least one satellite")
-        if not 0 < self.altitude_km < math.inf:
-            raise ValueError(f"altitude must be positive and finite, got {self.altitude_km}")
+        if not isinstance(self.count, int) or self.count < 1:
+            raise ValueError(f"plane must hold a whole number of satellites, at least one, got {self.count!r}")
+        if not 0 < self.altitude_km < 1.5e6:  # about the Earth's Hill sphere: no Earth orbit lies beyond
+            raise ValueError(f"altitude must lie in (0, 1.5e6) km, got {self.altitude_km}")
         if not math.isfinite(self.raan_deg):
             raise ValueError(f"raan must be finite, got {self.raan_deg}")
 

@@ -243,25 +243,28 @@ def load_targets(path: str) -> list[Target]:
     targets: list[Target] = []
     ids: set[int] = set()
     width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.lower().startswith(("id", "lat", "#")):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            where = f"targets_path: {path} line {lineno}"
-            if len(parts) not in (2, 3) or len(parts) != (width or len(parts)):
-                raise ConfigError(f"{where}: expected {width or '2 or 3'} fields, got {len(parts)}")
-            width = len(parts)
-            try:
-                tid = int(parts[0]) if width == 3 else len(targets)
-                target = Target(tid, float(parts[-2]), float(parts[-1]))
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-            if tid in ids:
-                raise ConfigError(f"{where}: duplicate target id {tid}")
-            ids.add(tid)
-            targets.append(target)
+    try:
+        lines = Path(path).read_text().split("\n")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"targets_path: {path}: unreadable: {exc}") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.lower().startswith(("id", "lat", "#")):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        where = f"targets_path: {path} line {lineno}"
+        if len(parts) not in (2, 3) or len(parts) != (width or len(parts)):
+            raise ConfigError(f"{where}: expected {width or '2 or 3'} fields, got {len(parts)}")
+        width = len(parts)
+        try:
+            tid = int(parts[0]) if width == 3 else len(targets)
+            target = Target(tid, float(parts[-2]), float(parts[-1]))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if tid in ids:
+            raise ConfigError(f"{where}: duplicate target id {tid}")
+        ids.add(tid)
+        targets.append(target)
     if not targets:
         raise ConfigError(f"targets_path: no targets found in {path}")
     return targets
@@ -292,9 +295,10 @@ def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
     fixed label so the pieces stay independent. The assembled problem is
     checked with :meth:`DynamicProblem.validate`, so every generated or
     loaded scenario satisfies its structural invariants. A config whose
-    campaign is too small to generate, or whose problem breaks an invariant
-    (an orbit high enough to see two stations at once gives overlapping
-    downlinks), is a ConfigError naming the scenario.
+    campaign is too small to generate, whose scan grid numpy cannot size
+    (``horizon_s: 1e300``), or whose problem breaks an invariant (an orbit
+    high enough to see two stations at once gives overlapping downlinks),
+    is a ConfigError naming the scenario.
     """
     config.validate()
     seed = config.scenario_seed + index
@@ -313,8 +317,8 @@ def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
         )
     except GenerationError as exc:
         raise ConfigError(f"{label}: {exc}") from None
-    problem = _assemble_problem(constellation, targets, campaign, initial, events, config.horizon_s, seed)
     try:
+        problem = _assemble_problem(constellation, targets, campaign, initial, events, config.horizon_s, seed)
         problem.validate()
     except ValueError as exc:
         raise ConfigError(f"{label}: {exc}") from None

@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .accounting import MessageLedger, OpCounter
 from .geometry import SatelliteSpec, Target
 from .problem import DynamicProblem, check_constraints, dynamic_utility, satisfaction_pct
 from .solvers import (
@@ -78,13 +77,7 @@ def build_context(problem: DynamicProblem) -> RunContext:
     # Build the problem's derived views here, as set-up: left to first use,
     # their one-off cost would land in the first solver step that reads them.
     problem.tasks_by_start, problem.agent_requests, problem.request_agents
-    ops = OpCounter()
-    return RunContext(
-        problem=problem,
-        states={aid: AgentState(sched) for aid, sched in fresh_schedules(problem, ops).items()},
-        ledger=MessageLedger(),
-        ops=ops,
-    )
+    return RunContext(problem, {aid: AgentState(sched) for aid, sched in fresh_schedules(problem).items()})
 
 
 def _advance(ctx: RunContext, window_start: float, now: float) -> None:
@@ -140,15 +133,16 @@ def run(
 
     satisfied = dynamic_utility(snapshots, problem)
     total = len(problem.ever_active)
+    checks, draws, sent_bytes, sent_count = ctx.totals()
     metrics = RunMetrics(
         solver=solver.name,
         satisfied=satisfied,
         total_requests=total,
         satisfaction_pct=satisfaction_pct(satisfied, total),
-        message_bytes=ctx.ledger.bytes_total,
-        message_count=ctx.ledger.count_total,
-        constraint_checks=ctx.ops.constraint_checks,
-        rng_draws=ctx.ops.rng_draws,
+        message_bytes=sent_bytes,
+        message_count=sent_count,
+        constraint_checks=checks,
+        rng_draws=draws,
         iterations_total=len(ctx.trace),
         wall_time_s=wall,
         trace=ctx.trace,

@@ -13,7 +13,7 @@ with the active request set once at the start of the run and once per problem
 change, after the simulation has set ``ctx.event_index`` and ``ctx.now`` and
 frozen the started tasks, and must leave every agent's schedule feasible. The
 iterative solvers advance in synchronous rounds; messages sent in round i are
-readable in round i+1, and every message is charged to the ledger with its
+readable in round i+1, and every message is charged to its sender with its
 exact byte size. A search group stops after the first round that changes no
 member's scheduled request set, since the next round would re-send the same
 payloads (``run_all_iterations`` runs all ``max_iters`` rounds instead).
@@ -21,10 +21,12 @@ Per-agent RNG streams are derived from the solver seed so parallel and
 sequential execution of a round produce identical results.
 
 Each fact of a run has one owner: a ``ScheduleState`` holds what its agent
-scheduled and what already ran, an ``AgentState`` holds only the executed
-requests its search groups reported (``repair`` reads them together with the
-agent's own), a search keeps its round state to itself, and the
-``RunContext`` appends a ``TraceRow`` at every ``record_iteration``.
+scheduled and what already ran, and counts its constraint checks; an
+``AgentState`` holds the executed requests its search groups reported
+(``repair`` reads them with the agent's own) and counts the agent's RNG draws
+and sent messages and bytes; a search keeps its round state to itself; and
+the ``RunContext`` sums the counters and appends a ``TraceRow`` at every
+``record_iteration``.
 """
 
 from __future__ import annotations
@@ -35,12 +37,18 @@ from bisect import bisect_left, bisect_right, insort
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .accounting import MessageLedger, OpCounter, message_bytes
 from .decomposition import SearchGroup, gnd
 from .geometry import SatelliteSpec
 from .problem import Downlink, DynamicProblem, Task, satisfaction_pct
 
 SOLVER_NAMES = ("random", "greedy", "dnss", "0nss", "ddsa", "0dsa")
+
+MESSAGE_HEADER_BYTES = 16
+PER_REQUEST_BYTES = 9  # 8-byte request id + 1 flag byte
+
+
+def message_bytes(num_carried_requests: int) -> int:
+    return MESSAGE_HEADER_BYTES + PER_REQUEST_BYTES * num_carried_requests
 
 
 class SolverInvariantError(Exception):
@@ -100,15 +108,15 @@ class ScheduleState:
     by request in ``by_request``, plus per-downlink capacity loads and what
     already ran: ``frozen`` holds the started tasks, which may never be
     removed, ``executed`` their requests, and ``freeze`` alone writes both.
-    Every feasibility query increments the constraint-check counter.
+    Every feasibility query adds one to ``checks``.
     """
 
-    def __init__(self, agent: SatelliteSpec, downlinks: list[Downlink], ops: OpCounter | None = None):
+    def __init__(self, agent: SatelliteSpec, downlinks: list[Downlink]):
         self.agent_id = agent.agent_id
         self.memory = agent.memory_bytes
         self.downlinks = sorted(downlinks, key=lambda d: d.start)
         self._dl_starts = [d.start for d in self.downlinks]
-        self.ops = ops
+        self.checks = 0  # can_insert calls
         self._starts: list[tuple[float, int, Task]] = []  # (start, task_id, task), sorted
         self.by_request: dict[int, Task] = {}
         self._loads: dict[int, float] = {}
@@ -147,8 +155,7 @@ class ScheduleState:
         return min(self.memory, self.downlinks[b].capacity_bytes)
 
     def can_insert(self, task: Task) -> bool:
-        if self.ops is not None:
-            self.ops.constraint_checks += 1
+        self.checks += 1
         if task.agent_id != self.agent_id or self._holds(task):
             return False
         # processing conflicts: schedule is disjoint, so only the immediate
@@ -221,10 +228,10 @@ class ScheduleState:
         return best
 
 
-def fresh_schedules(problem: DynamicProblem, ops: OpCounter | None = None) -> dict[int, ScheduleState]:
+def fresh_schedules(problem: DynamicProblem) -> dict[int, ScheduleState]:
     """An empty schedule for every agent of the problem, in agent order."""
     return {
-        a.agent_id: ScheduleState(a, problem.downlinks_by_agent.get(a.agent_id, []), ops)
+        a.agent_id: ScheduleState(a, problem.downlinks_by_agent.get(a.agent_id, []))
         for a in problem.agents
     }
 
@@ -235,6 +242,9 @@ class AgentState:
     assigned: set[int] = field(default_factory=set)
     reported_executed: set[int] = field(default_factory=set)  # executed requests its groups reported
     rng: random.Random | None = None  # set by the solver that reads it
+    draws: int = 0  # RNG draws, one per shuffled item or stochastic_update draw
+    sent_bytes: int = 0
+    sent_count: int = 0  # messages sent
 
 
 @dataclass
@@ -249,15 +259,21 @@ class TraceRow:
 
 @dataclass
 class RunContext:
-    """One run's state: the problem, per-agent state, accounting and trace."""
+    """One run's state: the problem, per-agent state and the trace."""
 
     problem: DynamicProblem
     states: dict[int, AgentState]
-    ledger: MessageLedger
-    ops: OpCounter
     now: float = 0.0
     event_index: int = 0
     trace: list[TraceRow] = field(default_factory=list)
+
+    def totals(self) -> tuple[int, int, int, int]:
+        """The run's constraint checks, RNG draws, message bytes and messages so far, summed over agents."""
+        checks = draws = sent_bytes = sent_count = 0
+        for st in self.states.values():  # one pass: this runs at every recorded iteration
+            checks, draws = checks + st.schedule.checks, draws + st.draws
+            sent_bytes, sent_count = sent_bytes + st.sent_bytes, sent_count + st.sent_count
+        return checks, draws, sent_bytes, sent_count
 
     def record_iteration(self, iteration: int) -> None:
         """Append the row of this event's ``iteration``: how many ever-active
@@ -265,22 +281,22 @@ class RunContext:
         held = set().union(*(st.schedule.by_request for st in self.states.values()))
         sat = len(held & self.problem.ever_active)
         pct = satisfaction_pct(sat, len(self.problem.ever_active))
-        self.trace.append(TraceRow(self.event_index, iteration, sat, pct, self.ledger.bytes_total, self.ops.total))
+        checks, draws, sent_bytes, _ = self.totals()
+        self.trace.append(TraceRow(self.event_index, iteration, sat, pct, sent_bytes, checks + draws))
 
 
-def stochastic_update(executed: bool, assigned: bool, w: int, p_u: float, rng, ops: OpCounter | None = None) -> bool:
+def stochastic_update(executed: bool, assigned: bool, w: int, p_u: float, rng) -> bool:
     """Assignment decision for one request under the stochastic update scheme.
 
     Probability of staying/becoming assigned: 0 if the request was executed;
     1 if unassigned with no competitor; 0 if unassigned with competitors;
     1 - p_u if assigned and uncontested; 1/w if assigned against w others.
+    Only these last two cases draw from ``rng``, once each.
     """
     if executed:
         return False
     if not assigned:
         return w == 0
-    if ops is not None:
-        ops.rng_draws += 1
     if w == 0:
         return rng.random() < 1.0 - p_u
     return rng.random() < 1.0 / w
@@ -336,7 +352,7 @@ def repair(state: AgentState, allowed: frozenset[int], ctx: RunContext, rng: ran
         and t.start >= ctx.now
     ]
     rng.shuffle(pool)
-    ctx.ops.rng_draws += len(pool)
+    state.draws += len(pool)
     for task in pool:
         if not sched.has_request(task.request_id) and sched.can_insert(task):
             sched.insert(task)
@@ -348,7 +364,7 @@ def synchronous_search(groups: list[SearchGroup], ctx: RunContext, cfg: SolverCo
 
     Each round: agents send every other group member the requests they
     scheduled by the end of the previous round, which include the requests
-    they executed (charged to the ledger), then update each of their
+    they executed (charged to the sender), then update each of their
     requests with the stochastic scheme and try insertions. A group stops
     after the first round that changes no member's scheduled request set,
     since the next round would re-send byte-identical payloads. With
@@ -383,8 +399,8 @@ def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig, last: 
             counts[rid] = counts.get(rid, 0) + 1
         group_executed |= st.schedule.executed & group.requests
         fanout = len(members) - 1
-        if fanout > 0:
-            ctx.ledger.record(fanout, fanout * message_bytes(len(payload)))
+        st.sent_count += fanout
+        st.sent_bytes += fanout * message_bytes(len(payload))
     for a in members:
         states[a].reported_executed |= group_executed
 
@@ -392,19 +408,19 @@ def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig, last: 
         st = states[a]
         mine = [rid for rid in ctx.problem.agent_requests.get(a, []) if rid in group.requests]
         st.rng.shuffle(mine)
-        ctx.ops.rng_draws += len(mine)
+        st.draws += len(mine)
         own_payload = payloads[a]
         for rid in mine:
             w = counts.get(rid, 0) - (1 if rid in own_payload else 0)
-            if stochastic_update(
-                rid in group_executed, rid in st.assigned, w, cfg.p_u, st.rng, ctx.ops
-            ):
+            executed, assigned = rid in group_executed, rid in st.assigned
+            st.draws += assigned and not executed  # stochastic_update's one draw
+            if stochastic_update(executed, assigned, w, cfg.p_u, st.rng):
                 st.assigned.add(rid)
                 if not st.schedule.has_request(rid):
                     schedule_insert(st.schedule, rid, ctx.problem.candidates.get((a, rid), []), ctx.now)
             else:
                 st.assigned.discard(rid)
-                if rid in group_executed:
+                if executed:
                     # unassignment alone never evicts a scheduled task; only a
                     # request executed elsewhere in the group is dropped here
                     task = st.schedule.by_request.get(rid)
@@ -442,13 +458,7 @@ class SearchSolver(Solver):
         self.incremental = name.startswith("d")
         self.decompose = name.endswith("nss")
         for a, st in ctx.states.items():
-            st.rng = self._agent_rng(a)
-
-    def _agent_rng(self, agent_id: int) -> random.Random:
-        return random.Random(f"solver:{self.cfg.solver_seed}:{agent_id}")
-
-    def _repair_rng(self, event_index: int, agent_id: int) -> random.Random:
-        return random.Random(f"repair:{self.cfg.repair_seed}:{event_index}:{agent_id}")
+            st.rng = random.Random(f"solver:{cfg.solver_seed}:{a}")
 
     def _clear_mutable_state(self) -> None:
         """Reset to the frozen tasks only (the from-scratch variants)."""
@@ -476,7 +486,8 @@ class SearchSolver(Solver):
         ctx.record_iteration(0)
         for group in groups:
             for a in group.agents:
-                repair(ctx.states[a], group.requests, ctx, self._repair_rng(ctx.event_index, a))
+                rng = random.Random(f"repair:{self.cfg.repair_seed}:{ctx.event_index}:{a}")
+                repair(ctx.states[a], group.requests, ctx, rng)
         synchronous_search(groups, ctx, self.cfg)
 
 
@@ -518,7 +529,7 @@ class RandomSolver(GreedySolver):
             f"random-solver:{self.cfg.random_solver_seed}:{self.ctx.event_index}:{agent_id}"
         )
         rng.shuffle(pool)
-        self.ctx.ops.rng_draws += len(pool)
+        self.ctx.states[agent_id].draws += len(pool)
         return pool
 
 

@@ -153,7 +153,7 @@ def test_04_zero_communication_baselines(tiny_scenarios, walker_scenarios):
             m = run(sc.problem, sc.targets, name, cfg).metrics
             assert m.message_bytes == 0 and m.message_count == 0, (sc.label, name)
             total += 1
-    report(4, "zero-communication baselines", True, f"{total} ledgers at 0 bytes")
+    report(4, "zero-communication baselines", True, f"{total} runs at 0 bytes")
 
 
 def test_05_stability(planet_v5_scenarios):
@@ -288,7 +288,7 @@ def test_08_complexity_accounting():
                 assert homes <= cfg.gnd_n
             for nb in alloc.neighborhoods:
                 assert nb.requests <= snap.active
-    report(8, "complexity accounting", True, "exact ledger counts over 5 instances")
+    report(8, "complexity accounting", True, "exact message counts over 5 instances")
 
 
 def exhaustive_optimum(inst) -> int:

@@ -282,14 +282,15 @@ def test_overlapping_downlink_passes_are_config_error(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def contended_runs(tmp_path_factory):
-    """Greedy and dnss records on a tiny scenario with 20 targets: unlike
-    tiny-000 with 10, some agent has candidate tasks that overlap."""
+    """Greedy and dnss records, with their gaps to a proven optimum, on a tiny
+    scenario with 20 targets: unlike tiny-000 with 10, some agent has
+    candidate tasks that overlap."""
     root = tmp_path_factory.mktemp("contended")
     scen, out = root / "scenarios", root / "results"
     gen = ["generate", "--preset", "tiny", "--target-count", "20", "--out", str(scen)]
     assert main(gen) == EXIT_OK
     bench = ["bench", "--scenarios", str(scen), "--out", str(out), "--solvers", "greedy,dnss",
-             "--oracle", "none"]
+             "--oracle", "bnb"]
     assert main(bench) == EXIT_OK
     assert main(["verify", "--runs", str(out)]) == EXIT_OK
     return out
@@ -305,6 +306,18 @@ def _add_overlapping_task(record):
                 ids.append(task.task_id)
                 return
     raise AssertionError("no overlapping task to add")
+
+
+def _set_field(key, value):
+    def tamper(record):
+        record[key] = value
+    return tamper
+
+
+def _drop_field(key):
+    def tamper(record):
+        del record[key]
+    return tamper
 
 
 def _set_metric(key, value):
@@ -388,6 +401,15 @@ def _lower_last_trace_field(index):
         ("dnss", _set_metric("solver", -1), "malformed record: run.metrics.solver: unknown solver -1"),
         ("dnss", _set_metric("solver", "greedy"), "recorded run of greedy in a record of dnss"),
         ("dnss", _clear_final_schedules, "final schedules miss task "),
+        ("dnss", _set_field("gap_pct", -50.0), "recorded gap_pct -50.0 != 0.0 from tiny-000_oracle.json"),
+        ("dnss", _set_field("gap_pct", 0), "recorded gap_pct 0 != 0.0 from tiny-000_oracle.json"),
+        ("dnss", _set_field("gap_reference", "nonsense"),
+         "recorded gap_reference 'nonsense' != 'optimal' from tiny-000_oracle.json"),
+        ("greedy", _set_field("gap_reference", "lower-bound"),
+         "recorded gap_reference 'lower-bound' != 'optimal' from tiny-000_oracle.json"),
+        ("dnss", _drop_field("gap_pct"), "gap_pct and gap_reference must be recorded together"),
+        ("greedy", _drop_field("gap_reference"), "gap_pct and gap_reference must be recorded together"),
+        ("dnss", _shift_metric("satisfaction_pct"), "recorded gap_pct 0.0 != -1.0 from tiny-000_oracle.json"),
     ],
     ids=[
         "satisfied-plus-one", "overlapping-task", "greedy-message-bytes", "message-bytes-negative",
@@ -397,6 +419,8 @@ def _lower_last_trace_field(index):
         "trace-first-iteration-one", "trace-iteration-skips", "trace-event-starts-at-two",
         "trace-pct-off", "trace-satisfied-a-float", "trace-pct-an-int", "satisfaction-pct-off",
         "satisfaction-pct-an-int", "run-solver-unknown", "run-solver-other", "final-schedules-empty",
+        "gap-pct-off", "gap-pct-an-int", "gap-reference-nonsense", "gap-reference-lower-bound",
+        "gap-pct-missing", "gap-reference-missing", "gap-pct-stale",
     ],
 )
 def test_verify_rejects_tampered_record(contended_runs, tmp_path, capsys, solver, tamper, failure):
@@ -414,6 +438,66 @@ def test_verify_rejects_tampered_record(contended_runs, tmp_path, capsys, solver
     ]
     assert any(line.startswith(f"tiny-000_{solver}.json: ") and failure in line for line in lines), lines
 
+
+
+def _set_oracle_field(key, value):
+    def edit(oracle):
+        oracle[key] = value
+        return json.dumps(oracle)
+    return edit
+
+
+def _drop_oracle_field(key):
+    def edit(oracle):
+        del oracle[key]
+        return json.dumps(oracle)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, failure",
+    [
+        (lambda oracle: None, "tiny-000_oracle.json: unreadable: "),
+        (lambda oracle: "{", "tiny-000_oracle.json: unreadable: "),
+        (lambda oracle: "[27, true]", "tiny-000_oracle.json: expected a JSON object, got list"),
+        (_set_oracle_field("satisfied", -1),
+         "malformed oracle record tiny-000_oracle.json: satisfied -1, proven_optimal True"),
+        (_set_oracle_field("satisfied", 27.0),
+         "malformed oracle record tiny-000_oracle.json: satisfied 27.0, proven_optimal True"),
+        (_set_oracle_field("satisfied", True),
+         "malformed oracle record tiny-000_oracle.json: satisfied True, proven_optimal True"),
+        (_drop_oracle_field("satisfied"),
+         "malformed oracle record tiny-000_oracle.json: satisfied None, proven_optimal True"),
+        (_set_oracle_field("proven_optimal", 1),
+         "malformed oracle record tiny-000_oracle.json: satisfied 27, proven_optimal 1"),
+        (_drop_oracle_field("proven_optimal"),
+         "malformed oracle record tiny-000_oracle.json: satisfied 27, proven_optimal None"),
+        (_set_oracle_field("satisfied", 26), "recorded gap_pct 0.0 != -3.3333333333333286 from tiny-000_oracle.json"),
+        (_set_oracle_field("proven_optimal", False),
+         "recorded gap_reference 'optimal' != 'lower-bound' from tiny-000_oracle.json"),
+    ],
+    ids=["missing", "not-json", "not-an-object", "satisfied-negative", "satisfied-a-float",
+         "satisfied-a-bool", "satisfied-missing", "proven-optimal-an-int", "proven-optimal-missing",
+         "satisfied-off", "not-proven"],
+)
+def test_verify_checks_gaps_against_the_oracle_record(contended_runs, tmp_path, capsys, edit, failure):
+    """Every record's gap is re-derived from the scenario's oracle record; one
+    that is missing, does not parse, or holds a malformed ``satisfied`` or
+    ``proven_optimal`` fails every record that carries a gap, not the run."""
+    runs = tmp_path / "results"
+    shutil.copytree(contended_runs, runs)
+    path = runs / "tiny-000_oracle.json"
+    text = edit(json.loads(path.read_text()))
+    if text is None:
+        path.unlink()
+    else:
+        path.write_text(text)
+    capsys.readouterr()
+    assert main(["verify", "--runs", str(runs)]) == EXIT_INVARIANT
+    lines = capsys.readouterr().out.splitlines()
+    for solver in ("dnss", "greedy"):
+        mine = [line for line in lines if line.startswith(f"tiny-000_{solver}.json: ")]
+        assert len(mine) == 1 and failure in mine[0], lines
 
 
 @pytest.mark.parametrize("pct, ok", [(100.0, True), (0.0, False)])
@@ -706,9 +790,11 @@ def _mutate(record, walk, mutation):
     return record, tuple(path), None if kind == "delete" else parent[path[-1]]
 
 
-def _is_counter_or_task_id(path):
-    """A count field of the metrics or of a trace row, or a task id of a
-    snapshot or final schedule."""
+def _is_checked_field(path):
+    """A count field of the metrics or of a trace row, a task id of a
+    snapshot or final schedule, or a gap field."""
+    if path in (("gap_pct",), ("gap_reference",)):
+        return True
     if path[:2] == ("run", "metrics"):
         return (len(path) == 3 and path[2] in ("satisfied", "total_requests", "iterations_total", "message_bytes",
                                                "message_count", "constraint_checks", "rng_draws")
@@ -719,12 +805,16 @@ def _is_counter_or_task_id(path):
 @pytest.fixture(scope="module")
 def mutation_dirs(workspace, tmp_path_factory):
     """For greedy and dnss: the tiny-000 record, and a directory of its own
-    for one mutated copy."""
+    for one mutated copy, beside the oracle record its gap is checked against;
+    unmutated, each record verifies."""
     _, out = workspace
     root = tmp_path_factory.mktemp("mutations")
     dirs = {}
     for solver in ("greedy", "dnss"):
         (root / solver).mkdir()
+        shutil.copy(out / "tiny-000_oracle.json", root / solver)
+        shutil.copy(out / f"tiny-000_{solver}.json", root / solver)
+        assert main(["verify", "--runs", str(root / solver)]) == EXIT_OK
         dirs[solver] = (json.loads((out / f"tiny-000_{solver}.json").read_text()), root / solver)
     return dirs
 
@@ -734,11 +824,13 @@ def mutation_dirs(workspace, tmp_path_factory):
        mutation=st.sampled_from(MUTATIONS))
 @example(solver="dnss", walk=[4], mutation=("retype", None))  # scenario_file: null
 @example(solver="greedy", walk=[2, 2, 0, 0], mutation=("retype", True))  # a snapshot's first id: true
+@example(solver="dnss", walk=[0], mutation=("retype", 0.5))  # gap_pct: 0.5
+@example(solver="greedy", walk=[1], mutation=("retype", "x"))  # gap_reference: "x"
 def test_record_mutation_ends_in_a_result(mutation_dirs, solver, walk, mutation):
     """One deleted, retyped or shifted value anywhere in a real record: each
     command ends in an exit code, never a traceback. ``replay`` catches every
     change to the bytes of ``run``, and ``verify`` every count or task id
-    that is not a non-negative integer."""
+    that is not a non-negative integer, and every retyped gap field."""
     original, directory = mutation_dirs[solver]
     record, path, value = _mutate(original, walk, mutation)
     path_file = directory / f"tiny-000_{solver}.json"
@@ -751,5 +843,5 @@ def test_record_mutation_ends_in_a_result(mutation_dirs, solver, walk, mutation)
     if len(path) > 1 and path[0] == "run":
         if json.dumps(record["run"], sort_keys=True) != json.dumps(original["run"], sort_keys=True):
             assert replay == EXIT_INVARIANT, path
-    if mutation[0] != "delete" and _is_counter_or_task_id(path) and not _is_count(value):
+    if mutation[0] != "delete" and _is_checked_field(path) and not _is_count(value):
         assert verify == EXIT_INVARIANT, path

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cosched import geometry
 from cosched.scenarios import (
@@ -277,3 +279,108 @@ def problem_digest(problem) -> str:
 def test_generated_problems_match_pinned_digests(name, index):
     problem = generate_scenario(preset(name), index).problem
     assert problem_digest(problem) == PROBLEM_DIGESTS[(name, index)]
+
+
+# ---------------------------------------------------------------------------
+# property: every config dict ends in a valid scenario or a ConfigError
+
+
+def _numbers(lo, hi, *extremes):
+    """Floats and ints in [lo, hi], and the given extreme values."""
+    return st.one_of(st.floats(lo, hi), st.integers(math.ceil(lo), math.floor(hi)), st.sampled_from(extremes))
+
+
+_RANGE_SPECS = st.one_of(
+    st.builds("fixed-{}".format, st.integers(1, 6)),
+    st.builds("uniform-{}-{}".format, st.integers(1, 3), st.integers(3, 6)),
+)
+
+# Each draw builds at most 2 planes of 2 satellites, 5 targets and a 6 h
+# horizon, so it builds in milliseconds: the constellation is always custom,
+# and the target count and horizon, whose defaults are large, are always drawn.
+# Only a deleted key falls back to its default (the 200-satellite planet
+# constellation, 634 targets or a day); such draws are rare and build in
+# under a second.
+_IN_RANGE = st.fixed_dictionaries(
+    {
+        "constellation": st.just("custom"),
+        "custom_planes": st.lists(
+            st.fixed_dictionaries({
+                "inclination_deg": _numbers(0.0, 180.0, 0.0, 180.0),
+                "altitude_km": _numbers(300.0, 2000.0, 1e-9, 35_786.0, 1e6),
+                "raan_deg": _numbers(-360.0, 360.0, 1e6),
+                "count": st.sampled_from([1, 2]),
+            }),
+            max_size=2,
+        ),
+        "target_count": st.integers(1, 5),
+        "horizon_s": _numbers(600.0, 6 * 3600.0, 1e-9, 1e-3, 1.0, 60.0),
+    },
+    optional={
+        "name": st.text(max_size=6),
+        "max_off_nadir_deg": st.one_of(st.none(), _numbers(1.0, 89.0, 1e-9, 89.999)),
+        "memory_bytes": _numbers(1e6, 1e12, 1.0, 1e300),
+        "targets_path": st.sampled_from([None, "", "missing", "valid", "empty"]),
+        "periodicity": _RANGE_SPECS,
+        "volatility": _RANGE_SPECS,
+        "scenario_seed": st.integers(-(10**20), 10**20),
+        "solver": st.fixed_dictionaries({}, optional={
+            "p_u": st.floats(0.0, 1.0), "max_iters": st.integers(1, 30), "run_all_iterations": st.booleans(),
+        }),
+        "solvers": st.lists(st.sampled_from(["dnss", "greedy"]), max_size=2),
+        "oracle": st.sampled_from(["bnb", "swo", "none"]),
+    },
+)
+
+# a wrong kind, NaN, infinity, an out-of-range number or a malformed string
+BAD_VALUES = (None, True, "x", "fixed-0", "uniform-3-1", [], {}, -1, 0, 0.0, 1.5, 1e300,
+              math.nan, math.inf, -math.inf)
+_DELETE = object()
+
+
+@st.composite
+def config_dicts(draw):
+    """An in-range config dict, or one with one value, at any depth, deleted or
+    replaced by one of ``BAD_VALUES``."""
+    data = draw(_IN_RANGE)
+    if draw(st.booleans()):
+        parents = [data, *(p for p in data["custom_planes"]), *([data["solver"]] if "solver" in data else [])]
+        parent = draw(st.sampled_from(parents))
+        key = draw(st.sampled_from(sorted(parent) + ["unknown"]))
+        value = draw(st.sampled_from((_DELETE, *BAD_VALUES)))
+        if value is _DELETE:
+            parent.pop(key, None)
+        else:
+            parent[key] = value
+    return data
+
+
+@pytest.fixture(scope="module")
+def target_files(tmp_path_factory):
+    """What a drawn ``targets_path`` names: no file, a CSV of three targets,
+    or an empty file."""
+    root = tmp_path_factory.mktemp("targets")
+    (root / "valid.csv").write_text("id,lat,lon\n0,10.0,20.0\n1,-30.5,100.0\n2,45.0,-75.0\n")
+    (root / "empty.csv").write_text("")
+    return {"missing": str(root / "missing.csv"), "valid": str(root / "valid.csv"), "empty": str(root / "empty.csv")}
+
+
+def _one_plane(**plane):
+    plane = {"inclination_deg": 97.0, "altitude_km": 500.0, "raan_deg": 0.0, "count": 2, **plane}
+    return {"constellation": "custom", "custom_planes": [plane], "target_count": 2, "horizon_s": 3600.0}
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=config_dicts())
+@example(data=_one_plane(count=1.5))  # was a TypeError from range()
+@example(data=_one_plane(altitude_km=1e300))  # was an OverflowError from the orbital period
+@example(data=dict(_one_plane(), targets_path="missing"))  # was a FileNotFoundError
+@example(data=dict(_one_plane(), horizon_s=1e300))  # was a ValueError from sizing the scan grid
+def test_every_config_gives_a_valid_scenario_or_a_config_error(target_files, data):
+    if isinstance(data.get("targets_path"), str):
+        data["targets_path"] = target_files.get(data["targets_path"], data["targets_path"])
+    try:
+        sc = generate_scenario(ScenarioConfig.from_dict(data))
+    except ConfigError:
+        return
+    sc.problem.validate()

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from cosched.accounting import message_bytes
 from cosched.geometry import SatelliteSpec
 from cosched.problem import (
     MB,
@@ -15,13 +14,14 @@ from cosched.problem import (
     check_constraints,
 )
 from cosched.sim import build_context, run
-from cosched import solvers
+from cosched import sim, solvers
 from cosched.solvers import (
     SOLVER_NAMES,
     ScheduleState,
     SearchGroup,
     SolverConfig,
     SolverInvariantError,
+    message_bytes,
     schedule_insert,
     stochastic_update,
     synchronous_search,
@@ -291,6 +291,39 @@ def test_noncommunicating_solvers_send_zero_bytes(rng):
         assert m.message_bytes == 0 and m.message_count == 0
 
 
+def test_counters_land_on_the_agent_that_spent_them(rng, monkeypatch):
+    """Each schedule counts the can_insert calls made on it, the run's
+    counters are the sums over agents, and the greedy agents draw and send
+    nothing."""
+    problem, targets = make_problem(rng, n_agents=4, n_requests=14, n_events=2)
+    calls: dict[int, int] = {}  # id of the schedule -> can_insert calls on it
+    can_insert = ScheduleState.can_insert
+
+    def spy(self, task):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return can_insert(self, task)
+
+    contexts = []  # keeps every run's schedules alive, so their ids stay distinct
+    build = sim.build_context
+
+    def recording_build(*args):
+        contexts.append(build(*args))
+        return contexts[-1]
+
+    monkeypatch.setattr(ScheduleState, "can_insert", spy)
+    monkeypatch.setattr(sim, "build_context", recording_build)
+    for name in SOLVER_NAMES:
+        m = run(problem, targets, name, cfg()).metrics
+        states = contexts[-1].states.values()
+        assert [st.schedule.checks for st in states] == [calls.get(id(st.schedule), 0) for st in states]
+        assert sum(st.schedule.checks for st in states) == m.constraint_checks > 0, name
+        assert sum(st.draws for st in states) == m.rng_draws, name
+        assert sum(st.sent_bytes for st in states) == m.message_bytes, name
+        assert sum(st.sent_count for st in states) == m.message_count, name
+        if name == "greedy":
+            assert all(st.draws == st.sent_bytes == st.sent_count == 0 for st in states)
+
+
 def test_greedy_schedule_is_maximal(rng):
     problem, _ = make_problem(rng, n_events=0)
     from cosched.sim import build_context
@@ -421,7 +454,9 @@ def test_search_stops_after_one_round_when_repair_left_nothing_to_insert():
     group = SearchGroup((0, 1), frozenset(range(1, 7)))
     assert synchronous_search([group], ctx, SolverConfig(max_iters=10)) == 1
     assert scheduled_sets(ctx) == before
-    assert ctx.ledger.count_total == 2  # one round, one message each way
+    # one round, one message each way, carrying the sender's held requests
+    assert (ctx.states[0].sent_count, ctx.states[0].sent_bytes) == (1, message_bytes(3)) == (1, 43)
+    assert (ctx.states[1].sent_count, ctx.states[1].sent_bytes) == (1, message_bytes(2)) == (1, 34)
 
 
 def test_search_stops_one_round_after_the_last_schedule_change(monkeypatch):
