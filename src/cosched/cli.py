@@ -42,18 +42,6 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_ORACLE_BUDGET = 4
 
-OVERRIDE_FIELDS = ("target_count", "horizon_s", "volatility", "periodicity", "oracle")
-
-
-def _with_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    """Apply the command-line overrides this command was given, then validate."""
-    overrides = {f: getattr(args, f) for f in OVERRIDE_FIELDS if getattr(args, f, None) is not None}
-    if args.solvers:
-        overrides["solvers"] = args.solvers.split(",")
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
-
 
 def cmd_generate(args) -> int:
     if args.config:
@@ -62,7 +50,9 @@ def cmd_generate(args) -> int:
         cfg = preset(args.preset)
     else:
         raise ConfigError("either --preset or --config is required")
-    cfg = _with_overrides(cfg, args)
+    if args.volatility is not None:
+        cfg = replace(cfg, volatility=args.volatility)
+        cfg.validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
@@ -79,6 +69,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    solvers = args.solvers.split(",") if args.solvers else list(SOLVER_NAMES)
+    for name in solvers:
+        if name not in SOLVER_NAMES:
+            raise ConfigError(f"solvers: unknown solver {name!r}")
     paths = sorted(Path(args.scenarios).glob("*.json"))
     if not paths:
         print(f"no scenario files in {args.scenarios}", file=sys.stderr)
@@ -89,20 +83,20 @@ def cmd_bench(args) -> int:
     budget_hit = False
     for path in paths:
         sc = load_scenario(path)
-        cfg = _with_overrides(sc.config, args)
         out.mkdir(parents=True, exist_ok=True)
-        solver_cfg = cfg.solver_config()
+        solver_cfg = sc.config.solver_config()
         if args.fixed_iterations:
             solver_cfg.run_all_iterations = True
 
+        oracle = args.oracle or sc.config.oracle
         oracle_res = None
-        if cfg.oracle != "none":
-            oracle_res = run_oracle(sc.problem, cfg.oracle)
-            if cfg.oracle == "bnb" and not oracle_res.proven_optimal:
+        if oracle != "none":
+            oracle_res = run_oracle(sc.problem, oracle)
+            if oracle == "bnb" and not oracle_res.proven_optimal:
                 budget_hit = True
             oracle_rec = {
                 "scenario": sc.label,
-                "mode": cfg.oracle,
+                "mode": oracle,
                 "satisfied": oracle_res.satisfied,
                 "satisfaction_pct": oracle_res.satisfaction_pct(len(sc.problem.ever_active)),
                 "proven_optimal": oracle_res.proven_optimal,
@@ -113,7 +107,7 @@ def cmd_bench(args) -> int:
                 json.dumps(oracle_rec, indent=1, sort_keys=True) + "\n"
             )
 
-        for name in cfg.solvers:
+        for name in solvers:
             result = run(sc.problem, sc.targets, name, solver_cfg)  # main reports an invariant violation
             m = result.metrics
             record = {
@@ -397,11 +391,13 @@ def _verify_failures(path: Path, load: Callable[[str], Scenario]) -> Iterator[st
 
 
 def cmd_verify(args) -> int:
+    paths = [p for p in sorted(Path(args.runs).glob("*_*.json")) if not p.name.endswith("_oracle.json")]
+    if not paths:
+        print(f"no run records in {args.runs}", file=sys.stderr)
+        return EXIT_CONFIG
     load = cache(load_scenario)
     failures = 0
-    for path in sorted(Path(args.runs).glob("*_*.json")):
-        if path.name.endswith("_oracle.json"):
-            continue
+    for path in paths:
         lines = list(_verify_failures(path, load))
         for line in lines or ["ok"]:
             print(f"{path.name}: {line}")
@@ -424,19 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--config", help="scenario config JSON (overrides --preset)")
     g.add_argument("--count", type=int, default=1, help="number of scenarios")
     g.add_argument("--out", required=True, help="output directory")
-    g.add_argument("--target-count", type=int, dest="target_count")
-    g.add_argument("--horizon-s", type=float, dest="horizon_s")
-    g.add_argument("--volatility", help="fixed-<k> or uniform-<lo>-<hi>")
-    g.add_argument("--periodicity", help="fixed-<k> or uniform-<lo>-<hi>")
-    g.add_argument("--oracle", choices=("bnb", "swo", "none"))
-    g.add_argument("--solvers", help="comma-separated solver list")
+    g.add_argument("--volatility", help="change events per scenario: fixed-<k> or uniform-<lo>-<hi>")
     g.set_defaults(func=cmd_generate)
 
     b = sub.add_parser("bench", help="run solver sweeps over generated scenarios")
     b.add_argument("--scenarios", required=True, help="directory of scenario files")
     b.add_argument("--out", required=True, help="results directory")
-    b.add_argument("--solvers", help=f"comma-separated subset of {','.join(SOLVER_NAMES)}")
-    b.add_argument("--oracle", choices=("bnb", "swo", "none"))
+    b.add_argument("--solvers", help=f"comma-separated subset of {','.join(SOLVER_NAMES)} (default: all six)")
+    b.add_argument("--oracle", choices=("bnb", "swo", "none"), help="default: the scenario config's oracle")
     b.add_argument("--fixed-iterations", action="store_true", help="run all max_iters search rounds; never stop early")
     b.add_argument("--require-optimal", action="store_true", help="exit 4 if the exact oracle ran out of budget")
     b.set_defaults(func=cmd_bench)

@@ -5,8 +5,8 @@ tasks and data volumes are regenerated from the seeds on load, so a scenario
 replays byte-identically anywhere. The file also records the scenario seed,
 the sampled targets, the request campaign, the initial active set and the
 change events, and ``load_scenario`` cross-checks each of them against the
-regeneration; ``volatility`` (the number of change events) and
-``epoch_offset_s`` are informational and not compared.
+regeneration. Which solvers run on a scenario is the caller's choice, and
+no part of the file.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .problem import (
     generate_dynamics,
     generate_tasks,
 )
-from .solvers import SOLVER_NAMES, SolverConfig, check_kind
+from .solvers import SolverConfig, check_kind
 
-SCENARIO_FORMAT_VERSION = 3
+SCENARIO_FORMAT_VERSION = 4
 DAY_S = 86400.0
 PLANE_FIELDS = ("inclination_deg", "altitude_km", "raan_deg", "count")
 
@@ -54,7 +54,6 @@ class ScenarioConfig:
     volatility: str = "uniform-3-5"  # uniform-3-5 | fixed-<k>
     scenario_seed: int = 2005  # all entropy is explicit; solver seeds live in ``solver``
     solver: SolverConfig = field(default_factory=SolverConfig)
-    solvers: list[str] = field(default_factory=lambda: list(SOLVER_NAMES))
     oracle: str = "bnb"  # bnb | swo | none
 
     def validate(self) -> None:
@@ -68,8 +67,10 @@ class ScenarioConfig:
             if not isinstance(plane, dict) or set(plane) != set(PLANE_FIELDS):
                 raise ConfigError(f"{where}: expected exactly the keys {list(PLANE_FIELDS)}")
             try:
+                for name in PLANE_FIELDS:
+                    check_kind(name, plane[name], int if name == "count" else float)
                 OrbitalPlane(**plane)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
         if self.memory_bytes <= 0:
             raise ConfigError(f"memory_bytes: must be positive, got {self.memory_bytes}")
@@ -86,9 +87,6 @@ class ScenarioConfig:
             raise ConfigError(f"solver.{exc}") from None
         self._periodicity_range()
         self._volatility_range()
-        for s in self.solvers:
-            if s not in SOLVER_NAMES:
-                raise ConfigError(f"solvers: unknown solver {s!r}")
         if self.oracle not in ("bnb", "swo", "none"):
             raise ConfigError(f"oracle: unknown mode {self.oracle!r}")
 
@@ -104,7 +102,6 @@ class ScenarioConfig:
             check_kind("targets_path", self.targets_path, str, optional=True)
             check_kind("horizon_s", self.horizon_s, float)
             check_kind("scenario_seed", self.scenario_seed, int)
-            check_kind("solvers", self.solvers, list)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -282,11 +279,6 @@ class Scenario:
         return f"{self.config.name}-{self.index:03d}"
 
 
-def _epoch_offset_s(seed: int) -> float:
-    """The scenario's epoch: seconds from the reference epoch to horizon start."""
-    return random.Random(f"epoch:{seed}").uniform(0.0, DAY_S)
-
-
 def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
     """Deterministically build scenario ``index`` of this config.
 
@@ -335,7 +327,7 @@ def _assemble_problem(
     seed: int,
 ) -> DynamicProblem:
     sats = constellation.satellites()
-    epoch_offset = _epoch_offset_s(seed)
+    epoch_offset = random.Random(f"epoch:{seed}").uniform(0.0, DAY_S)  # reference epoch to horizon start, s
     access, passes = geometry.batch_windows(
         constellation, targets, list(geometry.DEFAULT_STATIONS), horizon_s, epoch_offset
     )
@@ -381,12 +373,11 @@ def _assemble_problem(
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    seed = sc.config.scenario_seed + sc.index
     return {
         "format_version": SCENARIO_FORMAT_VERSION,
         "config": sc.config.to_dict(),
         "index": sc.index,
-        "seed": seed,
+        "seed": sc.config.scenario_seed + sc.index,
         "targets": [[t.target_id, t.latitude_deg, t.longitude_deg] for t in sc.targets],
         "requests": [
             [r.request_id, r.target_id, r.start, r.end]
@@ -396,8 +387,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "events": [
             [ev.time, list(ev.added), list(ev.removed)] for ev in sc.problem.events()
         ],
-        "volatility": sc.problem.num_changes,
-        "epoch_offset_s": _epoch_offset_s(seed),
     }
 
 

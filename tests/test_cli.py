@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cosched.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, _trace_error, main
 from cosched.scenarios import load_scenario, preset
+from cosched.solvers import SOLVER_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +33,12 @@ def workspace(tmp_path_factory):
         == EXIT_OK
     )
     return scen, out
+
+
+def _tiny_config(path, **overrides):
+    """Write the tiny preset, with ``overrides``, as a ``generate --config`` file."""
+    path.write_text(json.dumps(preset("tiny", **overrides).to_dict()))
+    return str(path)
 
 
 def test_generate_writes_scenario_files(workspace):
@@ -58,6 +65,19 @@ def test_bench_outputs_runs_oracle_and_table(workspace):
     table = (out / "results_table.txt").read_text()
     for solver in ("greedy", "random", "dnss"):
         assert solver in table
+
+
+def test_bench_runs_every_solver_by_default(workspace, tmp_path):
+    """Without --solvers, bench runs all six solvers, beside the oracle
+    record and the table."""
+    scen, _ = workspace
+    out = tmp_path / "results"
+    assert main(["bench", "--scenarios", str(scen), "--out", str(out)]) == EXIT_OK
+    assert {p.name for p in out.iterdir()} == {
+        *(f"tiny-000_{name}.json" for name in SOLVER_NAMES), "tiny-000_oracle.json", "results_table.txt",
+    }
+    rows = (out / "results_table.txt").read_text().splitlines()[1:]
+    assert [row.split()[0] for row in rows] == list(SOLVER_NAMES)
 
 
 def test_bench_records_have_gap_and_zero_baseline_bytes(workspace):
@@ -133,12 +153,14 @@ def test_bad_preset_is_config_error(tmp_path):
     )
 
 
-def test_bad_solver_list_is_config_error(workspace, tmp_path):
+def test_bad_solver_list_is_config_error(workspace, tmp_path, capsys):
     scen, _ = workspace
     rc = main(
-        ["bench", "--scenarios", str(scen), "--out", str(tmp_path), "--solvers", "tabu"]
+        ["bench", "--scenarios", str(scen), "--out", str(tmp_path), "--solvers", "dnss,tabu"]
     )
     assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: solvers: unknown solver 'tabu'\n"
+    assert not any(tmp_path.iterdir())  # checked before any scenario runs
 
 
 @pytest.mark.parametrize(
@@ -163,16 +185,20 @@ def test_bad_solver_list_is_config_error(workspace, tmp_path):
         # no setting means anything at either; a NaN memory limit admitted any task
         ({"memory_bytes": float("nan")}, "memory_bytes: expected a finite number, got nan"),
         ({"horizon_s": float("inf")}, "horizon_s: expected a finite number, got inf"),
+        ({"horizon_s": float("nan")}, "horizon_s: expected a finite number, got nan"),
         ({"custom_planes": [{"inclination_deg": 97.0, "altitude_km": float("nan"),
                              "raan_deg": 0.0, "count": 4}]}, "custom_planes[0]: altitude"),
         ({"custom_planes": [{"inclination_deg": 97.0, "altitude_km": 500.0,
                              "raan_deg": float("inf"), "count": 4}]}, "custom_planes[0]: raan"),
+        # JSON's true is 1 to Python, and a plane of count true held one satellite
+        ({"custom_planes": [{"inclination_deg": 97.0, "altitude_km": 500.0, "raan_deg": 0.0,
+                             "count": True}]}, "custom_planes[0]: count: expected an integer, got True"),
     ],
     ids=["plane-without-count", "zero-memory", "zero-off-nadir", "flat-solver-field",
          "solver-p_u-out-of-range", "unknown-solver-key", "solver-not-an-object",
          "memory-not-a-number", "target-count-a-string", "horizon-null", "solver-p_u-a-string",
-         "solver-max_iters-a-bool", "memory-nan", "horizon-infinite", "plane-altitude-nan",
-         "plane-raan-infinite"],
+         "solver-max_iters-a-bool", "memory-nan", "horizon-infinite", "horizon-nan",
+         "plane-altitude-nan", "plane-raan-infinite", "plane-count-a-bool"],
 )
 def test_malformed_config_file_is_config_error(tmp_path, capsys, changes, field):
     data = preset("tiny").to_dict()
@@ -184,23 +210,17 @@ def test_malformed_config_file_is_config_error(tmp_path, capsys, changes, field)
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_horizon_flag_is_config_error(tmp_path, capsys, value):
-    rc = main(["generate", "--preset", "tiny", "--horizon-s", value, "--out", str(tmp_path)])
-    assert rc == EXIT_CONFIG
-    assert f"horizon_s: expected a finite number, got {value}" in capsys.readouterr().err
-
-
 def test_too_small_campaign_is_config_error(tmp_path, capsys):
     """One target observed twice is a two-request campaign, too small to
     seed a one-third active set; generate, bench and replay exit 2 and
     verify counts the record as failed."""
     scen, out = tmp_path / "scenarios", tmp_path / "results"
-    small = ["--target-count", "1", "--periodicity", "fixed-2"]
-    assert main(["generate", "--preset", "tiny", *small, "--out", str(scen)]) == EXIT_CONFIG
+    small = _tiny_config(tmp_path / "small.json", target_count=1, periodicity="fixed-2")
+    assert main(["generate", "--config", small, "--out", str(scen)]) == EXIT_CONFIG
     assert "campaign of 2 requests is too small" in capsys.readouterr().err
     # a file whose config cannot be regenerated: bench, replay and verify report it
-    assert main(["generate", "--preset", "tiny", "--target-count", "1", "--out", str(scen)]) == EXIT_OK
+    one = _tiny_config(tmp_path / "one.json", target_count=1)
+    assert main(["generate", "--config", one, "--out", str(scen)]) == EXIT_OK
     assert main(["bench", "--scenarios", str(scen), "--out", str(out), "--solvers", "greedy"]) == EXIT_OK
     path = scen / "tiny-000.json"
     doc = json.loads(path.read_text())
@@ -287,7 +307,7 @@ def contended_runs(tmp_path_factory):
     candidate tasks that overlap."""
     root = tmp_path_factory.mktemp("contended")
     scen, out = root / "scenarios", root / "results"
-    gen = ["generate", "--preset", "tiny", "--target-count", "20", "--out", str(scen)]
+    gen = ["generate", "--config", _tiny_config(root / "config.json", target_count=20), "--out", str(scen)]
     assert main(gen) == EXIT_OK
     bench = ["bench", "--scenarios", str(scen), "--out", str(out), "--solvers", "greedy,dnss",
              "--oracle", "bnb"]
@@ -708,6 +728,22 @@ def test_verify_reports_unusable_record(contended_runs, tmp_path, capsys, tamper
     assert captured.err == "1 run(s) failed verification\n"
 
 
+def test_verify_of_a_missing_directory_is_config_error(tmp_path, capsys):
+    """A mistyped --runs path verifies nothing, so it cannot pass."""
+    runs = tmp_path / "gone"
+    assert main(["verify", "--runs", str(runs)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"no run records in {runs}\n"
+
+
+def test_verify_of_oracle_records_only_is_config_error(workspace, tmp_path, capsys):
+    """An oracle record is not a run record: a directory holding only one
+    has nothing to verify."""
+    _, out = workspace
+    shutil.copy(out / "tiny-000_oracle.json", tmp_path)
+    assert main(["verify", "--runs", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"no run records in {tmp_path}\n"
+
+
 def test_replay_reports_missing_scenario_file(workspace, tmp_path, capsys):
     """A record whose scenario file is gone is a config error naming the file."""
     _, out = workspace
@@ -725,7 +761,7 @@ def test_replay_reports_missing_scenario_file(workspace, tmp_path, capsys):
     "text, detail",
     [
         ("{", "unreadable: "),
-        ('{"format_version": 3}', "missing config, index, seed, targets, requests, initial_active, events"),
+        ('{"format_version": 4}', "missing config, index, seed, targets, requests, initial_active, events"),
     ],
     ids=["not-json", "no-config"],
 )
