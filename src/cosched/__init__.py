@@ -1,7 +1,6 @@
 """Dynamic constellation observation scheduling toolkit."""
 
 from .problem import (
-    ChangeEvent,
     Downlink,
     DynamicProblem,
     Request,
@@ -15,7 +14,6 @@ from .solvers import SOLVER_NAMES, SolverConfig
 from .sim import run
 
 __all__ = [
-    "ChangeEvent",
     "Downlink",
     "DynamicProblem",
     "Request",

@@ -44,6 +44,8 @@ EXIT_ORACLE_BUDGET = 4
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"count: must be >= 1, got {args.count}")
     if args.config:
         cfg = ScenarioConfig.from_dict(read_json_object(args.config, "config file"))
     elif args.preset:
@@ -70,9 +72,11 @@ def cmd_generate(args) -> int:
 
 def cmd_bench(args) -> int:
     solvers = args.solvers.split(",") if args.solvers else list(SOLVER_NAMES)
-    for name in solvers:
+    for i, name in enumerate(solvers):
         if name not in SOLVER_NAMES:
             raise ConfigError(f"solvers: unknown solver {name!r}")
+        if name in solvers[:i]:
+            raise ConfigError(f"solvers: {name} listed twice")
     paths = sorted(Path(args.scenarios).glob("*.json"))
     if not paths:
         print(f"no scenario files in {args.scenarios}", file=sys.stderr)

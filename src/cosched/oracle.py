@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .problem import DynamicProblem, Task, check_constraints, satisfaction_pct
@@ -87,12 +87,11 @@ class _Bucket:
         self.by_volume = sorted(tasks, key=lambda t: (-t.volume_bytes, t.task_id))
 
     def may_overlap(self, task: Task) -> list[Task]:
-        """``task`` and a superset of the tasks that overlap it: the tasks
-        that start in [task.start - reach, task.end), and those that start
-        with ``task``, which covers a task of zero length."""
+        """A superset of the tasks that overlap ``task``: those that start in
+        [task.start - reach, task.end). A validated problem has no task of
+        zero length, and none could overlap one anyway."""
         lo = bisect_left(self.starts, task.start - self.reach)
-        hi = max(bisect_left(self.starts, task.end), bisect_right(self.starts, task.start))
-        return self.by_start[lo:hi]
+        return self.by_start[lo:bisect_left(self.starts, task.end)]
 
 
 def branch_and_bound(
@@ -116,15 +115,15 @@ def branch_and_bound(
     agent: a task in another bucket shares no capacity with c, and if it
     overlapped c it would also overlap a downlink (the downlink that
     separates the two buckets starts inside one of the two tasks, and c was
-    insertable), so its flag is already clear. Within the bucket, a flag
-    clears for one of two reasons, and only those tasks are re-checked with
+    insertable), so its flag is already clear. c's own flag clears without a
+    re-check, since c is now held. Within the bucket, any other flag clears
+    for one of two reasons, and only those tasks are re-checked with
     ``can_insert``:
 
-    - overlap: the task overlaps c, or is c, which is now held. Every task
-      that overlaps c starts in [c.start - reach, c.end), where reach is the
-      bucket's longest task plus a margin far above float rounding, so
-      bisecting the bucket's start order over that range, with c added,
-      finds a superset of them;
+    - overlap: the task overlaps c. Every such task starts in
+      [c.start - reach, c.end), where reach is the bucket's longest task
+      plus a margin far above float rounding, so bisecting the bucket's
+      start order over that range finds a superset of them;
     - capacity: the bucket's load rose by c's volume. The bucket's flagged
       tasks are re-checked in descending volume down to the first that
       passes, or that is no larger than a task that passed its overlap
@@ -169,7 +168,8 @@ def branch_and_bound(
         st = states[task.agent_id]
         st.insert(task)
         bucket = buckets[(task.agent_id, st.bucket(task))]
-        cleared = []
+        insertable[task.task_id] = False
+        cleared = [task]
         fits = -math.inf  # the largest volume that passed a re-check
         for t in bucket.may_overlap(task):
             if insertable[t.task_id]:

@@ -80,13 +80,6 @@ class Downlink:
 
 
 @dataclass(frozen=True)
-class ChangeEvent:
-    time: float
-    added: tuple[int, ...]
-    removed: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Snapshot:
     """One static problem instance: active requests from ``start`` onward."""
 
@@ -167,18 +160,6 @@ class DynamicProblem:
         if t + 1 < len(self.snapshots):
             return start, self.snapshots[t + 1].start
         return start, self.horizon_s
-
-    def events(self) -> list[ChangeEvent]:
-        evs = []
-        for prev, cur in zip(self.snapshots, self.snapshots[1:]):
-            evs.append(
-                ChangeEvent(
-                    time=cur.start,
-                    added=tuple(sorted(cur.active - prev.active)),
-                    removed=tuple(sorted(prev.active - cur.active)),
-                )
-            )
-        return evs
 
     def validate(self) -> None:
         """Raise ValueError on any violated structural invariant."""
@@ -451,11 +432,12 @@ def generate_dynamics(
     volatility: int,
     horizon_s: float,
     rng,
-) -> tuple[set[int], list[ChangeEvent]]:
-    """Initial active set plus one change event per unit of volatility.
+) -> list[Snapshot]:
+    """The active-request timeline: the initial snapshot at time 0, then one
+    snapshot per unit of volatility.
 
-    One third of the campaign starts active. Each of the v events, placed
-    uniformly over the final 1 - 2/(3v) of the horizon, adds a 2/(3v)
+    One third of the campaign starts active. Each of the v change events,
+    placed uniformly over the final 1 - 2/(3v) of the horizon, adds a 2/(3v)
     fraction of the campaign from the never-activated pool and removes a
     1/(3v) fraction of the currently active set. Removed requests never
     return, and a request is never touched once its window has opened;
@@ -473,15 +455,14 @@ def generate_dynamics(
     ids = sorted(by_id)
 
     init_count = math.ceil(n / 3)
-    initial = set(rng.sample(ids, init_count))
-    active = set(initial)
+    active = set(rng.sample(ids, init_count))
     pool = set(ids) - active  # never activated yet
 
     earliest = (2.0 / (3.0 * volatility)) * horizon_s
     times = sorted(rng.uniform(earliest, horizon_s) for _ in range(volatility))
 
     add_count = math.ceil(n * 2.0 / (3.0 * volatility))
-    events: list[ChangeEvent] = []
+    snapshots = [Snapshot(0.0, frozenset(active))]
     for c in times:
         eligible_add = sorted(rid for rid in pool if by_id[rid].start > c)
         adds = rng.sample(eligible_add, min(add_count, len(eligible_add)))
@@ -493,15 +474,5 @@ def generate_dynamics(
         active |= set(adds)
         active -= set(removes)
         pool -= set(adds)
-        events.append(ChangeEvent(time=c, added=tuple(sorted(adds)), removed=tuple(sorted(removes))))
-    return initial, events
-
-
-def build_snapshots(initial_active: set[int], events: list[ChangeEvent]) -> list[Snapshot]:
-    snaps = [Snapshot(0.0, frozenset(initial_active))]
-    active = set(initial_active)
-    for ev in events:
-        active |= set(ev.added)
-        active -= set(ev.removed)
-        snaps.append(Snapshot(ev.time, frozenset(active)))
-    return snaps
+        snapshots.append(Snapshot(c, frozenset(active)))
+    return snapshots

@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import geometry
 from .geometry import Constellation, OrbitalPlane, Target
 from .problem import (
-    ChangeEvent,
     Downlink,
     DynamicProblem,
     GenerationError,
     Request,
-    build_snapshots,
+    Snapshot,
     generate_campaign,
     generate_dynamics,
     generate_tasks,
@@ -58,6 +58,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         self._check_kinds()
+        # the name heads every scenario's file name and record label
+        if not re.fullmatch(r"[A-Za-z0-9._-]+", self.name):
+            raise ConfigError(f"name: expected letters, digits, '.', '_' or '-', got {self.name!r}")
         if self.constellation not in ("planet", "walker", "custom"):
             raise ConfigError(f"constellation: unknown value {self.constellation!r}")
         if self.constellation == "custom" and not self.custom_planes:
@@ -304,13 +307,13 @@ def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
     volatility = random.Random(f"volatility:{seed}").randint(vol_lo, vol_hi)
     label = f"{config.name}-{index:03d}"
     try:
-        initial, events = generate_dynamics(
+        snapshots = generate_dynamics(
             campaign, volatility, config.horizon_s, random.Random(f"dynamics:{seed}")
         )
     except GenerationError as exc:
         raise ConfigError(f"{label}: {exc}") from None
     try:
-        problem = _assemble_problem(constellation, targets, campaign, initial, events, config.horizon_s, seed)
+        problem = _assemble_problem(constellation, targets, campaign, snapshots, config.horizon_s, seed)
         problem.validate()
     except ValueError as exc:
         raise ConfigError(f"{label}: {exc}") from None
@@ -321,8 +324,7 @@ def _assemble_problem(
     constellation: Constellation,
     targets: list[Target],
     campaign: list[Request],
-    initial: set[int],
-    events: list[ChangeEvent],
+    snapshots: list[Snapshot],
     horizon_s: float,
     seed: int,
 ) -> DynamicProblem:
@@ -364,7 +366,7 @@ def _assemble_problem(
         requests={r.request_id: r for r in campaign},
         tasks_by_agent=tasks_by_agent,
         downlinks_by_agent=downlinks_by_agent,
-        snapshots=build_snapshots(initial, events),
+        snapshots=snapshots,
     )
 
 
@@ -373,6 +375,7 @@ def _assemble_problem(
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
+    snaps = sc.problem.snapshots
     return {
         "format_version": SCENARIO_FORMAT_VERSION,
         "config": sc.config.to_dict(),
@@ -383,9 +386,10 @@ def scenario_to_dict(sc: Scenario) -> dict:
             [r.request_id, r.target_id, r.start, r.end]
             for r in sorted(sc.problem.requests.values(), key=lambda r: r.request_id)
         ],
-        "initial_active": sorted(sc.problem.snapshots[0].active),
+        "initial_active": sorted(snaps[0].active),
         "events": [
-            [ev.time, list(ev.added), list(ev.removed)] for ev in sc.problem.events()
+            [cur.start, sorted(cur.active - prev.active), sorted(prev.active - cur.active)]
+            for prev, cur in zip(snaps, snaps[1:])
         ],
     }
 

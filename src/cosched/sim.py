@@ -1,11 +1,15 @@
 """Deterministic event-driven simulation of one solver over one scenario.
 
-The run is a pure fold over change events: at each event time, each schedule
-freezes its tasks that already started, the problem's active request set is
-swapped, the solver takes its step (instantaneous in simulated time), and the
-global assignment is snapshotted; the run context keeps the trace. Utility is
-evaluated afterwards from the snapshots alone, so a persisted run can be
-re-scored independently.
+The run is a pure fold over the problem's snapshots. At each change time the
+solver takes its step on the new active request set (instantaneous in
+simulated time). One commit pass then reads each agent's schedule once: it
+checks the schedule from first principles, records the held tasks of active
+requests in the run's snapshot, and freezes the held tasks that start before
+the next change time. No solver acts before that time, so those tasks run;
+and no solver inserts a task that starts before ``now``, so at every event
+the frozen tasks are exactly the held ones that started before it. The run
+context keeps the trace. Utility is evaluated afterwards from the snapshots
+alone, so a persisted run can be re-scored independently.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .geometry import SatelliteSpec, Target
+from .geometry import Target
 from .problem import DynamicProblem, check_constraints, dynamic_utility, satisfaction_pct
 from .solvers import (
     AgentState,
@@ -80,55 +84,43 @@ def build_context(problem: DynamicProblem) -> RunContext:
     return RunContext(problem, {aid: AgentState(sched) for aid, sched in fresh_schedules(problem).items()})
 
 
-def _advance(ctx: RunContext, window_start: float, now: float) -> None:
-    """Freeze every scheduled task that has started.
-
-    A task in a schedule at the change time ran during the elapsed static
-    window; it becomes an immutable fact for the rest of the run. A task of
-    positive length ran in the window (change times strictly increase, so it
-    starts before ``now``) exactly when it ends after ``window_start`` and
-    starts before ``now``, and ``tasks_between`` finds those tasks by
-    bisection: ``_assert_feasible`` has just verified that each schedule is
-    disjoint, and a validated problem's tasks have positive length, so the
-    ends rise with the starts.
-    """
-    for st in ctx.states.values():
-        for task in st.schedule.tasks_between(window_start, now):
-            st.schedule.freeze(task)
-    ctx.now = now
-
-
-def _capture_snapshot(ctx: RunContext, active: frozenset[int]) -> set[int]:
-    out: set[int] = set()
-    for st in ctx.states.values():
-        for rid, task in st.schedule.by_request.items():
-            if rid in active:
-                out.add(task.task_id)
-    return out
-
-
 def run(
     problem: DynamicProblem,
     targets: list[Target],
     solver_name: str,
     cfg: SolverConfig | None = None,
 ) -> RunResult:
-    """Replay the change-event timeline under one solver; fully deterministic.
+    """Replay the problem's snapshots under one solver; fully deterministic.
     ``targets`` is unused until ROADMAP item 1 drops it with perfbench's call sites."""
     cfg = cfg or SolverConfig()
     ctx = build_context(problem)
     solver: Solver = make_solver(solver_name, ctx, cfg)
 
-    agents = {a.agent_id: a for a in problem.agents}
     t0 = time.perf_counter()
     snapshots: list[set[int]] = []
     for t, snap in enumerate(problem.snapshots):
-        if t > 0:
-            _advance(ctx, problem.snapshots[t - 1].start, snap.start)
-        ctx.event_index = t
+        ctx.event_index, ctx.now = t, snap.start
         solver.on_event(snap.active)
-        _assert_feasible(ctx, agents)
-        snapshots.append(_capture_snapshot(ctx, snap.active))
+        scheduled: set[int] = set()
+        next_change = problem.static_window(t)[1]
+        for agent in problem.agents:
+            aid = agent.agent_id
+            sched = ctx.states[aid].schedule
+            tasks = sched.tasks()
+            verdict = check_constraints(
+                tasks, agent.memory_bytes, problem.downlinks_by_agent.get(aid, [])
+            )
+            if not verdict:
+                raise SolverInvariantError(
+                    f"agent {aid} schedule infeasible after event {t}: "
+                    f"{verdict.reason} ({verdict.detail})"
+                )
+            for task in tasks:
+                if task.request_id in snap.active:
+                    scheduled.add(task.task_id)
+                if task.start < next_change:
+                    sched.freeze(task)
+        snapshots.append(scheduled)
     wall = time.perf_counter() - t0
 
     satisfied = dynamic_utility(snapshots, problem)
@@ -151,20 +143,6 @@ def run(
         aid: [t.task_id for t in st.schedule.tasks()] for aid, st in ctx.states.items()
     }
     return RunResult(metrics=metrics, snapshots=snapshots, final_schedules=final)
-
-
-def _assert_feasible(ctx: RunContext, agents: dict[int, SatelliteSpec]) -> None:
-    for aid, st in ctx.states.items():
-        verdict = check_constraints(
-            st.schedule.tasks(),
-            agents[aid].memory_bytes,
-            ctx.problem.downlinks_by_agent.get(aid, []),
-        )
-        if not verdict:
-            raise SolverInvariantError(
-                f"agent {aid} schedule infeasible after event {ctx.event_index}: "
-                f"{verdict.reason} ({verdict.detail})"
-            )
 
 
 def stability_drops(trace: list[TraceRow], num_events: int) -> list[float]:

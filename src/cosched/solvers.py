@@ -10,8 +10,11 @@ the ``d`` variants (dnss, ddsa) repair their schedules incrementally, the
 
 All solvers share one event-driven interface: ``on_event(active)`` is invoked
 with the active request set once at the start of the run and once per problem
-change, after the simulation has set ``ctx.event_index`` and ``ctx.now`` and
-frozen the started tasks, and must leave every agent's schedule feasible. The
+change, after the simulation has set ``ctx.event_index`` and ``ctx.now``, and
+must leave every agent's schedule feasible. The simulation's commit pass after
+each event froze the held tasks that start before the next change time, so at
+every call the frozen tasks are exactly the held ones that started before
+``now``; no solver inserts a task that starts before ``now``. The
 iterative solvers advance in synchronous rounds; messages sent in round i are
 readable in round i+1, and every message is charged to its sender with its
 exact byte size. A search group stops after the first round that changes no
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -129,15 +132,6 @@ class ScheduleState:
     def __len__(self) -> int:
         return len(self._starts)
 
-    def tasks_between(self, lo: float, hi: float) -> list[Task]:
-        """The held tasks from the first that ends after ``lo`` to the last
-        that starts before ``hi``, in start order.
-
-        The bisection on ends is sound only while ends rise with starts: on a
-        disjoint schedule of positive-length tasks."""
-        i = bisect_right(self._starts, lo, key=lambda e: e[2].end)
-        return [t for _, _, t in self._starts[i:bisect_left(self._starts, (hi,))]]
-
     def _holds(self, task: Task) -> bool:
         held = self.by_request.get(task.request_id)
         return held is not None and held.task_id == task.task_id
@@ -196,7 +190,11 @@ class ScheduleState:
         self._loads[b] -= task.volume_bytes
 
     def freeze(self, task: Task) -> None:
-        """Mark a held task as started: it stays, and its request is executed."""
+        """Mark a held task as run: it stays, and its request is executed.
+
+        The simulation's commit pass calls this after every event for each
+        held task that starts before the next change time; freezing a frozen
+        task changes nothing."""
         if not self._holds(task):
             raise SolverInvariantError(f"agent {self.agent_id} does not hold task {task.task_id}")
         self.frozen.add(task.task_id)

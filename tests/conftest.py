@@ -14,12 +14,11 @@ import pytest
 from cosched.geometry import SatelliteSpec, Target
 from cosched.problem import (
     MB,
-    ChangeEvent,
     Downlink,
     DynamicProblem,
     Request,
+    Snapshot,
     Task,
-    build_snapshots,
 )
 from cosched.solvers import fresh_schedules
 
@@ -86,10 +85,9 @@ def make_problem(
                 t0 += dur + rng.uniform(50.0, 200.0)
 
     ids = sorted(requests)
-    initial = set(rng.sample(ids, max(1, len(ids) // 3)))
-    active = set(initial)
+    active = set(rng.sample(ids, max(1, len(ids) // 3)))
     pool = set(ids) - active
-    events: list[ChangeEvent] = []
+    snapshots = [Snapshot(0.0, frozenset(active))]
     times = sorted(rng.uniform(0.05 * horizon_len, 0.95 * horizon_len) for _ in range(n_events))
     for c in times:
         addable = sorted(r for r in pool if requests[r].start > c)
@@ -99,9 +97,8 @@ def make_problem(
         active |= set(adds)
         active -= set(rems)
         pool -= set(adds)
-        events.append(ChangeEvent(c, tuple(sorted(adds)), tuple(sorted(rems))))
+        snapshots.append(Snapshot(c, frozenset(active)))
 
-    snapshots = build_snapshots(initial, events)
     problem = DynamicProblem(
         horizon_s=horizon_len,
         agents=agents,

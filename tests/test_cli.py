@@ -163,6 +163,27 @@ def test_bad_solver_list_is_config_error(workspace, tmp_path, capsys):
     assert not any(tmp_path.iterdir())  # checked before any scenario runs
 
 
+def test_repeated_solver_is_config_error(workspace, tmp_path, capsys):
+    """A solver named twice would run twice, its second record overwriting
+    the first while the table averaged both."""
+    scen, _ = workspace
+    rc = main(
+        ["bench", "--scenarios", str(scen), "--out", str(tmp_path), "--solvers", "dnss,greedy,dnss"]
+    )
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: solvers: dnss listed twice\n"
+    assert not any(tmp_path.iterdir())  # checked before any scenario runs
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_generate_count_below_one_is_config_error(tmp_path, capsys, count):
+    out = tmp_path / "out"
+    rc = main(["generate", "--preset", "tiny", "--count", str(count), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: count: must be >= 1, got {count}\n"
+    assert not out.exists()  # checked before the output directory is made
+
+
 @pytest.mark.parametrize(
     "changes, field",
     [
@@ -193,12 +214,14 @@ def test_bad_solver_list_is_config_error(workspace, tmp_path, capsys):
         # JSON's true is 1 to Python, and a plane of count true held one satellite
         ({"custom_planes": [{"inclination_deg": 97.0, "altitude_km": 500.0, "raan_deg": 0.0,
                              "count": True}]}, "custom_planes[0]: count: expected an integer, got True"),
+        # the name becomes a file name and a record label
+        ({"name": "a/b"}, "name: expected letters, digits, '.', '_' or '-', got 'a/b'"),
     ],
     ids=["plane-without-count", "zero-memory", "zero-off-nadir", "flat-solver-field",
          "solver-p_u-out-of-range", "unknown-solver-key", "solver-not-an-object",
          "memory-not-a-number", "target-count-a-string", "horizon-null", "solver-p_u-a-string",
          "solver-max_iters-a-bool", "memory-nan", "horizon-infinite", "horizon-nan",
-         "plane-altitude-nan", "plane-raan-infinite", "plane-count-a-bool"],
+         "plane-altitude-nan", "plane-raan-infinite", "plane-count-a-bool", "name-with-a-slash"],
 )
 def test_malformed_config_file_is_config_error(tmp_path, capsys, changes, field):
     data = preset("tiny").to_dict()

@@ -21,9 +21,9 @@ from cosched.problem import (
     MB,
     DynamicProblem,
     Request,
+    Snapshot,
     Task,
     TimeInterval,
-    build_snapshots,
     check_constraints,
     static_utility,
 )
@@ -122,7 +122,7 @@ def test_branch_and_bound_restores_recursion_limit():
         requests={i: Request(i, i, 10.0 * i, 10.0 * i + 5.0) for i in range(n)},
         tasks_by_agent={0: [Task(i, i, 0, 10.0 * i, 10.0 * i + 5.0, MB) for i in range(n)]},
         downlinks_by_agent={},
-        snapshots=build_snapshots(set(range(n)), []),
+        snapshots=[Snapshot(0.0, frozenset(range(n)))],
     ))
     caller = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)

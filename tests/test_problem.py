@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,6 @@ from cosched.problem import (
     TASK_MEAN_VOLUME_BYTES,
     TASK_MIN_VOLUME_BYTES,
     TASK_SD_VOLUME_BYTES,
-    ChangeEvent,
     Downlink,
     GenerationError,
     MalformedScheduleError,
@@ -20,7 +20,6 @@ from cosched.problem import (
     Task,
     TimeInterval,
     Verdict,
-    build_snapshots,
     check_constraints,
     downlink_bucket,
     dynamic_utility,
@@ -616,10 +615,27 @@ def make_campaign(n, horizon_s):
     return [Request(i, i, i * width, (i + 1) * width) for i in range(n)]
 
 
+class Change(NamedTuple):
+    time: float
+    added: tuple[int, ...]
+    removed: tuple[int, ...]
+
+
+def dynamics(campaign, volatility, horizon_s, rng):
+    """``generate_dynamics``' snapshots read as the initial active set and
+    the change at each later snapshot."""
+    snaps = generate_dynamics(campaign, volatility, horizon_s, rng)
+    changes = [
+        Change(cur.start, tuple(sorted(cur.active - prev.active)), tuple(sorted(prev.active - cur.active)))
+        for prev, cur in zip(snaps, snaps[1:])
+    ]
+    return set(snaps[0].active), changes
+
+
 def test_dynamics_initial_third_and_event_count():
     campaign = make_campaign(30, 86400.0)
     for v in (1, 3, 5):
-        initial, events = generate_dynamics(campaign, v, 86400.0, random.Random(5))
+        initial, events = dynamics(campaign, v, 86400.0, random.Random(5))
         assert len(initial) == math.ceil(30 / 3)
         assert len(events) == v
         earliest = (2.0 / (3.0 * v)) * 86400.0
@@ -631,7 +647,7 @@ def test_dynamics_never_touches_open_requests_and_never_readds():
     campaign = make_campaign(60, 86400.0)
     by_id = {r.request_id: r for r in campaign}
     for seed in range(20):
-        initial, events = generate_dynamics(campaign, 4, 86400.0, random.Random(seed))
+        initial, events = dynamics(campaign, 4, 86400.0, random.Random(seed))
         active = set(initial)
         seen = set(initial)
         removed_ever: set[int] = set()
@@ -650,7 +666,7 @@ def test_dynamics_never_touches_open_requests_and_never_readds():
 def test_dynamics_fractions_bounded():
     n, v = 90, 3
     campaign = make_campaign(n, 86400.0)
-    initial, events = generate_dynamics(campaign, v, 86400.0, random.Random(11))
+    initial, events = dynamics(campaign, v, 86400.0, random.Random(11))
     add_cap = math.ceil(n * 2.0 / (3.0 * v))
     active = set(initial)
     for e in events:
@@ -672,10 +688,3 @@ def test_dynamics_rejects_degenerate_inputs():
         generate_dynamics(make_campaign(2, 100.0), 3, 100.0, random.Random(0))
     with pytest.raises(GenerationError):
         generate_dynamics(make_campaign(9, 100.0), 0, 100.0, random.Random(0))
-
-
-def test_build_snapshots_applies_events():
-    events = [ChangeEvent(40.0, (3,), (1,)), ChangeEvent(70.0, (), (3,))]
-    snaps = build_snapshots({1, 2}, events)
-    assert [s.start for s in snaps] == [0.0, 40.0, 70.0]
-    assert [set(s.active) for s in snaps] == [{1, 2}, {2, 3}, {2}]

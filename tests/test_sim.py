@@ -11,12 +11,11 @@ from cosched import sim
 from cosched.geometry import SatelliteSpec
 from cosched.problem import (
     MB,
-    ChangeEvent,
     Downlink,
     DynamicProblem,
     Request,
+    Snapshot,
     Task,
-    build_snapshots,
     check_constraints,
 )
 from cosched.sim import RunMetrics, TraceRow, run, stability_drops
@@ -129,6 +128,37 @@ def test_final_schedules_feasible_and_frozen_tasks_kept(rng):
         )
 
 
+def test_frozen_tasks_are_the_held_tasks_that_started(monkeypatch):
+    """At every event each schedule's frozen tasks are exactly its held tasks
+    that start before ``ctx.now``: the commit pass after an event freezes
+    what starts before the next change time, and no solver inserts a task
+    that starts before ``now``."""
+    make = sim.make_solver
+    frozen_seen = 0
+
+    def checking_make(name, ctx, c):
+        solver = make(name, ctx, c)
+        on_event = solver.on_event
+
+        def checked(active):
+            nonlocal frozen_seen
+            for aid, st in ctx.states.items():
+                started = {t.task_id for t in st.schedule.tasks() if t.start < ctx.now}
+                assert st.schedule.frozen == started, (name, ctx.event_index, aid)
+                frozen_seen += len(started)
+            on_event(active)
+
+        solver.on_event = checked
+        return solver
+
+    monkeypatch.setattr(sim, "make_solver", checking_make)
+    for seed in range(8):
+        problem, targets = make_problem(random.Random(seed), n_events=4)
+        for name in SOLVER_NAMES:
+            run(problem, targets, name, cfg())
+    assert frozen_seen > 100  # started tasks are exercised, not just possible
+
+
 def test_snapshots_only_contain_active_requests(rng):
     problem, targets = make_problem(rng, n_events=3)
     res = run(problem, targets, "ddsa", cfg())
@@ -202,7 +232,7 @@ def two_agent_problem() -> DynamicProblem:
         requests=requests,
         tasks_by_agent={0: [], 1: sorted(tasks.values(), key=lambda t: t.start)},
         downlinks_by_agent={0: [], 1: downlinks},
-        snapshots=build_snapshots(set(tasks), [ChangeEvent(50.0, (), ())]),
+        snapshots=[Snapshot(0.0, frozenset(tasks)), Snapshot(50.0, frozenset(tasks))],
     )
 
 

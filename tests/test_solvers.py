@@ -9,8 +9,8 @@ from cosched.problem import (
     Downlink,
     DynamicProblem,
     Request,
+    Snapshot,
     Task,
-    build_snapshots,
     check_constraints,
 )
 from cosched.sim import build_context, run
@@ -190,25 +190,6 @@ def test_closest_removable_matches_linear_scan():
             dist = sorted(abs(t.start - q) for t in removable)
             ties += len(dist) > 1 and dist[0] == dist[1]
     assert ties > 100  # equidistant nearest candidates are exercised, not just possible
-
-
-def test_tasks_between_matches_linear_scan():
-    """On disjoint schedules of positive-length tasks, including abutting ones,
-    the bisections return what a scan for the tasks that end after ``lo`` and
-    start before ``hi`` returns, at bounds on, between and beyond the tasks'
-    ends."""
-    rng = random.Random(12)
-    for _ in range(200):
-        st = ScheduleState(agent(), [])
-        for tid in range(rng.randint(0, 15)):
-            s = 5.0 * rng.randint(0, 20)
-            t = task(tid, tid, s, s + 5.0 * rng.randint(1, 3))
-            if st.can_insert(t):
-                st.insert(t)
-        for lo in range(-5, 115, 5):
-            for hi in range(lo, 120, 10):
-                expected = [t for t in st.tasks() if t.end > lo and t.start < hi]
-                assert st.tasks_between(float(lo), float(hi)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +397,7 @@ def search_context(holdings, frozen=(), now=0.0):
         requests=requests,
         tasks_by_agent={a: held + others for a, (held, others) in holdings.items()},
         downlinks_by_agent={a: [] for a in holdings},
-        snapshots=build_snapshots(set(requests), []),
+        snapshots=[Snapshot(0.0, frozenset(requests))],
     )
     problem.validate()
     ctx = build_context(problem)
