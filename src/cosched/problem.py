@@ -13,6 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .geometry import SatelliteSpec, Target
 
@@ -218,6 +219,10 @@ class Verdict:
         return self.feasible
 
 
+_BY_START = attrgetter("start")
+_BY_START_ID = attrgetter("start", "task_id")
+
+
 def downlink_bucket(task_end: float, downlink_starts: list[float]) -> int:
     """Index of the soonest downlink starting at or after the task's end.
 
@@ -232,59 +237,83 @@ def check_constraints(
 ) -> Verdict:
     """Full feasibility check of one agent's schedule, from first principles.
 
-    Verifies: no duplicate tasks (structural), no two tasks overlap, no task
-    overlaps a downlink, and per-downlink data volume within
-    min(memory, downlink capacity). The verdict names the first violation.
+    Verifies: no duplicate tasks and a single agent (structural, raised as
+    ``MalformedScheduleError``), no two tasks overlap, no task overlaps a
+    downlink, and per-downlink data volume within min(memory, downlink
+    capacity). The verdict names the first violation, by priority:
+    processing-conflict, then downlink-conflict, then capacity.
 
-    The downlink stage is one merge sweep over the start-sorted tasks and
-    downlinks: a pointer skips every downlink that ends at or before the
-    current task's start (task starts never decrease, so no later task can
-    overlap it either), and only downlinks starting before the task's end
-    are tested. This holds for overlapping downlink lists too, and reports
-    the same first (task, downlink) pair as testing every pair would.
+    After the structural checks, one walk over the tasks in (start, task id)
+    order does the rest. Each step tests the task against its predecessor and
+    returns a processing conflict at once; advances a merge sweep over the
+    start-sorted downlinks, in which a pointer skips every downlink that ends
+    at or before the task's start (task starts never decrease, so no later
+    task can overlap it either) and only downlinks starting before the task's
+    end are tested; and adds the task's volume to its bucket's load. The
+    sweep stops at the first (task, downlink) overlap, which is reported
+    after the walk; the bucket loads are checked last, in bucket order. This
+    names the same first pair as testing every pair would, for overlapping
+    downlink lists too.
     """
-    seen: set[int] = set()
-    agent_ids = set()
-    for t in tasks:
-        if t.task_id in seen:
-            raise MalformedScheduleError(f"duplicate task id {t.task_id}")
-        seen.add(t.task_id)
-        agent_ids.add(t.agent_id)
+    if len({t.task_id for t in tasks}) != len(tasks):
+        seen: set[int] = set()
+        for t in tasks:
+            if t.task_id in seen:
+                raise MalformedScheduleError(f"duplicate task id {t.task_id}")
+            seen.add(t.task_id)
+    agent_ids = {t.agent_id for t in tasks}
     if len(agent_ids) > 1:
         raise MalformedScheduleError(f"schedule mixes agents {sorted(agent_ids)}")
 
-    ordered = sorted(tasks, key=lambda t: (t.start, t.task_id))
-    for a, b in zip(ordered, ordered[1:]):
-        if max(a.start, b.start) < min(a.end, b.end):
+    dls = sorted(downlinks, key=_BY_START)
+    n = len(dls)
+    dl_starts = [d.start for d in dls]
+    dl_ends = [d.end for d in dls]
+    loads: dict[int, float] = {}
+    conflict: tuple[Task, Downlink] | None = None
+    k = 0  # the sweep's pointer; set to n once a conflict is kept
+    prev, prev_end = None, -math.inf
+    # the running load of bucket b, whose tasks end in (lo, hi]: in start
+    # order a bucket's tasks mostly come together, and a bucket met again
+    # resumes from its stored load, so each sum still adds in task order
+    b, lo, hi, load = None, math.inf, -math.inf, 0.0
+    for t in sorted(tasks, key=_BY_START_ID):
+        start, end = t.start, t.end
+        # prev.start <= start, so max(prev.start, start) < min(prev.end, end)
+        # reduces to these two comparisons
+        if start < prev_end and start < end:
             return Verdict(
-                False, "processing-conflict", f"tasks {a.task_id} and {b.task_id} overlap"
+                False, "processing-conflict", f"tasks {prev.task_id} and {t.task_id} overlap"
             )
-
-    dls = sorted(downlinks, key=lambda d: d.start)
-    k = 0
-    for t in ordered:
-        while k < len(dls) and dls[k].end <= t.start:
+        prev, prev_end = t, end
+        while k < n and dl_ends[k] <= start:
             k += 1
         j = k
-        while j < len(dls) and dls[j].start < t.end:
-            d = dls[j]
-            if max(t.start, d.start) < min(t.end, d.end):
-                return Verdict(
-                    False,
-                    "downlink-conflict",
-                    f"task {t.task_id} overlaps downlink {d.downlink_id}",
-                )
+        while j < n and dl_starts[j] < end:
+            if max(start, dl_starts[j]) < min(end, dl_ends[j]):
+                conflict, k = (t, dls[j]), n
+                break
             j += 1
+        if not lo < end <= hi:
+            if b is not None:
+                loads[b] = load
+            b = downlink_bucket(end, dl_starts)
+            lo = dl_starts[b - 1] if b > 0 else -math.inf
+            hi = dl_starts[b] if b < n else math.inf
+            load = loads.get(b, 0.0)
+        load += t.volume_bytes
+    if b is not None:
+        loads[b] = load
 
-    dl_starts = [d.start for d in dls]
-    loads: dict[int, float] = {}
-    for t in ordered:
-        b = downlink_bucket(t.end, dl_starts)
-        loads[b] = loads.get(b, 0.0) + t.volume_bytes
+    if conflict is not None:
+        t, d = conflict
+        return Verdict(
+            False, "downlink-conflict", f"task {t.task_id} overlaps downlink {d.downlink_id}"
+        )
     for b, load in sorted(loads.items()):
-        cap = memory_bytes if b == len(dls) else min(memory_bytes, dls[b].capacity_bytes)
+        cap = memory_bytes if b == n else min(memory_bytes, dls[b].capacity_bytes)
         if load > cap:
-            where = "end of horizon" if b == len(dls) else f"downlink {dls[b].downlink_id}"
+            where = "end of horizon" if b == n else f"downlink {dls[b].downlink_id}"
             return Verdict(
                 False, "capacity", f"{load:.0f} B before {where} exceeds {cap:.0f} B"
             )

@@ -4,12 +4,15 @@ The run is a pure fold over the problem's snapshots. At each change time the
 solver takes its step on the new active request set (instantaneous in
 simulated time). One commit pass then reads each agent's schedule once: it
 checks the schedule from first principles, records the held tasks of active
-requests in the run's snapshot, and freezes the held tasks that start before
-the next change time. No solver acts before that time, so those tasks run;
-and no solver inserts a task that starts before ``now``, so at every event
-the frozen tasks are exactly the held ones that started before it. The run
-context keeps the trace. Utility is evaluated afterwards from the snapshots
-alone, so a persisted run can be re-scored independently.
+requests in the run's snapshot, freezes the held tasks that start between
+now and the next change time, and scores the run as it goes. No solver acts
+before the next change time, so those tasks run; and no solver may insert a
+task that starts before ``now`` (the pass raises ``SolverInvariantError`` on
+one), so at every event the frozen tasks are exactly the held ones that
+started before it. A held task of an active request is executed when it
+overlaps the snapshot's static window, by ``executed_task_ids``' predicate;
+``dynamic_utility`` re-scores a persisted run from its snapshots alone,
+independently of this pass. The run context keeps the trace.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from .geometry import Target
-from .problem import DynamicProblem, check_constraints, dynamic_utility, satisfaction_pct
+from .problem import DynamicProblem, check_constraints, satisfaction_pct
 from .solvers import (
     AgentState,
     RunContext,
@@ -98,11 +101,13 @@ def run(
 
     t0 = time.perf_counter()
     snapshots: list[set[int]] = []
+    executed: set[int] = set()  # requests with a task that ran while active
     for t, snap in enumerate(problem.snapshots):
         ctx.event_index, ctx.now = t, snap.start
         solver.on_event(snap.active)
+        active = snap.active
+        now, next_change = problem.static_window(t)
         scheduled: set[int] = set()
-        next_change = problem.static_window(t)[1]
         for agent in problem.agents:
             aid = agent.agent_id
             sched = ctx.states[aid].schedule
@@ -115,15 +120,26 @@ def run(
                     f"agent {aid} schedule infeasible after event {t}: "
                     f"{verdict.reason} ({verdict.detail})"
                 )
+            frozen = sched.frozen
             for task in tasks:
-                if task.request_id in snap.active:
-                    scheduled.add(task.task_id)
-                if task.start < next_change:
+                start = task.start
+                if start < now:
+                    # an earlier pass froze every held task that started
+                    if task.task_id not in frozen:
+                        raise SolverInvariantError(
+                            f"agent {aid} holds unfrozen task {task.task_id} that starts "
+                            f"at {start}, before event {t} at {now}"
+                        )
+                elif start < next_change:
                     sched.freeze(task)
+                if task.request_id in active:
+                    scheduled.add(task.task_id)
+                    if max(start, now) < min(task.end, next_change):
+                        executed.add(task.request_id)
         snapshots.append(scheduled)
     wall = time.perf_counter() - t0
 
-    satisfied = dynamic_utility(snapshots, problem)
+    satisfied = len(executed & problem.ever_active)
     total = len(problem.ever_active)
     checks, draws, sent_bytes, sent_count = ctx.totals()
     metrics = RunMetrics(

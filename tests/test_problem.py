@@ -187,7 +187,9 @@ def random_schedule(rng):
     abut. Tasks run back to back with gaps (now and then one overlaps its
     predecessor); downlinks are either a disjoint chain or independently
     placed and overlapping. Some downlinks are shorter than a task, so one
-    task can straddle two, and a few intervals have zero length."""
+    task can straddle two, and a few intervals have zero length. Now and then
+    the schedule is malformed: one or two task ids repeat, a task belongs to a
+    second agent, or both."""
     unit = 7.0
     n = rng.randint(0, 40)
     ids = rng.sample(range(100), n)
@@ -201,6 +203,13 @@ def random_schedule(rng):
         )
         clock += length
     span = max(clock, 60)
+    if tasks and rng.random() < 0.08:
+        for _ in range(rng.randint(1, 2)):
+            again = replace(rng.choice(tasks), start=clock * unit, end=(clock + 9) * unit)
+            tasks.insert(rng.randrange(len(tasks) + 1), again)
+    if tasks and rng.random() < 0.06:
+        i = rng.randrange(len(tasks))
+        tasks[i] = replace(tasks[i], agent_id=1)
 
     dls = []
     overlapping = rng.random() < 0.3
@@ -219,14 +228,33 @@ def random_schedule(rng):
     return tasks, rng.uniform(60, 1000) * MB, dls
 
 
+def test_bucket_met_again_resumes_its_load():
+    """A zero-length task may end in an earlier downlink bucket than the task
+    before it; the next task's bucket then resumes the load it held."""
+    dls = [Downlink(0, 0, 30, 30, 500 * MB), Downlink(1, 0, 70, 80, 500 * MB)]
+    tasks = [task(0, 0, 0, 63, 60 * MB), task(1, 1, 10, 10, 5 * MB), task(2, 2, 63, 66, 50 * MB)]
+    v = check_constraints(tasks, 100 * MB, dls)
+    assert (v.reason, v.detail) == ("capacity", "110000000 B before downlink 1 exceeds 100000000 B")
+    assert v == nested_loop_check_constraints(tasks, 100 * MB, dls)
+
+
 def test_merge_sweep_verdict_matches_nested_loop(rng):
     """Same (feasible, reason, detail) as the nested-loop check, including
-    overlapping downlink lists, straddling tasks and abutting intervals."""
+    overlapping downlink lists, straddling tasks and abutting intervals; on a
+    malformed schedule, the same ``MalformedScheduleError`` message."""
     reasons: dict[str | None, int] = {}
     for _ in range(3000):
         tasks, memory, dls = random_schedule(rng)
+        try:
+            want = nested_loop_check_constraints(tasks, memory, dls)
+        except MalformedScheduleError as exc:
+            with pytest.raises(MalformedScheduleError) as got_exc:
+                check_constraints(tasks, memory, dls)
+            assert str(got_exc.value) == str(exc)
+            kind = str(exc).split(" ", 1)[0]  # "duplicate" or "schedule" (mixes agents)
+            reasons[kind] = reasons.get(kind, 0) + 1
+            continue
         got = check_constraints(tasks, memory, dls)
-        want = nested_loop_check_constraints(tasks, memory, dls)
         assert (got.feasible, got.reason, got.detail) == (
             want.feasible,
             want.reason,
@@ -235,6 +263,8 @@ def test_merge_sweep_verdict_matches_nested_loop(rng):
         reasons[want.reason] = reasons.get(want.reason, 0) + 1
     for reason in (None, "processing-conflict", "downlink-conflict", "capacity"):
         assert reasons.get(reason, 0) >= 100, reasons
+    for kind in ("duplicate", "schedule"):
+        assert reasons.get(kind, 0) >= 50, reasons
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from cosched.problem import (
     Snapshot,
     Task,
     check_constraints,
+    dynamic_utility,
 )
 from cosched.sim import RunMetrics, TraceRow, run, stability_drops
 from cosched.solvers import SOLVER_NAMES, Solver, SolverConfig, SolverInvariantError
@@ -108,6 +109,39 @@ def test_run_records_match_pinned_digests(seed, problem_kw, cfg_kw):
         record = run(problem, targets, name, SolverConfig(**cfg_kw)).to_record()
         digests[name] = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
     assert digests == PINNED_DIGESTS[seed]
+
+
+def test_commit_pass_score_matches_dynamic_utility():
+    """The commit pass scores the run as it goes; ``dynamic_utility``
+    re-scores the same snapshots independently, and the two must agree."""
+    instances = PINNED_INSTANCES + [(seed, dict(n_events=4), {}) for seed in range(8)]
+    for seed, problem_kw, cfg_kw in instances:
+        problem, targets = make_problem(random.Random(seed), **problem_kw)
+        for name in SOLVER_NAMES:
+            result = run(problem, targets, name, SolverConfig(**cfg_kw))
+            assert result.metrics.satisfied == dynamic_utility(result.snapshots, problem), (
+                seed,
+                name,
+            )
+
+
+def test_feasibility_checked_once_per_agent_per_event(monkeypatch):
+    """The commit pass calls ``check_constraints`` through this module's
+    attribute, once per agent per event: the count a profiler that wraps
+    ``sim.check_constraints`` reports as the harness's feasibility calls."""
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return check_constraints(*args)
+
+    monkeypatch.setattr(sim, "check_constraints", counting)
+    problem, targets = make_problem(random.Random(4), n_agents=5, n_events=4)
+    for name in SOLVER_NAMES:
+        calls = 0
+        run(problem, targets, name, cfg())
+        assert calls == len(problem.agents) * len(problem.snapshots), name
 
 
 def test_wall_time_excluded_from_records(rng):
@@ -267,3 +301,31 @@ def test_harness_rejects_solver_that_bypasses_can_insert(monkeypatch, bad_task, 
     with pytest.raises(SolverInvariantError) as err:
         run(problem, [], "corrupting", cfg())
     assert str(err.value) == f"agent 1 schedule infeasible after event 1: {message}"
+
+
+def test_harness_rejects_solver_that_inserts_into_the_past(monkeypatch):
+    """A solver that inserts, at an event, a feasible task that starts before
+    the event's change time is stopped by the commit pass: the task never
+    ran, so it may neither be frozen nor scored."""
+
+    class Corrupting(Solver):
+        name = "corrupting"
+
+        def on_event(self, active):
+            if self.ctx.event_index == 1:
+                schedule = self.ctx.states[1].schedule
+                past = self.ctx.problem.tasks[13]
+                assert past.start < self.ctx.now and schedule.can_insert(past)
+                schedule.insert(past)
+
+    monkeypatch.setattr(sim, "make_solver", lambda name, ctx, c: Corrupting(ctx, c))
+    problem = two_agent_problem()
+    problem = dataclasses.replace(
+        problem, snapshots=[problem.snapshots[0], Snapshot(400.0, problem.snapshots[1].active)]
+    )
+    problem.validate()
+    with pytest.raises(SolverInvariantError) as err:
+        run(problem, [], "corrupting", cfg())
+    assert str(err.value) == (
+        "agent 1 holds unfrozen task 13 that starts at 300.0, before event 1 at 400.0"
+    )
