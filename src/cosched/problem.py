@@ -13,7 +13,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, lt
 
 from .geometry import SatelliteSpec, Target
 
@@ -57,7 +58,7 @@ class TimeInterval:
         return max(self.start, other.start) < min(self.end, other.end)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task:
     task_id: int
     request_id: int
@@ -244,7 +245,9 @@ def check_constraints(
     processing-conflict, then downlink-conflict, then capacity.
 
     After the structural checks, one walk over the tasks in (start, task id)
-    order does the rest. Each step tests the task against its predecessor and
+    order does the rest; a list whose starts strictly increase, as a
+    ``ScheduleState``'s tasks do, is already in that order and is not
+    re-sorted. Each step tests the task against its predecessor and
     returns a processing conflict at once; advances a merge sweep over the
     start-sorted downlinks, in which a pointer skips every downlink that ends
     at or before the task's start (task starts never decrease, so no later
@@ -277,7 +280,9 @@ def check_constraints(
     # order a bucket's tasks mostly come together, and a bucket met again
     # resumes from its stored load, so each sum still adds in task order
     b, lo, hi, load = None, math.inf, -math.inf, 0.0
-    for t in sorted(tasks, key=_BY_START_ID):
+    starts = list(map(_BY_START, tasks))
+    ordered = tasks if all(map(lt, starts, islice(starts, 1, None))) else sorted(tasks, key=_BY_START_ID)
+    for t in ordered:
         start, end = t.start, t.end
         # prev.start <= start, so max(prev.start, start) < min(prev.end, end)
         # reduces to these two comparisons

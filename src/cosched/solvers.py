@@ -30,15 +30,27 @@ scheduled and what already ran, and counts its constraint checks; an
 and sent messages and bytes; a search keeps its round state to itself; and
 the ``RunContext`` sums the counters and appends a ``TraceRow`` at every
 ``record_iteration``.
+
+Every random order comes from ``shuffle``, which permutes a list exactly as
+``random.Random.shuffle`` does. CPython's shuffle (3.10 to 3.13) swaps each
+position i, from the last down to 1, with one drawn by rejection sampling:
+``getrandbits(k)`` for k the bit length of i + 1, redrawn while above i.
+``shuffle`` makes the same calls in the same order, so it leaves the same
+permutation and the same RNG state, but without the stdlib's method call
+per item; the run records are those of the stdlib shuffle, which
+``test_shuffle_matches_the_stdlib_draw_for_draw`` checks on each
+interpreter the tests run on.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .decomposition import SearchGroup, gnd
 from .geometry import SatelliteSpec
@@ -46,12 +58,33 @@ from .problem import Downlink, DynamicProblem, Task, satisfaction_pct
 
 SOLVER_NAMES = ("random", "greedy", "dnss", "0nss", "ddsa", "0dsa")
 
+_BY_START_ID = attrgetter("start", "task_id")
+
 MESSAGE_HEADER_BYTES = 16
 PER_REQUEST_BYTES = 9  # 8-byte request id + 1 flag byte
 
 
 def message_bytes(num_carried_requests: int) -> int:
     return MESSAGE_HEADER_BYTES + PER_REQUEST_BYTES * num_carried_requests
+
+
+def shuffle(x: list, rng: random.Random) -> None:
+    """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` would, for a
+    ``random.Random`` that overrides neither ``random`` nor ``getrandbits``
+    (the module docstring says why): the same ``getrandbits(k)`` calls in
+    the same order, with k computed once per run of positions i whose
+    i + 1 has the same bit length."""
+    getrandbits = rng.getrandbits
+    i = len(x) - 1
+    while i > 0:
+        k = (i + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the smallest i for which i + 1 has bit length k
+        for i in range(i, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        i = low - 1
 
 
 class SolverInvariantError(Exception):
@@ -107,30 +140,37 @@ class SolverConfig:
 class ScheduleState:
     """One agent's committed schedule with incremental feasibility checks.
 
-    Holds each task once, in a list sorted by (start, task id) and indexed
-    by request in ``by_request``, plus per-downlink capacity loads and what
-    already ran: ``frozen`` holds the started tasks, which may never be
-    removed, ``executed`` their requests, and ``freeze`` alone writes both.
-    Every feasibility query adds one to ``checks``.
+    Holds each task once, indexed by request in ``by_request`` and listed in
+    (start, task id) order in ``_tasks``, with their starts in ``_starts``,
+    so one bisect over plain floats finds a task's place. It also keeps each
+    downlink bucket's capacity and load (bucket b holds the tasks whose
+    soonest downlink at or after their end is downlink b; the last bucket,
+    past every downlink, is bounded by memory alone) and what already ran:
+    ``frozen`` holds the started tasks, which may never be removed,
+    ``executed`` their requests, and ``freeze`` alone writes both. Every
+    feasibility query adds one to ``checks``.
     """
 
     def __init__(self, agent: SatelliteSpec, downlinks: list[Downlink]):
         self.agent_id = agent.agent_id
-        self.memory = agent.memory_bytes
-        self.downlinks = sorted(downlinks, key=lambda d: d.start)
-        self._dl_starts = [d.start for d in self.downlinks]
+        memory = agent.memory_bytes
+        downlinks = sorted(downlinks, key=lambda d: d.start)
+        self._dl_starts = [d.start for d in downlinks]
+        self._dl_ends = [d.end for d in downlinks]
+        self._caps = [min(memory, d.capacity_bytes) for d in downlinks] + [memory]
+        self._loads = [0.0] * len(self._caps)
         self.checks = 0  # can_insert calls
-        self._starts: list[tuple[float, int, Task]] = []  # (start, task_id, task), sorted
+        self._starts: list[float] = []
+        self._tasks: list[Task] = []
         self.by_request: dict[int, Task] = {}
-        self._loads: dict[int, float] = {}
         self.frozen: set[int] = set()  # task ids
         self.executed: set[int] = set()  # request ids of the frozen tasks
 
     def tasks(self) -> list[Task]:
-        return [t for _, _, t in self._starts]
+        return self._tasks.copy()
 
     def __len__(self) -> int:
-        return len(self._starts)
+        return len(self._tasks)
 
     def _holds(self, task: Task) -> bool:
         held = self.by_request.get(task.request_id)
@@ -143,68 +183,112 @@ class ScheduleState:
         """Index of the soonest downlink starting at or after the task's end."""
         return bisect_left(self._dl_starts, task.end)
 
-    def _bucket_cap(self, b: int) -> float:
-        if b == len(self.downlinks):
-            return self.memory
-        return min(self.memory, self.downlinks[b].capacity_bytes)
+    def _past_ties(self, i: int, task_id: int) -> int:
+        """From the first held task starting with ``_starts[i]``, the place
+        of ``task_id`` in (start, task id) order among the tasks starting
+        then. Held tasks share a start only if they overlap or have zero
+        length, so callers come here only when a bisect lands on a tie."""
+        starts, tasks = self._starts, self._tasks
+        start = starts[i]
+        while i < len(starts) and starts[i] == start and tasks[i].task_id < task_id:
+            i += 1
+        return i
 
     def can_insert(self, task: Task) -> bool:
         self.checks += 1
-        if task.agent_id != self.agent_id or self._holds(task):
+        if task.agent_id != self.agent_id:
             return False
+        held = self.by_request.get(task.request_id)
+        if held is not None and held.task_id == task.task_id:
+            return False
+        start, end = task.start, task.end
         # processing conflicts: schedule is disjoint, so only the immediate
         # neighbors in start order can overlap
-        i = bisect_left(self._starts, (task.start, task.task_id))
-        if i > 0 and self._starts[i - 1][2].end > task.start:
+        starts = self._starts
+        i = bisect_left(starts, start)
+        if i < len(starts) and starts[i] == start:
+            i = self._past_ties(i, task.task_id)
+        if i and self._tasks[i - 1].end > start:
             return False
-        if i < len(self._starts) and self._starts[i][0] < task.end:
+        if i < len(starts) and starts[i] < end:
             return False
         # downlink overlap: same argument over the disjoint downlink list,
         # where the last downlink starting before the task ends precedes its bucket
-        b = self.bucket(task)
-        if b > 0 and self.downlinks[b - 1].end > task.start:
+        b = bisect_left(self._dl_starts, end)
+        if b and self._dl_ends[b - 1] > start:
             return False
         # capacity before the soonest future downlink
-        if self._loads.get(b, 0.0) + task.volume_bytes > self._bucket_cap(b):
-            return False
-        return True
+        return not self._loads[b] + task.volume_bytes > self._caps[b]
 
     def insert(self, task: Task) -> None:
         if task.request_id in self.by_request:
             raise SolverInvariantError(
                 f"agent {self.agent_id} already holds a task for request {task.request_id}"
             )
-        insort(self._starts, (task.start, task.task_id, task))
+        start, starts = task.start, self._starts
+        i = bisect_left(starts, start)
+        if i < len(starts) and starts[i] == start:
+            i = self._past_ties(i, task.task_id)
+        starts.insert(i, start)
+        self._tasks.insert(i, task)
         self.by_request[task.request_id] = task
-        b = self.bucket(task)
-        self._loads[b] = self._loads.get(b, 0.0) + task.volume_bytes
+        self._loads[bisect_left(self._dl_starts, task.end)] += task.volume_bytes
 
     def remove(self, task: Task) -> None:
         if task.task_id in self.frozen:
             raise SolverInvariantError(f"task {task.task_id} is frozen and cannot be removed")
         if not self._holds(task):
             raise SolverInvariantError(f"agent {self.agent_id} does not hold task {task.task_id}")
-        del self._starts[bisect_left(self._starts, (task.start, task.task_id))]
+        start, starts = task.start, self._starts
+        i = bisect_left(starts, start)
+        if starts[i] == start:
+            i = self._past_ties(i, task.task_id)
+        del starts[i]
+        del self._tasks[i]
         del self.by_request[task.request_id]
-        b = self.bucket(task)
-        self._loads[b] -= task.volume_bytes
+        self._loads[bisect_left(self._dl_starts, task.end)] -= task.volume_bytes
 
     def freeze(self, task: Task) -> None:
         """Mark a held task as run: it stays, and its request is executed.
 
         The simulation's commit pass calls this after every event for each
-        held task that starts before the next change time; freezing a frozen
-        task changes nothing."""
+        held task that starts at or after the event and before the next
+        change time; the tasks that started earlier were frozen by an
+        earlier pass."""
         if not self._holds(task):
             raise SolverInvariantError(f"agent {self.agent_id} does not hold task {task.task_id}")
         self.frozen.add(task.task_id)
         self.executed.add(task.request_id)
 
-    def drop_where(self, doomed: Callable[[Task], bool]) -> None:
-        """Remove, in start order, every non-frozen task ``doomed`` accepts."""
-        for task in self.tasks():
-            if task.task_id not in self.frozen and doomed(task):
-                self.remove(task)
+    def drop_where(self, doomed: Callable[[Task], bool] | None = None) -> None:
+        """Remove, in start order, every non-frozen task ``doomed`` accepts
+        (every non-frozen task if ``doomed`` is None). One pass: each bucket
+        load loses the removed volumes in start order, as one ``remove`` per
+        task would."""
+        frozen, by_request, loads, dl_starts = self.frozen, self.by_request, self._loads, self._dl_starts
+        kept = []
+        for task in self._tasks:
+            if task.task_id in frozen or (doomed is not None and not doomed(task)):
+                kept.append(task)
+            else:
+                del by_request[task.request_id]
+                loads[bisect_left(dl_starts, task.end)] -= task.volume_bytes
+        self._tasks = kept
+        self._starts = [t.start for t in kept]
+
+    def drop_requests(self, request_ids: set[int]) -> None:
+        """Remove, in start order, the held non-frozen tasks of these
+        requests: what ``drop_where`` removes for a predicate true on
+        exactly these requests, without visiting every held task."""
+        by_request, frozen = self.by_request, self.frozen
+        doomed = [t for t in map(by_request.get, request_ids) if t is not None and t.task_id not in frozen]
+        doomed.sort(key=_BY_START_ID)
+        for task in doomed:
+            self.remove(task)
+
+    def clear(self) -> None:
+        """Remove every non-frozen task: the from-scratch variants' reset."""
+        self.drop_where()
 
     def closest_removable(self, start: float) -> Task | None:
         """Non-frozen scheduled task nearest in start time; ties prefer the
@@ -212,17 +296,20 @@ class ScheduleState:
 
         Walks outward from ``start`` on both sides of the start-ordered list;
         a side stops at the first task farther away than the best so far."""
+        starts, tasks, frozen = self._starts, self._tasks, self.frozen
         best = None
         best_key = None
-        i = bisect_left(self._starts, (start,))
-        for side in (range(i - 1, -1, -1), range(i, len(self._starts))):
+        i = bisect_left(starts, start)
+        for side in (range(i - 1, -1, -1), range(i, len(starts))):
             for j in side:
-                _, tid, t = self._starts[j]
-                key = (abs(t.start - start), -t.volume_bytes, tid)
-                if best_key is not None and key[0] > best_key[0]:
+                d = abs(starts[j] - start)
+                if best_key is not None and d > best_key[0]:
                     break
-                if tid not in self.frozen and (best_key is None or key < best_key):
-                    best, best_key = t, key
+                t = tasks[j]
+                if t.task_id not in frozen:
+                    key = (d, -t.volume_bytes, t.task_id)
+                    if best_key is None or key < best_key:
+                        best, best_key = t, key
         return best
 
 
@@ -308,7 +395,7 @@ def schedule_insert(sched: ScheduleState, request_id: int, candidates: list[Task
     retried; on failure the removed task is restored. A displaced task's
     request stays assigned, so the agent may re-schedule it later.
     """
-    if sched.has_request(request_id):
+    if request_id in sched.by_request:
         return True
     for task in candidates:
         if task.start < now:
@@ -336,25 +423,24 @@ def repair(state: AgentState, allowed: frozenset[int], ctx: RunContext, rng: ran
     whose request is not yet held. The result is always feasible.
     """
     sched = state.schedule
-    executed = state.reported_executed | sched.executed
-    sched.drop_where(lambda t: t.request_id not in allowed or t.request_id in executed)
-    state.assigned &= allowed
-    state.assigned |= set(sched.by_request) & allowed
-    state.assigned -= executed
+    # the requests the agent may hold: allowed and not executed
+    executed = sched.executed
+    ok = allowed.difference(state.reported_executed, executed)
+    # the held requests outside ``ok``, less the frozen tasks' own, which stay
+    sched.drop_requests(sched.by_request.keys() - ok - executed)
+    assigned = state.assigned
+    assigned.update(sched.by_request)
+    assigned &= ok
 
-    pool = [
-        t
-        for t in ctx.problem.tasks_by_agent.get(sched.agent_id, [])
-        if t.request_id in allowed
-        and t.request_id not in executed
-        and t.start >= ctx.now
-    ]
-    rng.shuffle(pool)
+    now = ctx.now
+    pool = [t for t in ctx.problem.tasks_by_agent.get(sched.agent_id, []) if t.start >= now and t.request_id in ok]
+    shuffle(pool, rng)
     state.draws += len(pool)
+    by_request, can_insert, insert = sched.by_request, sched.can_insert, sched.insert
     for task in pool:
-        if not sched.has_request(task.request_id) and sched.can_insert(task):
-            sched.insert(task)
-            state.assigned.add(task.request_id)
+        if task.request_id not in by_request and can_insert(task):
+            insert(task)
+            assigned.add(task.request_id)
 
 
 def synchronous_search(groups: list[SearchGroup], ctx: RunContext, cfg: SolverConfig) -> int:
@@ -368,68 +454,118 @@ def synchronous_search(groups: list[SearchGroup], ctx: RunContext, cfg: SolverCo
     since the next round would re-send byte-identical payloads. With
     run_all_iterations every group runs all max_iters rounds. Returns the
     number of rounds executed.
+
+    No two groups may share an agent, as none do in gnd's partition of the
+    fleet or in the one whole-fleet group: each member's assignments and RNG
+    then belong to one group, so a member's executed requests, which no
+    round can change, are dropped once, in its group's first round.
     """
+    agents = [a for g in groups for a in g.agents]
+    if len(set(agents)) != len(agents):
+        raise ValueError("search groups share an agent")
     last = {a: set(st.schedule.by_request) for a, st in ctx.states.items()}
+    live = [_GroupSearch(g, ctx) for g in groups]
     rounds = 0
-    live = list(groups)
     while live and rounds < cfg.max_iters:
         rounds += 1
-        live = [g for g in live if _search_round(g, ctx, cfg, last) or cfg.run_all_iterations]
+        live = [s for s in live if s.round(ctx, cfg, last) or cfg.run_all_iterations]
         ctx.record_iteration(rounds)
     return rounds
 
 
-def _search_round(group: SearchGroup, ctx: RunContext, cfg: SolverConfig, last: dict[int, set[int]]) -> bool:
-    """One round for one group; True if any member's scheduled set changed.
-    ``last`` holds each member's scheduled requests after the previous round,
-    and is brought up to date here."""
-    states = ctx.states
-    members = group.agents
-    # message exchange: each member broadcasts its scheduled-last-round set
-    counts: dict[int, int] = {}
-    group_executed: set[int] = set()
-    payloads: dict[int, set[int]] = {}
-    for a in members:
-        st = states[a]
-        payload = last[a] & group.requests
-        payloads[a] = payload
-        for rid in payload:
-            counts[rid] = counts.get(rid, 0) + 1
-        group_executed |= st.schedule.executed & group.requests
-        fanout = len(members) - 1
-        st.sent_count += fanout
-        st.sent_bytes += fanout * message_bytes(len(payload))
-    for a in members:
-        states[a].reported_executed |= group_executed
+class _GroupSearch:
+    """One group's round state for one search: each member's id, state and
+    requests in the group (in id order; every round shuffles a copy), the
+    payload each member last sent with the ``last`` set it came from, how
+    many payloads carry each request, and the group's executed requests."""
 
-    for a in members:
-        st = states[a]
-        mine = [rid for rid in ctx.problem.agent_requests.get(a, []) if rid in group.requests]
-        st.rng.shuffle(mine)
-        st.draws += len(mine)
-        own_payload = payloads[a]
-        for rid in mine:
-            w = counts.get(rid, 0) - (1 if rid in own_payload else 0)
-            executed, assigned = rid in group_executed, rid in st.assigned
-            st.draws += assigned and not executed  # stochastic_update's one draw
-            if stochastic_update(executed, assigned, w, cfg.p_u, st.rng):
-                st.assigned.add(rid)
-                if not st.schedule.has_request(rid):
-                    schedule_insert(st.schedule, rid, ctx.problem.candidates.get((a, rid), []), ctx.now)
-            else:
-                st.assigned.discard(rid)
-                if executed:
-                    # unassignment alone never evicts a scheduled task; only a
-                    # request executed elsewhere in the group is dropped here
-                    task = st.schedule.by_request.get(rid)
-                    if task is not None and task.task_id not in st.schedule.frozen:
-                        st.schedule.remove(task)
-    changed = False
-    for a in members:
-        new_sched = set(states[a].schedule.by_request)
-        changed |= new_sched != last[a]
-        last[a] = new_sched
-    return changed
+    def __init__(self, group: SearchGroup, ctx: RunContext):
+        requests = group.requests
+        agent_requests = ctx.problem.agent_requests
+        self.requests = requests
+        self.members = [
+            (a, ctx.states[a], [r for r in agent_requests.get(a, ()) if r in requests])
+            for a in group.agents
+        ]
+        # a search never freezes a task, so the members report the same
+        # executed requests in every round, and only the first round's
+        # report and drops change anything
+        self.executed = set().union(*(st.schedule.executed for _, st, _ in self.members)) & requests
+        self.first = True
+        self.sent: list[tuple[set[int] | None, set[int]]] = [(None, set())] * len(self.members)
+        self.counts: Counter[int] = Counter()  # request -> members whose payload carries it
+
+    def round(self, ctx: RunContext, cfg: SolverConfig, last: dict[int, set[int]]) -> bool:
+        """One round; True if any member's scheduled set changed. ``last``
+        holds each agent's scheduled requests after the previous round, and
+        is brought up to date here.
+
+        The update is ``stochastic_update`` inlined, with its draws in the
+        same order: an executed request is dropped, an unassigned one is
+        taken iff no other member sent it, and only an assigned one draws,
+        keeping its assignment with probability 1 - p_u alone or 1/w
+        against w others. ``test_search_records_match_the_reference_search``
+        compares whole runs against a search that calls ``stochastic_update``."""
+        members, requests, executed = self.members, self.requests, self.executed
+        # message exchange: each member broadcasts its scheduled-last-round
+        # set; a payload, and its part of ``counts``, is recomputed only
+        # when that set changed
+        fanout = len(members) - 1
+        sent, counts, first = self.sent, self.counts, self.first
+        self.first = False
+        for k, (a, st, _) in enumerate(members):
+            held, payload = sent[k]
+            if held is not last[a]:
+                held, old = last[a], payload
+                payload = held & requests
+                sent[k] = (held, payload)
+                counts.update(payload - old)
+                for rid in old - payload:
+                    counts[rid] -= 1
+            st.sent_count += fanout
+            st.sent_bytes += fanout * message_bytes(len(payload))
+            if first:
+                st.reported_executed |= executed
+
+        candidates, now = ctx.problem.candidates, ctx.now
+        stay = 1.0 - cfg.p_u
+        for (a, st, mine), (_, own) in zip(members, sent):
+            sched, assigned, rng = st.schedule, st.assigned, st.rng
+            by_request, frozen, random = sched.by_request, sched.frozen, rng.random
+            if first:
+                assigned -= executed  # an executed request loses its assignment
+            order = mine.copy()
+            shuffle(order, rng)
+            # one draw per shuffled request, and one more per assigned
+            # request; no executed request is assigned by now
+            st.draws += len(order) + len(assigned.intersection(order))
+            for rid in order:
+                if rid in assigned:
+                    w = counts.get(rid, 0) - (rid in own)
+                    if random() < (stay if w == 0 else 1.0 / w):
+                        if rid not in by_request:
+                            schedule_insert(sched, rid, candidates.get((a, rid), []), now)
+                    else:
+                        assigned.discard(rid)
+                elif rid in executed:
+                    # unassignment alone never evicts a scheduled task; only
+                    # a request executed elsewhere in the group is dropped,
+                    # in the first round, after which no member holds it
+                    if first:
+                        task = by_request.get(rid)
+                        if task is not None and task.task_id not in frozen:
+                            sched.remove(task)
+                elif counts.get(rid, 0) == (rid in own):  # no other member sent it
+                    assigned.add(rid)
+                    if rid not in by_request:
+                        schedule_insert(sched, rid, candidates.get((a, rid), []), now)
+        changed = False
+        for a, st, _ in members:
+            held = st.schedule.by_request.keys()
+            if held != last[a]:
+                last[a] = set(held)
+                changed = True
+        return changed
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +597,7 @@ class SearchSolver(Solver):
     def _clear_mutable_state(self) -> None:
         """Reset to the frozen tasks only (the from-scratch variants)."""
         for st in self.ctx.states.values():
-            st.schedule.drop_where(lambda t: True)
+            st.schedule.clear()
             st.assigned = set()
 
     def on_event(self, active: frozenset[int]) -> None:
@@ -497,13 +633,14 @@ class GreedySolver(Solver):
     def on_event(self, active: frozenset[int]) -> None:
         ctx = self.ctx
         ctx.record_iteration(0)
+        now = ctx.now
         for a in sorted(ctx.states):
             sched = ctx.states[a].schedule
-            sched.drop_where(lambda t: t.request_id not in active)
+            sched.drop_requests(sched.by_request.keys() - active)
+            by_request = sched.by_request
             for task in self._pass_order(a, active):
-                if task.start >= ctx.now and not sched.has_request(task.request_id):
-                    if sched.can_insert(task):
-                        sched.insert(task)
+                if task.start >= now and task.request_id not in by_request and sched.can_insert(task):
+                    sched.insert(task)
         ctx.record_iteration(1)
 
     def _pass_order(self, agent_id: int, active: frozenset[int]) -> list[Task]:
@@ -526,7 +663,7 @@ class RandomSolver(GreedySolver):
         rng = random.Random(
             f"random-solver:{self.cfg.random_solver_seed}:{self.ctx.event_index}:{agent_id}"
         )
-        rng.shuffle(pool)
+        shuffle(pool, rng)
         self.ctx.states[agent_id].draws += len(pool)
         return pool
 

@@ -241,30 +241,50 @@ def test_bucket_met_again_resumes_its_load():
 def test_merge_sweep_verdict_matches_nested_loop(rng):
     """Same (feasible, reason, detail) as the nested-loop check, including
     overlapping downlink lists, straddling tasks and abutting intervals; on a
-    malformed schedule, the same ``MalformedScheduleError`` message."""
+    malformed schedule, the same ``MalformedScheduleError`` message. Each
+    schedule is checked as generated, in (start, task id) order (the order a
+    ``ScheduleState`` hands over, which is not re-sorted when its starts
+    strictly increase) and shuffled, so sorted and unsorted inputs both
+    occur, with and without tied starts."""
     reasons: dict[str | None, int] = {}
+    orders = {"strict": 0, "tied": 0, "unsorted": 0}
+    shuffler = random.Random(7)  # leaves ``rng``'s schedules as they were
     for _ in range(3000):
         tasks, memory, dls = random_schedule(rng)
-        try:
-            want = nested_loop_check_constraints(tasks, memory, dls)
-        except MalformedScheduleError as exc:
-            with pytest.raises(MalformedScheduleError) as got_exc:
-                check_constraints(tasks, memory, dls)
-            assert str(got_exc.value) == str(exc)
-            kind = str(exc).split(" ", 1)[0]  # "duplicate" or "schedule" (mixes agents)
-            reasons[kind] = reasons.get(kind, 0) + 1
-            continue
-        got = check_constraints(tasks, memory, dls)
-        assert (got.feasible, got.reason, got.detail) == (
-            want.feasible,
-            want.reason,
-            want.detail,
-        )
-        reasons[want.reason] = reasons.get(want.reason, 0) + 1
+        ordered = sorted(tasks, key=lambda t: (t.start, t.task_id))
+        shuffled = shuffler.sample(tasks, len(tasks))
+        for variant in (tasks, ordered, shuffled):
+            starts = [t.start for t in variant]
+            if variant != ordered:
+                orders["unsorted"] += 1
+            elif len(set(starts)) == len(starts):
+                orders["strict"] += 1
+            else:
+                orders["tied"] += 1
+        for variant in (tasks, ordered, shuffled):
+            try:
+                want = nested_loop_check_constraints(variant, memory, dls)
+            except MalformedScheduleError as exc:
+                with pytest.raises(MalformedScheduleError) as got_exc:
+                    check_constraints(variant, memory, dls)
+                assert str(got_exc.value) == str(exc)
+                if variant is tasks:
+                    kind = str(exc).split(" ", 1)[0]  # "duplicate" or "schedule" (mixes agents)
+                    reasons[kind] = reasons.get(kind, 0) + 1
+                continue
+            got = check_constraints(variant, memory, dls)
+            assert (got.feasible, got.reason, got.detail) == (
+                want.feasible,
+                want.reason,
+                want.detail,
+            )
+            if variant is tasks:
+                reasons[want.reason] = reasons.get(want.reason, 0) + 1
     for reason in (None, "processing-conflict", "downlink-conflict", "capacity"):
         assert reasons.get(reason, 0) >= 100, reasons
     for kind in ("duplicate", "schedule"):
         assert reasons.get(kind, 0) >= 50, reasons
+    assert min(orders.values()) >= 300, orders
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from cosched.solvers import (
     SolverInvariantError,
     message_bytes,
     schedule_insert,
+    shuffle,
     stochastic_update,
     synchronous_search,
 )
@@ -62,6 +63,19 @@ def test_update_assigned_frequencies():
         r = random.Random(f"freq:{w}")
         hits = sum(stochastic_update(False, True, w, 0.7, r) for _ in range(2000))
         assert hits / 2000 == pytest.approx(p, abs=0.03)
+
+
+def test_shuffle_matches_the_stdlib_draw_for_draw():
+    """``shuffle`` leaves every list and the RNG exactly as
+    ``random.Random.shuffle`` does: same permutation, same next draw."""
+    for seed in range(50):
+        for n in range(301):
+            ours, theirs = random.Random(f"shuffle:{seed}"), random.Random(f"shuffle:{seed}")
+            a, b = list(range(n)), list(range(n))
+            shuffle(a, ours)
+            theirs.shuffle(b)
+            assert a == b, (seed, n)
+            assert ours.random() == theirs.random(), (seed, n)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +161,35 @@ def test_can_insert_agrees_with_full_checker(rng):
             elif len(st) and rng.random() < 0.3:
                 st.remove(rng.choice(st.tasks()))
         assert check_constraints(st.tasks(), memory, dls)
+
+
+def test_tied_starts_keep_task_id_order():
+    """Tasks inserted directly (as the harness tests do) may share a start:
+    overlapping or zero-length ones. They stay in (start, task id) order
+    through inserts and removes, and ``can_insert`` judges a candidate by
+    its neighbours at its (start, task id) place in that order."""
+    rng = random.Random(5)
+    ties = 0
+    for _ in range(200):
+        st = ScheduleState(agent(), [])
+        held = []
+        for rid, tid in enumerate(rng.sample(range(100), 12)):
+            s = 10.0 * rng.randint(0, 4)
+            t = task(tid, rid, s, s + rng.choice([0.0, 5.0, 15.0]))
+            if rng.random() < 0.25 and held:
+                gone = held.pop(rng.randrange(len(held)))
+                st.remove(gone)
+            order = sorted(held + [t], key=lambda u: (u.start, u.task_id))
+            i = order.index(t)
+            fits = (i == 0 or order[i - 1].end <= t.start) and (
+                i + 1 == len(order) or order[i + 1].start >= t.end
+            )
+            assert st.can_insert(t) == fits
+            ties += any(u.start == t.start for u in held)
+            st.insert(t)
+            held.append(t)
+            assert st.tasks() == sorted(held, key=lambda u: (u.start, u.task_id))
+    assert ties > 300
 
 
 def test_closest_removable_prefers_near_then_large():
@@ -466,6 +509,16 @@ def test_search_stops_one_round_after_the_last_schedule_change(monkeypatch):
     assert history[2] == history[1] != history[0]
 
 
+def test_search_rejects_groups_that_share_an_agent():
+    """A member's round state belongs to one group, so a search over groups
+    that share an agent is refused before any round runs."""
+    ctx = search_context({0: ([task(0, 1, 100, 110)], []), 1: ([], [])}, now=50.0)
+    groups = [SearchGroup((0, 1), frozenset({1})), SearchGroup((1,), frozenset({1}))]
+    with pytest.raises(ValueError, match="share an agent"):
+        synchronous_search(groups, ctx, SolverConfig(max_iters=10))
+    assert ctx.trace == [] and ctx.states[0].sent_count == 0
+
+
 def test_iterative_solvers_stop_at_the_first_unchanged_round(rng, monkeypatch):
     """Over whole runs, every round but the last changes some schedule, and
     the last changes none unless the round cap ended the search."""
@@ -546,3 +599,127 @@ def test_unknown_solver_rejected(rng):
     problem, targets = make_problem(rng)
     with pytest.raises(ValueError):
         run(problem, targets, "simulated-annealing", cfg())
+
+
+# ---------------------------------------------------------------------------
+# the search's fast path against the straightforward one
+
+
+def reference_clear(self):
+    """Every non-frozen task removed one at a time, in start order."""
+    for task in self.tasks():
+        if task.task_id not in self.frozen:
+            self.remove(task)
+
+
+def reference_repair(state, allowed, ctx, rng):
+    """``repair`` spelled out: a predicate per held task, then the stdlib
+    shuffle of the filtered pool."""
+    sched = state.schedule
+    executed = state.reported_executed | sched.executed
+    sched.drop_where(lambda t: t.request_id not in allowed or t.request_id in executed)
+    state.assigned &= allowed
+    state.assigned |= set(sched.by_request) & allowed
+    state.assigned -= executed
+    pool = [
+        t
+        for t in ctx.problem.tasks_by_agent.get(sched.agent_id, [])
+        if t.request_id in allowed and t.request_id not in executed and t.start >= ctx.now
+    ]
+    rng.shuffle(pool)
+    state.draws += len(pool)
+    for task in pool:
+        if not sched.has_request(task.request_id) and sched.can_insert(task):
+            sched.insert(task)
+            state.assigned.add(task.request_id)
+
+
+def reference_search(groups, ctx, cfg):
+    """``synchronous_search`` spelled out: every round rebuilds each
+    member's requests, shuffles them with the stdlib and asks
+    ``stochastic_update`` about each one."""
+    last = {a: set(st.schedule.by_request) for a, st in ctx.states.items()}
+    rounds = 0
+    live = list(groups)
+    while live and rounds < cfg.max_iters:
+        rounds += 1
+        live = [g for g in live if reference_round(g, ctx, cfg, last) or cfg.run_all_iterations]
+        ctx.record_iteration(rounds)
+    return rounds
+
+
+def reference_round(group, ctx, cfg, last):
+    states = ctx.states
+    members = group.agents
+    counts: dict[int, int] = {}
+    group_executed: set[int] = set()
+    payloads: dict[int, set[int]] = {}
+    for a in members:
+        st = states[a]
+        payload = last[a] & group.requests
+        payloads[a] = payload
+        for rid in payload:
+            counts[rid] = counts.get(rid, 0) + 1
+        group_executed |= st.schedule.executed & group.requests
+        fanout = len(members) - 1
+        st.sent_count += fanout
+        st.sent_bytes += fanout * message_bytes(len(payload))
+    for a in members:
+        states[a].reported_executed |= group_executed
+    for a in members:
+        st = states[a]
+        mine = [rid for rid in ctx.problem.agent_requests.get(a, []) if rid in group.requests]
+        st.rng.shuffle(mine)
+        st.draws += len(mine)
+        for rid in mine:
+            w = counts.get(rid, 0) - (1 if rid in payloads[a] else 0)
+            executed, assigned = rid in group_executed, rid in st.assigned
+            st.draws += assigned and not executed
+            if stochastic_update(executed, assigned, w, cfg.p_u, st.rng):
+                st.assigned.add(rid)
+                if not st.schedule.has_request(rid):
+                    solvers.schedule_insert(
+                        st.schedule, rid, ctx.problem.candidates.get((a, rid), []), ctx.now
+                    )
+            else:
+                st.assigned.discard(rid)
+                if executed:
+                    task = st.schedule.by_request.get(rid)
+                    if task is not None and task.task_id not in st.schedule.frozen:
+                        st.schedule.remove(task)
+    changed = False
+    for a in members:
+        new_sched = set(states[a].schedule.by_request)
+        changed |= new_sched != last[a]
+        last[a] = new_sched
+    return changed
+
+
+@pytest.mark.parametrize("memory", [120 * MB, 40 * MB], ids=["roomy", "capacity-bound"])
+def test_search_records_match_the_reference_search(memory, monkeypatch):
+    """All four search solvers write the same run record with the module's
+    ``repair``, ``synchronous_search`` and ``ScheduleState.clear`` as with
+    the straightforward versions above (stdlib shuffle, one
+    ``stochastic_update`` call per request, one ``remove`` per cleared
+    task), with and without ``run_all_iterations``. At 40 MB of memory the
+    capacity check binds and inserts displace."""
+    records = {}
+    for mode in ("fast", "reference"):
+        with monkeypatch.context() as m:
+            if mode == "reference":
+                m.setattr(solvers, "repair", reference_repair)
+                m.setattr(solvers, "synchronous_search", reference_search)
+                m.setattr(ScheduleState, "clear", reference_clear)
+            for seed in range(20):
+                problem, targets = make_problem(
+                    random.Random(seed), n_agents=5, n_requests=14, n_events=3, memory_bytes=memory
+                )
+                for run_all in (False, True):
+                    for name in ("dnss", "0nss", "ddsa", "0dsa"):
+                        result = run(problem, targets, name, cfg(run_all_iterations=run_all))
+                        records[mode, seed, run_all, name] = result.to_record()
+    fast = {k[1:]: v for k, v in records.items() if k[0] == "fast"}
+    reference = {k[1:]: v for k, v in records.items() if k[0] == "reference"}
+    assert fast == reference
+    # the runs did search: some record drew, inserted and sent messages
+    assert any(r["metrics"]["rng_draws"] and r["metrics"]["message_bytes"] for r in fast.values())
