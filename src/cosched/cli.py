@@ -14,7 +14,7 @@ from dataclasses import asdict, replace
 from functools import cache
 from pathlib import Path
 
-from .oracle import run_oracle
+from .oracle import ORACLE_MODES, run_oracle
 from .problem import (
     DynamicProblem,
     MalformedScheduleError,
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--scenarios", required=True, help="directory of scenario files")
     b.add_argument("--out", required=True, help="results directory")
     b.add_argument("--solvers", help=f"comma-separated subset of {','.join(SOLVER_NAMES)} (default: all six)")
-    b.add_argument("--oracle", choices=("bnb", "swo", "none"), help="default: the scenario config's oracle")
+    b.add_argument("--oracle", choices=(*ORACLE_MODES, "none"), help="default: the scenario config's oracle")
     b.add_argument("--fixed-iterations", action="store_true", help="run all max_iters search rounds; never stop early")
     b.add_argument("--require-optimal", action="store_true", help="exit 4 if the exact oracle ran out of budget")
     b.set_defaults(func=cmd_bench)

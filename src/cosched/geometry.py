@@ -143,8 +143,10 @@ class Target:
     longitude_deg: float
 
     def __post_init__(self):
-        if abs(self.latitude_deg) > 90.0:
-            raise ValueError("latitude outside [-90, 90]")
+        if not -90.0 <= self.latitude_deg <= 90.0:  # NaN too
+            raise ValueError(f"latitude outside [-90, 90], got {self.latitude_deg}")
+        if not math.isfinite(self.longitude_deg):
+            raise ValueError(f"longitude must be finite, got {self.longitude_deg}")
 
 
 def latlon_to_ecef(lat_deg: float, lon_deg: float) -> np.ndarray:
@@ -345,11 +347,13 @@ def batch_windows(
     ``access[(agent, target)]`` holds the maximal (start, end) intervals
     during which the target lies inside the satellite's sensor cone and above
     its horizon. ``passes[agent]`` holds the station passes as (start, end,
-    capacity) triples, capacity being duration x downlink rate, sorted by
-    (start, end) and otherwise in station order; they are not merged, so
-    passes over two stations in view at once overlap. A station antenna is
-    not a sensor cone: its 180° cone admits every direction, so only the
-    minimum elevation applies.
+    capacity) triples, sorted by start. A satellite downlinks to one station
+    at a time, so passes that strictly overlap (two stations in view at
+    once, seen from a high orbit) merge into one, whose capacity is its
+    duration x the highest downlink rate among its stations; any other
+    pass's capacity is its duration x its station's rate. Passes that only
+    abut stay apart. A station antenna is not a sensor cone: its 180° cone
+    admits every direction, so only the minimum elevation applies.
     """
     times = time_grid(horizon_s)
     ecef, up = _ground(
@@ -366,8 +370,16 @@ def batch_windows(
         wins = _satellite_windows(plane, sat.slot, (ecef, up, cone, min_el), times, epoch_offset_s)
         for target, w in zip(targets, wins):
             access[(sat.agent_id, target.target_id)] = w
-        rated = ((a, b, (b - a) * st.downlink_rate_bps) for st, ws in zip(stations, wins[n:]) for a, b in ws)
-        passes[sat.agent_id] = sorted(rated, key=lambda p: p[:2])
+        rated = sorted(((a, b, st.downlink_rate_bps) for st, ws in zip(stations, wins[n:]) for a, b in ws),
+                       key=lambda p: p[:2])
+        merged: list[tuple[float, float, float]] = []
+        for a, b, rate in rated:
+            if merged and a < merged[-1][1]:
+                a0, b0, rate0 = merged[-1]
+                merged[-1] = (a0, max(b0, b), max(rate0, rate))
+            else:
+                merged.append((a, b, rate))
+        passes[sat.agent_id] = [(a, b, (b - a) * rate) for a, b, rate in merged]
     return access, passes
 
 

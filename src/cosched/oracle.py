@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from .problem import DynamicProblem, Task, check_constraints, satisfaction_pct
 from .solvers import ScheduleState, fresh_schedules
 
+ORACLE_MODES = ("bnb", "swo")  # run_oracle's modes; a config may also say "none"
+
 
 @dataclass
 class CollapsedInstance:
@@ -308,4 +310,4 @@ def run_oracle(problem: DynamicProblem, mode: str) -> OracleResult:
         return branch_and_bound(inst)
     if mode == "swo":
         return swo(inst)
-    raise ValueError(f"unknown oracle mode {mode!r}")
+    raise ValueError(f"unknown oracle mode {mode!r}; choose from {list(ORACLE_MODES)}")

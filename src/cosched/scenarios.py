@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import geometry
@@ -29,11 +29,13 @@ from .problem import (
     generate_dynamics,
     generate_tasks,
 )
-from .solvers import SolverConfig, check_kind
+from .oracle import ORACLE_MODES
+from .solvers import SolverConfig, check_fields, check_kind
 
-SCENARIO_FORMAT_VERSION = 4
-DAY_S = 86400.0
-PLANE_FIELDS = ("inclination_deg", "altitude_km", "raan_deg", "count")
+SCENARIO_FORMAT_VERSION = 5
+DAY_S = 86400.0  # every scenario plans one day
+SCENARIO_SEED = 2005  # scenario i draws every stream from SCENARIO_SEED + i
+PLANE_FIELDS = tuple(f.name for f in fields(OrbitalPlane))
 
 
 class ConfigError(Exception):
@@ -49,15 +51,16 @@ class ScenarioConfig:
     memory_bytes: float = 125e9
     target_count: int = 634
     targets_path: str | None = None
-    horizon_s: float = DAY_S
     periodicity: str = "uniform-5-12"  # fixed-3 | uniform-5-12 | fixed-<k>
     volatility: str = "uniform-3-5"  # uniform-3-5 | fixed-<k>
-    scenario_seed: int = 2005  # all entropy is explicit; solver seeds live in ``solver``
     solver: SolverConfig = field(default_factory=SolverConfig)
     oracle: str = "bnb"  # bnb | swo | none
 
     def validate(self) -> None:
-        self._check_kinds()
+        try:  # a config read from JSON can hold a value of any kind in any field
+            check_fields(ScenarioConfig, vars(self))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         # the name heads every scenario's file name and record label
         if not re.fullmatch(r"[A-Za-z0-9._-]+", self.name):
             raise ConfigError(f"name: expected letters, digits, '.', '_' or '-', got {self.name!r}")
@@ -70,8 +73,7 @@ class ScenarioConfig:
             if not isinstance(plane, dict) or set(plane) != set(PLANE_FIELDS):
                 raise ConfigError(f"{where}: expected exactly the keys {list(PLANE_FIELDS)}")
             try:
-                for name in PLANE_FIELDS:
-                    check_kind(name, plane[name], int if name == "count" else float)
+                check_fields(OrbitalPlane, plane)
                 OrbitalPlane(**plane)
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
@@ -82,37 +84,14 @@ class ScenarioConfig:
             raise ConfigError(f"max_off_nadir_deg: must be null or lie in (0, 90), got {off_nadir}")
         if self.target_count < 1 and not self.targets_path:
             raise ConfigError(f"target_count: must be >= 1, got {self.target_count}")
-        if self.horizon_s <= 0:
-            raise ConfigError(f"horizon_s: must be positive, got {self.horizon_s}")
         try:
             self.solver.validate()
         except ValueError as exc:
             raise ConfigError(f"solver.{exc}") from None
-        self._periodicity_range()
-        self._volatility_range()
-        if self.oracle not in ("bnb", "swo", "none"):
+        _parse_range("periodicity", self.periodicity)
+        _parse_range("volatility", self.volatility)
+        if self.oracle not in (*ORACLE_MODES, "none"):
             raise ConfigError(f"oracle: unknown mode {self.oracle!r}")
-
-    def _check_kinds(self) -> None:
-        """A config read from JSON can hold a value of any kind in any field."""
-        try:
-            for name in ("name", "constellation", "periodicity", "volatility", "oracle"):
-                check_kind(name, getattr(self, name), str)
-            check_kind("custom_planes", self.custom_planes, list, optional=True)
-            check_kind("max_off_nadir_deg", self.max_off_nadir_deg, float, optional=True)
-            check_kind("memory_bytes", self.memory_bytes, float)
-            check_kind("target_count", self.target_count, int)
-            check_kind("targets_path", self.targets_path, str, optional=True)
-            check_kind("horizon_s", self.horizon_s, float)
-            check_kind("scenario_seed", self.scenario_seed, int)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def _periodicity_range(self) -> tuple[int, int]:
-        return _parse_range("periodicity", self.periodicity)
-
-    def _volatility_range(self) -> tuple[int, int]:
-        return _parse_range("volatility", self.volatility)
 
     def solver_config(self) -> SolverConfig:
         """A fresh copy of the solver settings, safe for the caller to edit."""
@@ -123,19 +102,19 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        fields = dict(data)
-        unknown = set(fields) - set(cls.__dataclass_fields__)
+        values = dict(data)
+        unknown = set(values) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "solver" in fields:
-            solver = fields["solver"]
+        if "solver" in values:
+            solver = values["solver"]
             if not isinstance(solver, dict):
                 raise ConfigError(f"solver: expected an object, got {solver!r}")
             try:
-                fields["solver"] = SolverConfig(**solver)
+                values["solver"] = SolverConfig(**solver)
             except TypeError as exc:
                 raise ConfigError(f"solver: {exc}") from None
-        cfg = cls(**fields)
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 
@@ -285,35 +264,33 @@ class Scenario:
 def generate_scenario(config: ScenarioConfig, index: int = 0) -> Scenario:
     """Deterministically build scenario ``index`` of this config.
 
-    The scenario seed is the configured base plus the index; every stream
+    The scenario seed is ``SCENARIO_SEED`` plus the index; every stream
     (targets, campaign, volumes, dynamics, epoch) is derived from it by a
     fixed label so the pieces stay independent. The assembled problem is
     checked with :meth:`DynamicProblem.validate`, so every generated or
     loaded scenario satisfies its structural invariants. A config whose
-    campaign is too small to generate, whose scan grid numpy cannot size
-    (``horizon_s: 1e300``), or whose problem breaks an invariant (an orbit
-    high enough to see two stations at once gives overlapping downlinks),
+    campaign is too small to generate, or whose problem breaks an invariant,
     is a ConfigError naming the scenario.
     """
     config.validate()
-    seed = config.scenario_seed + index
+    seed = SCENARIO_SEED + index
     constellation = build_constellation(config)
     targets = sample_targets(config, seed)
 
     campaign = generate_campaign(
-        targets, config.horizon_s, config._periodicity_range(), random.Random(f"campaign:{seed}")
+        targets, DAY_S, _parse_range("periodicity", config.periodicity), random.Random(f"campaign:{seed}")
     )
-    vol_lo, vol_hi = config._volatility_range()
+    vol_lo, vol_hi = _parse_range("volatility", config.volatility)
     volatility = random.Random(f"volatility:{seed}").randint(vol_lo, vol_hi)
     label = f"{config.name}-{index:03d}"
     try:
         snapshots = generate_dynamics(
-            campaign, volatility, config.horizon_s, random.Random(f"dynamics:{seed}")
+            campaign, volatility, DAY_S, random.Random(f"dynamics:{seed}")
         )
     except GenerationError as exc:
         raise ConfigError(f"{label}: {exc}") from None
     try:
-        problem = _assemble_problem(constellation, targets, campaign, snapshots, config.horizon_s, seed)
+        problem = _assemble_problem(constellation, targets, campaign, snapshots, seed)
         problem.validate()
     except ValueError as exc:
         raise ConfigError(f"{label}: {exc}") from None
@@ -325,13 +302,12 @@ def _assemble_problem(
     targets: list[Target],
     campaign: list[Request],
     snapshots: list[Snapshot],
-    horizon_s: float,
     seed: int,
 ) -> DynamicProblem:
     sats = constellation.satellites()
     epoch_offset = random.Random(f"epoch:{seed}").uniform(0.0, DAY_S)  # reference epoch to horizon start, s
     access, passes = geometry.batch_windows(
-        constellation, targets, list(geometry.DEFAULT_STATIONS), horizon_s, epoch_offset
+        constellation, targets, list(geometry.DEFAULT_STATIONS), DAY_S, epoch_offset
     )
 
     downlinks_by_agent: dict[int, list[Downlink]] = {}
@@ -361,7 +337,7 @@ def _assemble_problem(
         tasks_by_agent[sat.agent_id] = agent_tasks
 
     return DynamicProblem(
-        horizon_s=horizon_s,
+        horizon_s=DAY_S,
         agents=sats,
         requests={r.request_id: r for r in campaign},
         tasks_by_agent=tasks_by_agent,
@@ -380,7 +356,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "format_version": SCENARIO_FORMAT_VERSION,
         "config": sc.config.to_dict(),
         "index": sc.index,
-        "seed": sc.config.scenario_seed + sc.index,
+        "seed": SCENARIO_SEED + sc.index,
         "targets": [[t.target_id, t.latitude_deg, t.longitude_deg] for t in sc.targets],
         "requests": [
             [r.request_id, r.target_id, r.start, r.end]

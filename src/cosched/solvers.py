@@ -44,12 +44,14 @@ interpreter the tests run on.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+import typing
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from operator import attrgetter
 
 from .decomposition import SearchGroup, gnd
@@ -110,6 +112,26 @@ def check_kind(name: str, value, kind: type, *, optional: bool = False) -> None:
         raise ValueError(f"{name}: expected a finite number, got {value!r}")
 
 
+_type_hints = functools.cache(typing.get_type_hints)  # resolved once per class
+
+
+def check_fields(cls: type, values: dict) -> None:
+    """``check_kind`` on ``values[name]`` for each field of the dataclass
+    ``cls``, in declaration order, with the kind its annotation declares
+    (``X | None`` is an optional X). A field that holds a dataclass validates
+    itself and is skipped; an annotation ``check_kind`` cannot check is a
+    TypeError."""
+    hints = _type_hints(cls)
+    for f in fields(cls):
+        args = typing.get_args(hints[f.name])
+        optional = type(None) in args
+        kind, *rest = [typing.get_origin(a) or a for a in (args if optional else [hints[f.name]]) if a is not type(None)]
+        if not is_dataclass(kind):
+            if rest or kind not in _KIND_NAMES:
+                raise TypeError(f"{cls.__name__}.{f.name}: no kind check for {hints[f.name]}")
+            check_kind(f.name, values[f.name], kind, optional=optional)
+
+
 @dataclass
 class SolverConfig:
     p_u: float = 0.7
@@ -124,11 +146,7 @@ class SolverConfig:
     def validate(self) -> None:
         """Raise ValueError naming the first setting of the wrong kind or
         out of range."""
-        check_kind("p_u", self.p_u, float)
-        for name in ("max_iters", "solver_seed", "repair_seed", "random_solver_seed",
-                     "gnd_n", "neighborhood_size"):
-            check_kind(name, getattr(self, name), int)
-        check_kind("run_all_iterations", self.run_all_iterations, bool)
+        check_fields(SolverConfig, vars(self))
         if not 0.0 <= self.p_u <= 1.0:
             raise ValueError(f"p_u: must lie in [0, 1], got {self.p_u}")
         for name in ("max_iters", "gnd_n", "neighborhood_size"):

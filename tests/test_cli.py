@@ -199,14 +199,16 @@ def test_generate_count_below_one_is_config_error(tmp_path, capsys, count):
         # a value of the wrong kind is named, not left to fail in a comparison
         ({"memory_bytes": "x"}, "memory_bytes: expected a number, got 'x'"),
         ({"target_count": "5"}, "target_count: expected an integer, got '5'"),
-        ({"horizon_s": None}, "horizon_s: expected a number, got None"),
+        # every scenario plans one day from the seed 2005 + index, so
+        # neither is a setting
+        ({"horizon_s": 3600.0}, "unknown config fields: ['horizon_s']"),
+        ({"scenario_seed": 7}, "unknown config fields: ['scenario_seed']"),
         ({"solver": {"p_u": "x"}}, "solver.p_u: expected a number, got 'x'"),
         ({"solver": {"max_iters": True}}, "solver.max_iters: expected an integer, got True"),
         # NaN and infinity are numbers to Python and to its json module, but
         # no setting means anything at either; a NaN memory limit admitted any task
         ({"memory_bytes": float("nan")}, "memory_bytes: expected a finite number, got nan"),
-        ({"horizon_s": float("inf")}, "horizon_s: expected a finite number, got inf"),
-        ({"horizon_s": float("nan")}, "horizon_s: expected a finite number, got nan"),
+        ({"memory_bytes": float("-inf")}, "memory_bytes: expected a finite number, got -inf"),
         ({"custom_planes": [{"inclination_deg": 97.0, "altitude_km": float("nan"),
                              "raan_deg": 0.0, "count": 4}]}, "custom_planes[0]: altitude"),
         ({"custom_planes": [{"inclination_deg": 97.0, "altitude_km": 500.0,
@@ -219,8 +221,8 @@ def test_generate_count_below_one_is_config_error(tmp_path, capsys, count):
     ],
     ids=["plane-without-count", "zero-memory", "zero-off-nadir", "flat-solver-field",
          "solver-p_u-out-of-range", "unknown-solver-key", "solver-not-an-object",
-         "memory-not-a-number", "target-count-a-string", "horizon-null", "solver-p_u-a-string",
-         "solver-max_iters-a-bool", "memory-nan", "horizon-infinite", "horizon-nan",
+         "memory-not-a-number", "target-count-a-string", "horizon-unknown", "scenario-seed-unknown",
+         "solver-p_u-a-string", "solver-max_iters-a-bool", "memory-nan", "memory-infinite",
          "plane-altitude-nan", "plane-raan-infinite", "plane-count-a-bool", "name-with-a-slash"],
 )
 def test_malformed_config_file_is_config_error(tmp_path, capsys, changes, field):
@@ -308,19 +310,21 @@ def test_replay_rejects_malformed_record(workspace, tmp_path, capsys, tamper, me
     assert f"config error: {message}" in capsys.readouterr().err
 
 
-def test_overlapping_downlink_passes_are_config_error(tmp_path, capsys):
-    """A plane at 2,000 km sees both default stations at once, so its passes
-    overlap: generate exits 2 naming the scenario, where 1,500 km works."""
+def test_high_orbit_with_two_stations_in_view_generates(tmp_path):
+    """A plane at 2,000 km sees both default stations at once; its
+    overlapping passes merge into one downlink, so it generates a valid
+    scenario as 1,500 km does."""
     data = preset("tiny").to_dict()
     data.update(name="high", target_count=5, periodicity="fixed-3", volatility="fixed-3")
     path = tmp_path / "config.json"
-    for altitude_km, code in ((1500.0, EXIT_OK), (2000.0, EXIT_CONFIG)):
+    for altitude_km in (1500.0, 2000.0):
         data["custom_planes"] = [
             {"inclination_deg": 50.0, "altitude_km": altitude_km, "raan_deg": 0.0, "count": 2}
         ]
         path.write_text(json.dumps(data))
-        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == code
-    assert "config error: high-000: agent 0 has overlapping downlinks" in capsys.readouterr().err
+        out = tmp_path / f"out-{altitude_km:.0f}"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        load_scenario(out / "high-000.json").problem.validate()
 
 
 @pytest.fixture(scope="module")
@@ -784,7 +788,7 @@ def test_replay_reports_missing_scenario_file(workspace, tmp_path, capsys):
     "text, detail",
     [
         ("{", "unreadable: "),
-        ('{"format_version": 4}', "missing config, index, seed, targets, requests, initial_active, events"),
+        ('{"format_version": 5}', "missing config, index, seed, targets, requests, initial_active, events"),
     ],
     ids=["not-json", "no-config"],
 )

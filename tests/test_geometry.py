@@ -325,6 +325,24 @@ def test_downlink_capacity_is_duration_times_rate():
     assert 160.0 * 62.5e6 == pytest.approx(1e10)
 
 
+def test_passes_over_stations_in_view_at_once_merge():
+    """A satellite downlinks to one station at a time: a pass over a second,
+    co-located station with a higher mask and rate lies inside a pass over
+    the first and merges into it at the higher rate; the other passes keep
+    the first station's rate."""
+    low = GroundStation("low", 64.86, -147.85, 5.0, 1e6)
+    high = GroundStation("high", 64.86, -147.85, 20.0, 3e6)
+    alone = batch_downlink_windows(one_sat(POLAR), [low], DAY_S)[0]
+    nested = batch_downlink_windows(one_sat(POLAR), [high], DAY_S)[0]
+    both = batch_downlink_windows(one_sat(POLAR), [low, high], DAY_S)[0]
+    assert nested and len(nested) < len(alone), "need passes with and without a nested pass"
+    assert [(a, b) for a, b, _ in both] == [(a, b) for a, b, _ in alone]
+    for a, b, cap in both:
+        rate = 3e6 if any(a <= c and d <= b for c, d, _ in nested) else 1e6
+        assert cap == (b - a) * rate
+    assert all(p[1] <= q[0] for p, q in zip(both, both[1:]))
+
+
 def test_time_grid_covers_horizon():
     grid = time_grid(95.0)
     assert grid[0] == 0.0 and grid[-1] == 95.0

@@ -7,11 +7,14 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cosched import geometry
+from cosched import geometry, solvers
+from cosched.geometry import OrbitalPlane
+from cosched.oracle import ORACLE_MODES
 from cosched.scenarios import (
     ConfigError,
     PRESETS,
     ScenarioConfig,
+    _parse_range,
     build_constellation,
     generate_scenario,
     load_scenario,
@@ -20,7 +23,7 @@ from cosched.scenarios import (
     sample_targets,
     save_scenario,
 )
-from cosched.solvers import SolverConfig
+from cosched.solvers import _KIND_NAMES, SolverConfig, check_fields
 
 
 def test_presets_validate():
@@ -34,9 +37,8 @@ def test_unknown_preset_rejected():
 
 
 def test_range_strings_parsed():
-    c = preset("tiny", periodicity="uniform-3-5", volatility="fixed-2")
-    assert c._periodicity_range() == (3, 5)
-    assert c._volatility_range() == (2, 2)
+    assert _parse_range("periodicity", "uniform-3-5") == (3, 5)
+    assert _parse_range("volatility", "fixed-2") == (2, 2)
 
 
 @pytest.mark.parametrize("bad", ["fixed-0", "uniform-5-3", "weekly", "uniform-3", ""])
@@ -191,6 +193,45 @@ def test_version_three_file_is_an_unsupported_format(tmp_path):
         load_scenario(path)
 
 
+def test_version_four_file_is_an_unsupported_format(tmp_path):
+    """Format 4 carried ``horizon_s`` and ``scenario_seed``, which no caller
+    varied; format 5 plans one day from seed 2005 + index, and such a file is
+    refused by its version, not by the fields the current config no longer
+    has."""
+    sc = generate_scenario(preset("tiny"), 0)
+    path = tmp_path / "tiny-000.json"
+    save_scenario(sc, path)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 4
+    doc["config"].update(horizon_s=86400.0, scenario_seed=2005)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="unsupported scenario format 4"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("cls", [ScenarioConfig, SolverConfig, OrbitalPlane])
+def test_every_setting_kind_comes_from_its_annotation(cls, monkeypatch):
+    """``check_fields`` checks every field of the three settings classes,
+    in declaration order, with a kind ``check_kind`` knows, and skips only
+    the field that holds a dataclass."""
+    checked = {}
+    monkeypatch.setattr(solvers, "check_kind", lambda name, value, kind, optional=False: checked.setdefault(name, kind))
+    names = [f.name for f in dataclasses.fields(cls)]
+    check_fields(cls, dict.fromkeys(names))
+    assert list(checked) == [n for n in names if n != "solver"]
+    assert set(checked.values()) <= set(_KIND_NAMES)
+    assert ("solver" in names) == (cls is ScenarioConfig)
+
+
+def test_an_annotation_without_a_kind_check_is_a_type_error():
+    @dataclasses.dataclass
+    class Odd:
+        weights: dict
+
+    with pytest.raises(TypeError, match="Odd.weights: no kind check"):
+        check_fields(Odd, {"weights": {}})
+
+
 def test_each_solver_setting_is_declared_once():
     scenario_fields = set(ScenarioConfig.__dataclass_fields__)
     assert not scenario_fields & set(SolverConfig.__dataclass_fields__)
@@ -220,8 +261,12 @@ def test_load_targets_reads_both_formats(tmp_path, text, expected):
         ("id,lat,lon\n0,10,20\n1,30\n", "line 3: expected 3 fields, got 2"),
         ("lat,lon\n10,20\n95,30\n", "line 3: latitude outside [-90, 90]"),
         ("id,lat,lon\n0,north,20\n", "line 2: could not convert string to float"),
+        # float() reads "nan", and a NaN latitude passed abs(lat) > 90
+        ("id,lat,lon\n0,nan,20.0\n", "line 2: latitude outside [-90, 90], got nan"),
+        ("id,lat,lon\n0,10.0,20.0\n1,10.0,nan\n", "line 3: longitude must be finite, got nan"),
     ],
-    ids=["duplicate-id", "four-fields", "mixed-widths", "latitude-out-of-range", "not-a-number"],
+    ids=["duplicate-id", "four-fields", "mixed-widths", "latitude-out-of-range", "not-a-number",
+         "latitude-nan", "longitude-nan"],
 )
 def test_load_targets_rejects_malformed_rows(tmp_path, text, message):
     path = tmp_path / "targets.csv"
@@ -242,11 +287,11 @@ def test_targets_path_feeds_generation(tmp_path):
 # file holds the config, targets, campaign and timeline but no geometry
 # output, so these digests do not depend on the platform's floats.
 TINY_FILE_DIGESTS = (
-    "a73fccf34d35b9a7f79ad804fa58096b5d1145c38081bb064f4c8d54821d7b83",
-    "6944fb1b66e2813ac05032e83acc289f8f913cc126e55a8060465a64bc0d8611",
-    "f0bbe1793812863f47b26a2324d15018faaa2b53a351976d6d2dac4705d82ad6",
-    "8a07906e64c7f0a030c4256175a3a922f24222184604511cf4d158f6b4aa82f8",
-    "0e11c17a1519cc4f71e383422bb1e5f29134486cc290ddba17d804f1363a1c7d",
+    "c28a8b4a0d1c697fcea7565bf8def4e5508e69c955355123c33e5b84618842b0",
+    "19924b60195ca42400ece1878b894bca120e1b6d2bcd535ddf77691737141e7f",
+    "9415bb027a775bc83661ed74256ea6840c31db58c72ffe71c544d696779a7c50",
+    "7028f86af42a21f102d17c0a61221d1f8508d94de5d5e8925ce1112ae79edb61",
+    "85f51daadf0aba60218b6ddcffc3c0b8999fba149f3867bc3346a97bb81bf02a",
 )
 
 
@@ -304,12 +349,12 @@ _RANGE_SPECS = st.one_of(
     st.builds("uniform-{}-{}".format, st.integers(1, 3), st.integers(3, 6)),
 )
 
-# Each draw builds at most 2 planes of 2 satellites, 5 targets and a 6 h
-# horizon, so it builds in milliseconds: the constellation is always custom,
-# and the target count and horizon, whose defaults are large, are always drawn.
+# Each draw builds at most 2 planes of 2 satellites and 5 targets over the one
+# day every scenario plans, so it builds in milliseconds: the constellation is
+# always custom, and the target count, whose default is large, is always drawn.
 # Only a deleted key falls back to its default (the 200-satellite planet
-# constellation, 634 targets or a day); such draws are rare and build in
-# under a second.
+# constellation or 634 targets); such draws are rare and build in under a
+# second.
 _IN_RANGE = st.fixed_dictionaries(
     {
         "constellation": st.just("custom"),
@@ -323,7 +368,6 @@ _IN_RANGE = st.fixed_dictionaries(
             max_size=2,
         ),
         "target_count": st.integers(1, 5),
-        "horizon_s": _numbers(600.0, 6 * 3600.0, 1e-9, 1e-3, 1.0, 60.0),
     },
     optional={
         "name": st.text(max_size=6),
@@ -332,11 +376,10 @@ _IN_RANGE = st.fixed_dictionaries(
         "targets_path": st.sampled_from([None, "", "missing", "valid", "empty"]),
         "periodicity": _RANGE_SPECS,
         "volatility": _RANGE_SPECS,
-        "scenario_seed": st.integers(-(10**20), 10**20),
         "solver": st.fixed_dictionaries({}, optional={
             "p_u": st.floats(0.0, 1.0), "max_iters": st.integers(1, 30), "run_all_iterations": st.booleans(),
         }),
-        "oracle": st.sampled_from(["bnb", "swo", "none"]),
+        "oracle": st.sampled_from([*ORACLE_MODES, "none"]),
     },
 )
 
@@ -375,7 +418,7 @@ def target_files(tmp_path_factory):
 
 def _one_plane(**plane):
     plane = {"inclination_deg": 97.0, "altitude_km": 500.0, "raan_deg": 0.0, "count": 2, **plane}
-    return {"constellation": "custom", "custom_planes": [plane], "target_count": 2, "horizon_s": 3600.0}
+    return {"constellation": "custom", "custom_planes": [plane], "target_count": 2}
 
 
 @settings(max_examples=500, deadline=None)
@@ -383,7 +426,6 @@ def _one_plane(**plane):
 @example(data=_one_plane(count=1.5))  # was a TypeError from range()
 @example(data=_one_plane(altitude_km=1e300))  # was an OverflowError from the orbital period
 @example(data=dict(_one_plane(), targets_path="missing"))  # was a FileNotFoundError
-@example(data=dict(_one_plane(), horizon_s=1e300))  # was a ValueError from sizing the scan grid
 @example(data=_one_plane(inclination_deg=True, raan_deg=False, count=True))  # was one satellite at 1° inclination
 def test_every_config_gives_a_valid_scenario_or_a_config_error(target_files, data):
     if isinstance(data.get("targets_path"), str):
