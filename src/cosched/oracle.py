@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import sys
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 from .problem import DynamicProblem, Task, check_constraints, satisfaction_pct
 from .solvers import ScheduleState, fresh_schedules
@@ -36,8 +36,11 @@ def collapse(problem: DynamicProblem) -> CollapsedInstance:
     """
     windows = [problem.static_window(t) for t in range(len(problem.snapshots))]
     actives = [snap.active for snap in problem.snapshots]
+    ever_active = problem.ever_active
     candidates: dict[int, list[Task]] = {}
     for task in problem.tasks.values():
+        if task.request_id not in ever_active:
+            continue  # no snapshot has its request active
         for (lo, hi), active in zip(windows, actives):
             if task.request_id in active and max(task.start, lo) < min(task.end, hi):
                 candidates.setdefault(task.request_id, []).append(task)
@@ -76,26 +79,6 @@ class BudgetExhausted(Exception):
     pass
 
 
-class _Bucket:
-    """One (agent, downlink bucket)'s candidate tasks in start order and in
-    descending volume, for ``branch_and_bound``'s re-checks."""
-
-    MARGIN_S = 1.0  # far above the rounding of any task's start or length
-
-    def __init__(self, tasks: list[Task]):
-        self.by_start = sorted(tasks, key=lambda t: (t.start, t.task_id))
-        self.starts = [t.start for t in self.by_start]
-        self.reach = max(t.end - t.start for t in tasks) + self.MARGIN_S
-        self.by_volume = sorted(tasks, key=lambda t: (-t.volume_bytes, t.task_id))
-
-    def may_overlap(self, task: Task) -> list[Task]:
-        """A superset of the tasks that overlap ``task``: those that start in
-        [task.start - reach, task.end). A validated problem has no task of
-        zero length, and none could overlap one anyway."""
-        lo = bisect_left(self.starts, task.start - self.reach)
-        return self.by_start[lo:bisect_left(self.starts, task.end)]
-
-
 def branch_and_bound(
     inst: CollapsedInstance,
     *,
@@ -110,79 +93,97 @@ def branch_and_bound(
     runs out, the best solution found is returned flagged unproven, never
     silently claimed optimal.
 
-    The bound is maintained, not recomputed. Before the search, every
-    candidate task gets a flag, its ``can_insert`` verdict on the empty
-    schedules, and every request a count of its flagged tasks. Inserting
-    task c can only clear flags, and only in c's own downlink bucket on c's
-    agent: a task in another bucket shares no capacity with c, and if it
-    overlapped c it would also overlap a downlink (the downlink that
-    separates the two buckets starts inside one of the two tasks, and c was
-    insertable), so its flag is already clear. c's own flag clears without a
-    re-check, since c is now held. Within the bucket, any other flag clears
-    for one of two reasons, and only those tasks are re-checked with
-    ``can_insert``:
+    The bound is maintained from a conflict table, not recomputed. Before
+    the search, every candidate task gets a flag, its ``can_insert`` verdict
+    on the empty schedules, and every request a count of its flagged tasks.
+    Each candidate also gets its (agent, downlink bucket), whose capacity
+    (``ScheduleState.capacity``) and running load the search keeps, and its
+    overlap list: the candidates on its agent whose interval overlaps its
+    own. Inserting task c adds c's volume to its bucket's load and clears,
+    without any ``can_insert`` call:
 
-    - overlap: the task overlaps c. Every such task starts in
-      [c.start - reach, c.end), where reach is the bucket's longest task
-      plus a margin far above float rounding, so bisecting the bucket's
-      start order over that range finds a superset of them;
-    - capacity: the bucket's load rose by c's volume. The bucket's flagged
-      tasks are re-checked in descending volume down to the first that
-      passes, or that is no larger than a task that passed its overlap
-      re-check: ``fl(load + v) > cap`` is monotone in v, so every smaller
-      task still fits.
+    - c's own flag, since c is now held;
+    - the flag of every task on c's overlap list;
+    - in c's bucket, walked in descending volume, each flagged task for which
+      ``load + v > cap``, down to the first flagged task that fits. This is
+      ``can_insert``'s own capacity test, and it is monotone in v, so every
+      smaller task still fits.
 
-    Any other flagged task neither overlaps c nor lacks room, so its verdict
-    stands. The flags that cleared are logged and set again when c is
-    removed, which restores the state exactly as it was before the insert.
-    The number of remaining requests with a flagged task is kept the same
-    way: a count that crosses zero moves it, and so does stepping past a
-    request.
+    Every flag then equals ``can_insert``'s verdict on the node's schedules.
+    A flagged task was insertable before the insert, and the insert changes
+    only two of the facts its verdict reads: whether it overlaps a held task
+    (now also c) and the load of c's bucket. Its downlink conflicts do not
+    depend on which tasks are held. Validated tasks have positive length, so
+    two tasks conflict exactly when their intervals overlap, as the overlap
+    list records. The flags that cleared are logged and set again when c is
+    removed, and the load loses c's volume, which restores the state exactly
+    as it was before the insert. The number of remaining requests with a
+    flagged task is kept the same way: a count that crosses zero moves it,
+    and so does stepping past a request.
+
+    The search holds its path of inserted tasks; the best solution is a copy
+    of that path, laid out as schedules once, at the end.
     """
+    problem = inst.problem
     order = sorted(
-        (rid for rid in inst.problem.ever_active if inst.candidates.get(rid)),
+        (rid for rid in problem.ever_active if inst.candidates.get(rid)),
         key=lambda rid: (len(inst.candidates[rid]), rid),
     )
-    states = fresh_schedules(inst.problem)
+    empty = fresh_schedules(problem)
     best_count = -1
-    best_schedules: dict[int, list[Task]] = {}
+    best_path: list[Task] = []
     nodes = 0
     deadline = time.monotonic() + time_budget_s
     exhausted = False
 
     insertable: dict[int, bool] = {}  # task id -> can_insert on the current schedules
     count: dict[int, int] = {}  # request id -> number of its insertable tasks
-    grouped: dict[tuple[int, int], list[Task]] = {}  # (agent, downlink bucket) -> tasks
+    bucket_of: dict[int, tuple[int, int]] = {}  # task id -> (agent, downlink bucket)
+    by_volume: dict[tuple[int, int], list[Task]] = {}  # (agent, downlink bucket) -> tasks
+    by_agent: dict[int, list[Task]] = {}
     for rid in order:
         for t in inst.candidates[rid]:
-            st = states[t.agent_id]
+            st = empty[t.agent_id]
             insertable[t.task_id] = st.can_insert(t)
-            grouped.setdefault((t.agent_id, st.bucket(t)), []).append(t)
+            key = bucket_of[t.task_id] = (t.agent_id, st.bucket(t))
+            by_volume.setdefault(key, []).append(t)
+            by_agent.setdefault(t.agent_id, []).append(t)
         count[rid] = sum(insertable[t.task_id] for t in inst.candidates[rid])
-    buckets = {key: _Bucket(tasks) for key, tasks in grouped.items()}
+    for tasks in by_volume.values():
+        tasks.sort(key=lambda t: (-t.volume_bytes, t.task_id))
+    cap = {key: empty[key[0]].capacity(key[1]) for key in by_volume}
+    load = dict.fromkeys(by_volume, 0.0)
+    overlaps: dict[int, list[Task]] = {t: [] for t in insertable}  # task id -> the candidates it overlaps
+    for tasks in by_agent.values():
+        tasks.sort(key=lambda t: (t.start, t.task_id))
+        for i, a in enumerate(tasks):
+            for b in islice(tasks, i + 1, None):
+                if b.start >= a.end:
+                    break
+                if a.start < b.end and b.start < a.end:
+                    overlaps[a.task_id].append(b)
+                    overlaps[b.task_id].append(a)
     position = {rid: i for i, rid in enumerate(order)}
     depth = 0  # the current node's index into ``order``
     live = sum(1 for rid in order if count[rid])  # requests in order[depth:] with a positive count
+    path: list[Task] = []  # the inserted tasks, root first
 
     def insert(task: Task) -> list[Task]:
         """Insert task; return the tasks whose flag the insert cleared."""
         nonlocal live
-        st = states[task.agent_id]
-        st.insert(task)
-        bucket = buckets[(task.agent_id, st.bucket(task))]
+        path.append(task)
+        key = bucket_of[task.task_id]
+        load[key] += task.volume_bytes
         insertable[task.task_id] = False
         cleared = [task]
-        fits = -math.inf  # the largest volume that passed a re-check
-        for t in bucket.may_overlap(task):
+        for t in overlaps[task.task_id]:
             if insertable[t.task_id]:
-                if st.can_insert(t):
-                    fits = max(fits, t.volume_bytes)
-                else:
-                    insertable[t.task_id] = False
-                    cleared.append(t)
-        for t in bucket.by_volume:
+                insertable[t.task_id] = False
+                cleared.append(t)
+        filled, room = load[key], cap[key]
+        for t in by_volume[key]:
             if insertable[t.task_id]:
-                if t.volume_bytes <= fits or st.can_insert(t):
+                if not filled + t.volume_bytes > room:
                     break
                 insertable[t.task_id] = False
                 cleared.append(t)
@@ -194,7 +195,8 @@ def branch_and_bound(
 
     def remove(task: Task, cleared: list[Task]) -> None:
         nonlocal live
-        states[task.agent_id].remove(task)
+        path.pop()
+        load[bucket_of[task.task_id]] -= task.volume_bytes
         for t in cleared:
             insertable[t.task_id] = True
             count[t.request_id] += 1
@@ -210,14 +212,14 @@ def branch_and_bound(
         depth, live = i, live + head
 
     def dfs(i: int, satisfied: int):
-        nonlocal nodes, best_count, best_schedules, exhausted
+        nonlocal nodes, best_count, best_path, exhausted
         nodes += 1
         if nodes > node_budget or (nodes % 1024 == 0 and time.monotonic() > deadline):
             exhausted = True
             raise BudgetExhausted
         if satisfied > best_count:
             best_count = satisfied
-            best_schedules = _schedules(states)
+            best_path = path.copy()
         if i == len(order):
             return
         if satisfied + live <= best_count:
@@ -240,10 +242,17 @@ def branch_and_bound(
         sys.setrecursionlimit(limit)
         # dfs and descend refer to each other; break that cycle so the tables go now
         del dfs, descend
+    held: dict[int, list[Task]] = {}
+    for t in best_path:
+        held.setdefault(t.agent_id, []).append(t)
     result = OracleResult(
         satisfied=best_count,
         proven_optimal=not exhausted,
-        schedules=best_schedules,
+        schedules={
+            a.agent_id: sorted(held[a.agent_id], key=lambda t: (t.start, t.task_id))
+            for a in problem.agents
+            if a.agent_id in held
+        },
         nodes=nodes,
     )
     verify_schedules(inst, result.schedules)
@@ -279,6 +288,12 @@ def swo(inst: CollapsedInstance, *, rounds: int = 50) -> OracleResult:
     baseline); after each round every unsatisfied request jumps forward
     ceil(requests / 10) positions. Returns the best round, a valid lower
     bound on the optimum.
+
+    The next order depends on the current order alone, so once a round's
+    promotion leaves the order unchanged every later round would build the
+    same schedules, and the search stops there. ``rounds`` in the result
+    counts the rounds the loop would have run: the round that satisfied
+    every request, or else all of them (at least one), whether built or not.
     """
     priority = greedy_priority(inst)
     jump = max(1, math.ceil(len(inst.problem.ever_active) / 10))
@@ -298,7 +313,11 @@ def swo(inst: CollapsedInstance, *, rounds: int = 50) -> OracleResult:
             rid: (pos[rid] - jump if rid not in satisfied else pos[rid], pos[rid])
             for rid in priority
         }
-        priority = sorted(priority, key=lambda rid: keys[rid])
+        promoted = sorted(priority, key=lambda rid: keys[rid])
+        if promoted == priority:  # a fixed point: no later round differs
+            done = max(1, rounds)
+            break
+        priority = promoted
     result = OracleResult(best_count, False, best_schedules, rounds=done)
     verify_schedules(inst, result.schedules)
     return result

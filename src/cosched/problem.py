@@ -247,12 +247,16 @@ def check_constraints(
     After the structural checks, one walk over the tasks in (start, task id)
     order does the rest; a list whose starts strictly increase, as a
     ``ScheduleState``'s tasks do, is already in that order and is not
-    re-sorted. Each step tests the task against its predecessor and
-    returns a processing conflict at once; advances a merge sweep over the
-    start-sorted downlinks, in which a pointer skips every downlink that ends
-    at or before the task's start (task starts never decrease, so no later
-    task can overlap it either) and only downlinks starting before the task's
-    end are tested; and adds the task's volume to its bucket's load. The
+    re-sorted. Each step tests the task against the earlier task that ends
+    last, so a zero-length task between two tasks hides nothing, and returns
+    a processing conflict at once: the verdict names the first task that
+    overlaps an earlier one, with that earlier task (the only one, since two
+    earlier tasks that both overlapped it would overlap each other); advances
+    a merge sweep over the start-sorted downlinks, in which a pointer skips
+    every downlink that ends at or before the task's start (task starts never
+    decrease, so no later task can overlap it either) and only downlinks
+    starting before the task's end are tested; and adds the task's volume to
+    its bucket's load. The
     sweep stops at the first (task, downlink) overlap, which is reported
     after the walk; the bucket loads are checked last, in bucket order. This
     names the same first pair as testing every pair would, for overlapping
@@ -285,12 +289,14 @@ def check_constraints(
     for t in ordered:
         start, end = t.start, t.end
         # prev.start <= start, so max(prev.start, start) < min(prev.end, end)
-        # reduces to these two comparisons
+        # reduces to these two comparisons; an earlier task that overlaps t
+        # ends after start, and then so does prev
         if start < prev_end and start < end:
             return Verdict(
                 False, "processing-conflict", f"tasks {prev.task_id} and {t.task_id} overlap"
             )
-        prev, prev_end = t, end
+        if end > prev_end:
+            prev, prev_end = t, end
         while k < n and dl_ends[k] <= start:
             k += 1
         j = k

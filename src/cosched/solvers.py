@@ -197,6 +197,11 @@ class ScheduleState:
     def has_request(self, request_id: int) -> bool:
         return request_id in self.by_request
 
+    def capacity(self, bucket: int) -> float:
+        """Bytes bucket ``bucket`` may hold: min(memory, its downlink's
+        capacity), or memory alone past the last downlink."""
+        return self._caps[bucket]
+
     def bucket(self, task: Task) -> int:
         """Index of the soonest downlink starting at or after the task's end."""
         return bisect_left(self._dl_starts, task.end)

@@ -7,7 +7,9 @@ equivalence suite fast while still exercising every data-model invariant.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,13 @@ from cosched.problem import (
     Task,
 )
 from cosched.solvers import fresh_schedules
+
+
+def pinned_digests(key: str):
+    """One section of ``pinned_digests.json``, which holds every pinned
+    digest of the suite, keyed by what it pins: a change that means to move
+    records edits that one file."""
+    return json.loads(Path(__file__).with_name("pinned_digests.json").read_text())[key]
 
 
 def make_problem(

@@ -1,24 +1,31 @@
+import inspect
 import itertools
+import math
 import random
 import sys
+import textwrap
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 
 import pytest
 
+from cosched import oracle
 from cosched.geometry import SatelliteSpec
 from cosched.oracle import (
     BudgetExhausted,
     OracleResult,
+    _construct,
     _schedules,
     branch_and_bound,
     collapse,
+    greedy_priority,
     run_oracle,
     swo,
     verify_schedules,
 )
 from cosched.problem import (
     MB,
+    Downlink,
     DynamicProblem,
     Request,
     Snapshot,
@@ -27,6 +34,7 @@ from cosched.problem import (
     check_constraints,
     static_utility,
 )
+from cosched.scenarios import generate_scenario, preset
 from cosched.solvers import ScheduleState, fresh_schedules
 
 from conftest import make_problem
@@ -224,9 +232,52 @@ def reference_branch_and_bound(
     return OracleResult(best_count, not exhausted, best_schedules, nodes=nodes)
 
 
+def _one_agent(tasks, memory_bytes=1e15, downlinks=()):
+    """A static, validated one-agent instance whose requests are the tasks'."""
+    rids = sorted({t.request_id for t in tasks})
+    horizon = max(t.end for t in [*tasks, *downlinks]) + 10.0
+    problem = DynamicProblem(
+        horizon_s=horizon,
+        agents=[SatelliteSpec(0, 0, 0, 45.0, memory_bytes)],
+        requests={r: Request(r, r, 0.0, horizon) for r in rids},
+        tasks_by_agent={0: sorted(tasks, key=lambda t: (t.start, t.task_id))},
+        downlinks_by_agent={0: list(downlinks)},
+        snapshots=[Snapshot(0.0, frozenset(rids))],
+    )
+    problem.validate()
+    return collapse(problem)
+
+
+# Hand-built edge cases of the conflict table, each with its optimum.
+EDGE_CASES = {
+    # tasks 0 and 1 start together: they conflict; 1 and 2 overlap
+    "equal starts": (
+        _one_agent([Task(0, 0, 0, 10.0, 20.0, MB), Task(1, 1, 0, 10.0, 30.0, MB),
+                    Task(2, 2, 0, 25.0, 40.0, MB)]),
+        2,
+    ),
+    # 0, 1 and 2 abut and do not conflict; 3 overlaps 0 and 1
+    "abutting": (
+        _one_agent([Task(0, 0, 0, 10.0, 20.0, MB), Task(1, 1, 0, 20.0, 30.0, MB),
+                    Task(2, 2, 0, 30.0, 40.0, MB), Task(3, 3, 0, 15.0, 25.0, MB)]),
+        3,
+    ),
+    # one 100 MB bucket: after task 0, tasks 1 and 2 tie in volume and each
+    # fills it exactly; after 0 and 1, neither 2 nor 3 fits
+    "volume tie at capacity": (
+        _one_agent(
+            [Task(0, 0, 0, 10.0, 20.0, 60 * MB), Task(1, 1, 0, 30.0, 40.0, 40 * MB),
+             Task(2, 2, 0, 50.0, 60.0, 40 * MB), Task(3, 3, 0, 70.0, 80.0, 20 * MB)],
+            downlinks=[Downlink(0, 0, 200.0, 210.0, 100 * MB)],
+        ),
+        3,
+    ),
+}
+
+
 def bound_equivalence_instances():
-    """64 seeded instances; every other one has so little memory that the
-    capacity constraint binds."""
+    """64 seeded instances, every other one with so little memory that the
+    capacity constraint binds, then the hand-built edge cases."""
     out = []
     for seed in range(64):
         rng = random.Random(seed)
@@ -239,7 +290,7 @@ def bound_equivalence_instances():
             kw["memory_bytes"] = rng.uniform(40, 100) * MB
         problem, _ = make_problem(rng, **kw)
         out.append(collapse(problem))
-    return out
+    return out + [inst for inst, _ in EDGE_CASES.values()]
 
 
 def _task_ids(res: OracleResult) -> dict[int, list[int]]:
@@ -263,63 +314,115 @@ def test_incremental_bound_matches_recomputed_bound(node_budget):
         assert unproven > 0  # the budget path is exercised, not just passed through
 
 
-def _overlap(a: Task, b: Task) -> bool:
-    return max(a.start, b.start) < min(a.end, b.end)
+@pytest.mark.parametrize("name", list(EDGE_CASES))
+def test_conflict_table_edge_cases_reach_their_optimum(name):
+    inst, optimum = EDGE_CASES[name]
+    res = branch_and_bound(inst)
+    assert res.proven_optimal and res.satisfied == optimum == exhaustive_optimum(inst)
 
 
-def test_equivalence_corpus_clears_flags_by_overlap_and_by_capacity(monkeypatch):
-    """Over the equivalence corpus, some insert clears the flag of a task that
-    overlaps it, and some insert clears the flag of a task that does not
-    overlap it, by capacity alone; so a search that skipped either re-check
-    would fail test_incremental_bound_matches_recomputed_bound."""
-    can_insert, insert = ScheduleState.can_insert, ScheduleState.insert
-    inserted: list[Task] = []  # the search's last insert, once it made one
-    clears = Counter()
+def _mutant(old: str, new: str):
+    """``branch_and_bound`` with the one source line ``old`` replaced by ``new``."""
+    src = textwrap.dedent(inspect.getsource(oracle.branch_and_bound))
+    assert src.count(old) == 1, old
+    namespace = dict(vars(oracle))
+    exec(compile(src.replace(old, new), oracle.__file__, "exec"), namespace)
+    return namespace["branch_and_bound"]
 
-    def spy_insert(self, task):
-        insert(self, task)
-        inserted[:] = [task]
 
-    def spy_can_insert(self, task):
-        ok = can_insert(self, task)
-        if inserted and not ok and task is not inserted[0]:
-            clears["overlap" if _overlap(task, inserted[0]) else "capacity"] += 1
-        return ok
-
-    monkeypatch.setattr(ScheduleState, "insert", spy_insert)
-    monkeypatch.setattr(ScheduleState, "can_insert", spy_can_insert)
+def test_equivalence_corpus_clears_flags_by_overlap_and_by_capacity():
+    """A search that skipped the overlap clears, or one that skipped the
+    capacity walk, disagrees with the reference on some corpus instance; so
+    test_incremental_bound_matches_recomputed_bound would catch either."""
+    mutants = {
+        "overlap": _mutant("for t in overlaps[task.task_id]:", "for t in ():"),
+        "capacity": _mutant("for t in by_volume[key]:", "for t in ():"),
+    }
+    disagree = Counter()
     for inst in bound_equivalence_instances():
-        inserted.clear()  # the next search's initial flags are not re-checks
-        branch_and_bound(inst)
-    assert clears["overlap"] > 0 and clears["capacity"] > 0, clears
+        ref = reference_branch_and_bound(inst)
+        for name, mutant in mutants.items():
+            try:
+                res = mutant(inst)
+            except AssertionError:  # verify_schedules rejected a schedule
+                disagree[name] += 1
+                continue
+            disagree[name] += (res.satisfied, res.nodes, _task_ids(res)) != (
+                ref.satisfied, ref.nodes, _task_ids(ref)
+            )
+    assert disagree["overlap"] > 0 and disagree["capacity"] > 0, disagree
 
 
 def test_insert_rechecks_fewer_tasks_than_its_bucket_holds(monkeypatch):
-    """On a fixed instance, the re-checks after the inserts are fewer than the
-    insertable tasks of the inserts' buckets, which a whole-bucket re-check
-    visits, and so fewer than the buckets' sizes."""
-    inst = bound_equivalence_instances()[14]
-    empty = fresh_schedules(inst.problem)
-    buckets = defaultdict(list)
-    for tasks in inst.candidates.values():
-        for t in tasks:
-            buckets[(t.agent_id, empty[t.agent_id].bucket(t))].append(t)
-    can_insert, insert = ScheduleState.can_insert, ScheduleState.insert
+    """After the initial flags, one ``can_insert`` per candidate, a search
+    makes no ``can_insert`` call at all, and it never inserts into a
+    ``ScheduleState``; the corpus's searches do insert."""
+    can_insert = ScheduleState.can_insert
     counts = Counter()
-
-    def spy_insert(self, task):
-        bucket = buckets[(task.agent_id, self.bucket(task))]
-        counts["bucket sizes"] += len(bucket)
-        counts["whole-bucket re-checks"] += sum(can_insert(self, t) for t in bucket)
-        insert(self, task)
 
     def spy_can_insert(self, task):
         counts["checks"] += 1
         return can_insert(self, task)
 
-    monkeypatch.setattr(ScheduleState, "insert", spy_insert)
+    def spy_insert(self, task):
+        counts["inserts"] += 1
+
     monkeypatch.setattr(ScheduleState, "can_insert", spy_can_insert)
-    res = branch_and_bound(inst)
-    rechecks = counts["checks"] - sum(len(ts) for ts in inst.candidates.values())
-    assert res.proven_optimal
-    assert 0 < rechecks < counts["whole-bucket re-checks"] < counts["bucket sizes"], counts
+    monkeypatch.setattr(ScheduleState, "insert", spy_insert)
+    satisfied = 0
+    for inst in bound_equivalence_instances():
+        counts.clear()
+        res = branch_and_bound(inst)
+        assert counts == Counter(checks=sum(len(ts) for ts in inst.candidates.values())), counts
+        satisfied += res.satisfied
+    assert satisfied > 0
+
+
+def reference_swo(inst, *, rounds: int = 50) -> OracleResult:
+    """SWO as it was before it stopped at a fixed point: every round runs."""
+    priority = greedy_priority(inst)
+    jump = max(1, math.ceil(len(inst.problem.ever_active) / 10))
+    best_count = -1
+    best_schedules: dict = {}
+    done = 0
+    for rnd in range(max(1, rounds)):
+        count, states, satisfied = _construct(inst, priority)
+        done = rnd + 1
+        if count > best_count:
+            best_count = count
+            best_schedules = _schedules(states)
+        if best_count == len(priority):
+            break
+        pos = {rid: k for k, rid in enumerate(priority)}
+        keys = {
+            rid: (pos[rid] - jump if rid not in satisfied else pos[rid], pos[rid])
+            for rid in priority
+        }
+        priority = sorted(priority, key=lambda rid: keys[rid])
+    return OracleResult(best_count, False, best_schedules, rounds=done)
+
+
+@pytest.fixture(scope="module")
+def tiny_instances():
+    return [collapse(generate_scenario(preset("tiny"), i).problem) for i in range(30)]
+
+
+@pytest.mark.parametrize("rounds", [1, 20, 50])
+def test_swo_matches_every_round_reference(monkeypatch, tiny_instances, rounds):
+    """SWO's fixed-point stop changes no result: the same satisfied count,
+    reported rounds and schedules as running every round, on the equivalence
+    corpus and the tiny scenarios; and it does stop early somewhere."""
+    built = Counter()
+
+    def spy_construct(inst, priority):
+        built["rounds"] += 1
+        return _construct(inst, priority)
+
+    monkeypatch.setattr(oracle, "_construct", spy_construct)
+    stopped = 0
+    for inst in bound_equivalence_instances() + tiny_instances:
+        built.clear()
+        new, ref = swo(inst, rounds=rounds), reference_swo(inst, rounds=rounds)
+        assert (new.satisfied, new.rounds, _task_ids(new)) == (ref.satisfied, ref.rounds, _task_ids(ref))
+        stopped += built["rounds"] < new.rounds
+    assert stopped > 0 if rounds > 1 else stopped == 0

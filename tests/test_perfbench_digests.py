@@ -2,9 +2,10 @@
 
 ``perfbench/run.py`` prints a SHA-256 digest over the run records of every
 pass of a workload; each pass must give the same digest, and it must equal
-the one pinned here. The traced run wraps cosched's functions by module
-attribute name, so a rename that breaks it fails here first. A change that
-means to move the records updates these digests and says so.
+the one pinned in ``pinned_digests.json``. The traced run wraps cosched's
+functions by module attribute name, so a rename that breaks it fails here
+first. A change that means to move the records updates those digests and
+says so.
 """
 
 import re
@@ -14,13 +15,14 @@ from pathlib import Path
 
 import pytest
 
+from conftest import pinned_digests
+
 ROOT = Path(__file__).resolve().parent.parent
 
 PINNED = {
-    ("contended-tiny", 0): "cda3bc70095f2d8a5a38cff94dec134a525b2697059742ad6207cc307934c4c5",
-    ("small-walker", 0): "83d210762a07f5cfd0513c6c21207671ec00b607cfaeb1f8dd4a24bce54028ea",
-    ("contended-tiny", 1): "04d81e6ef9bf22084fc7db77f71a9981b5f6304a8452769e53f7d65dd579a5b4",
-    ("small-walker", 1): "c66ab93beba9e1cc8a6155998470225ab88da8fd33911f76d10dae1ccf4b8433",
+    (workload, int(trace.removeprefix("trace"))): digest
+    for workload, digests in pinned_digests("perfbench_seed0").items()
+    for trace, digest in digests.items()
 }
 
 

@@ -150,9 +150,13 @@ def nested_loop_check_constraints(tasks, memory_bytes, downlinks):
     if len(agent_ids) > 1:
         raise MalformedScheduleError(f"schedule mixes agents {sorted(agent_ids)}")
 
+    # the first task that overlaps any earlier one, named with that earlier
+    # task: two earlier tasks that both overlapped it would overlap each other
     ordered = sorted(tasks, key=lambda t: (t.start, t.task_id))
-    for a, b in zip(ordered, ordered[1:]):
-        if a.interval.overlaps(b.interval):
+    for k, b in enumerate(ordered):
+        hits = [a for a in ordered[:k] if a.interval.overlaps(b.interval)]
+        if hits:
+            (a,) = hits
             return Verdict(
                 False, "processing-conflict", f"tasks {a.task_id} and {b.task_id} overlap"
             )
@@ -236,6 +240,17 @@ def test_bucket_met_again_resumes_its_load():
     v = check_constraints(tasks, 100 * MB, dls)
     assert (v.reason, v.detail) == ("capacity", "110000000 B before downlink 1 exceeds 100000000 B")
     assert v == nested_loop_check_constraints(tasks, 100 * MB, dls)
+
+
+def test_overlap_hidden_behind_a_zero_length_task_is_a_conflict():
+    """A zero-length task between two overlapping tasks does not hide their
+    overlap: the walk compares each task with the earlier one that ends last,
+    not with its predecessor."""
+    tasks = [task(0, 0, 0, 100, MB), task(1, 1, 50, 50, MB), task(2, 2, 60, 70, MB)]
+    v = check_constraints(tasks, 100 * MB, [])
+    assert (v.feasible, v.reason, v.detail) == (False, "processing-conflict", "tasks 0 and 2 overlap")
+    assert v == nested_loop_check_constraints(tasks, 100 * MB, [])
+    assert v == check_constraints([tasks[0], tasks[2]], 100 * MB, [])
 
 
 def test_merge_sweep_verdict_matches_nested_loop(rng):

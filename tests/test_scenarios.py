@@ -25,6 +25,8 @@ from cosched.scenarios import (
 )
 from cosched.solvers import _KIND_NAMES, SolverConfig, check_fields
 
+from conftest import pinned_digests
+
 
 def test_presets_validate():
     for name in PRESETS:
@@ -286,13 +288,7 @@ def test_targets_path_feeds_generation(tmp_path):
 # SHA-256 of ``save_scenario`` output for tiny-000 ... tiny-004. A scenario
 # file holds the config, targets, campaign and timeline but no geometry
 # output, so these digests do not depend on the platform's floats.
-TINY_FILE_DIGESTS = (
-    "c28a8b4a0d1c697fcea7565bf8def4e5508e69c955355123c33e5b84618842b0",
-    "19924b60195ca42400ece1878b894bca120e1b6d2bcd535ddf77691737141e7f",
-    "9415bb027a775bc83661ed74256ea6840c31db58c72ffe71c544d696779a7c50",
-    "7028f86af42a21f102d17c0a61221d1f8508d94de5d5e8925ce1112ae79edb61",
-    "85f51daadf0aba60218b6ddcffc3c0b8999fba149f3867bc3346a97bb81bf02a",
-)
+TINY_FILE_DIGESTS = pinned_digests("tiny_scenario_files")
 
 
 @pytest.mark.parametrize("index", range(len(TINY_FILE_DIGESTS)))
@@ -307,13 +303,11 @@ def test_scenario_files_match_pinned_digests(tmp_path, index):
 # the edge refinement or the task tiling that moves any value by one bit
 # fails here. Unlike the file digests above these include geometry output,
 # so they hold for the numpy and libm the floats were computed with.
+# walker-000 has 634 targets and two stations through one pass per satellite
 PROBLEM_DIGESTS = {
-    ("tiny", 0): "bbb570e07aff7a777172016b8b4b96e749cdd465a9078c22fe66de685d24a863",
-    ("tiny", 1): "d97caf6bfbe1411ca87b31f18a2d7a3b9ad94d3b47ca1be0b1544015f936ccf5",
-    ("tiny", 2): "daa716bd08ecdf28231859313e59b7cb38d5f8bca13153ca897218406b901fe4",
-    ("small-walker", 0): "d7dbaeffc50336de95da9f8be2c23a4830470d66998dd0f1e428d6eff7da4c41",
-    # 634 targets and two stations through one pass per satellite
-    ("walker", 0): "94af65bb91f45e60d07cf536a7e796f2a99aecc3943f8621db48cb88c8a94cc5",
+    (name, index): digest
+    for name, digests in pinned_digests("generated_problems").items()
+    for index, digest in enumerate(digests)
 }
 
 
