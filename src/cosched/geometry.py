@@ -12,34 +12,49 @@ the constellation along its orbits and the Earth in its rotation, which is
 how randomized horizon starts are realized.
 
 Access windows (targets) and downlink passes (stations) come from one pass
-per satellite over every ground point (``batch_windows``). A ground point is
-visible when it lies inside an off-nadir cone and at or above a minimum
-elevation; targets use the satellite's sensor cone and the horizon, stations
-a 180° cone and their antenna mask, so the targets and stations are stacked
-into one set of points, each with its own cone and minimum elevation. Per
-satellite, one scan finds the runs of ``SCAN_STEP_S`` grid samples at which
-each point is visible, and then every rising and falling edge of every run
-is bisected in lockstep, one propagation per halving, until each bracket is
-at most 1 s wide. The scan computes positions only at the samples it reads:
-the coarse samples, then each sample of the gaps near some point once.
+over the constellation and every ground point (``batch_windows``). A ground
+point is visible when it lies inside an off-nadir cone and at or above a
+minimum elevation; targets use the satellite's sensor cone and the horizon,
+stations a 180° cone and their antenna mask, so the targets and stations are
+stacked into one set of points, each with its own cone and minimum elevation.
+Per satellite, one scan finds the runs of ``SCAN_STEP_S`` grid samples at
+which each point is visible. Then the rising and falling edges of every run
+of every satellite are bisected together, one lockstep refinement for the
+whole constellation (in blocks of satellites beyond ``REFINE_PAIRS``
+satellite-point pairs, to bound its memory), until each bracket is at most
+1 s wide: each halving computes every live edge's position in one call to
+the row-wise form of the propagation formula, which reads each edge's orbit
+constants by index from a table of one row per satellite. The scan computes
+positions only at the samples it reads: the coarse samples, then each
+sample of the gaps near some point once.
 
-The scan evaluates ``visible`` only where it can pass. A point is visible
-only while the Earth-central angle λ between it and the satellite is at most
-λ_max. With orbit radius r, Earth radius R, cone η and minimum elevation ε,
-the elevation limit gives λ_el = arccos(R cos ε / r) − ε, and, when η < 90°,
-r sin η / R < 1 and ε ≥ 0, the cone limit gives λ_cone = arcsin(r sin η / R)
-− η; λ_max is the smaller of those that apply. The cone limit needs ε ≥ 0:
-below the horizon the cone's far-side intersection with the Earth can pass.
+Both stages evaluate ``visible`` only where the Earth-central angle λ between
+the point and the satellite cannot decide it. With orbit radius r, Earth
+radius R, cone η and minimum elevation ε, the elevation limit gives
+λ_el = arccos(R cos ε / r) − ε, and, when η < 90°, r sin η / R < 1 and ε ≥ 0,
+the cone limit gives λ_cone = arcsin(r sin η / R) − η; λ_max is the smaller
+of those that apply, and no point beyond λ_max is visible. For ε ≥ 0 the
+converse holds too: visible ⇔ λ ≤ λ_max. A point at or above the horizon
+lies on the near side of the Earth, where elevation falls and the off-nadir
+angle grows with λ, so each limit is crossed once, at λ_el and λ_cone. When
+η ≥ 90° or r sin η / R ≥ 1, the cone holds the whole disk above the horizon
+(whose off-nadir angles are at most arcsin(R / r) ≤ η), so only λ_el limits.
+Below the horizon (ε < 0) the off-nadir angle falls again as λ grows, the
+cone's far-side intersection with the Earth can pass, and λ ≤ λ_max does not
+imply ``visible``: those points always go to ``visible``. So a pair is
+invisible for certain when λ > λ_max, visible for certain when ε ≥ 0 and
+λ < λ_max, and only the band around λ_max is left to ``visible``.
+
 The sub-satellite point moves at most n + ω_E rad/s over the Earth (mean
 motion plus Earth rotation), so by the triangle inequality on the sphere λ
 changes by at most (n + ω_E) h within h seconds. A coarse pass tests every
 ``COARSE_STRIDE``-th sample and the last against λ_max + (n + ω_E) h, with h
 the largest half gap between coarse samples: each sample lies within h of a
 coarse one, so a gap whose ends both fail holds no sample within λ_max. The
-samples of the other gaps are tested against λ_max itself, and those that
-pass go to one ``visible`` call. Every bound is padded by 1e-6 rad and 1e-6
-off its cosine, far beyond rounding error, so the windows are exactly those
-of ``visible`` on every sample.
+samples of the other gaps are tested against λ_max itself. Every bound is
+padded by 1e-6 rad and 1e-6 off its cosine, far beyond rounding error, so
+the windows are exactly those of ``visible`` on every sample and at every
+bisection midpoint.
 """
 
 from __future__ import annotations
@@ -54,6 +69,7 @@ MU_KM3_S2 = 398600.4418
 EARTH_ROT_RAD_S = 7.2921159e-5
 SCAN_STEP_S = 10.0  # visibility scan grid spacing before edge refinement
 COARSE_STRIDE = 12  # grid samples per gap of the coarse visibility pass
+REFINE_PAIRS = 1 << 12  # satellite-point pairs whose window edges are bisected in one lockstep
 
 
 @dataclass(frozen=True)
@@ -165,18 +181,35 @@ def propagate(
     ``times`` may be a scalar or an array; the result has shape (3,) or
     (N, 3). Deterministic pure function of its inputs.
     """
-    t_abs = np.asarray(times, dtype=float) + epoch_offset_s
+    return _positions(np.array([_orbit(plane, slot)]), 0, np.asarray(times, dtype=float) + epoch_offset_s)
 
-    r = plane.radius_km
-    u = plane.slot_phase_rad(slot) + plane.mean_motion_rad_s * t_abs
+
+def _orbit(plane: OrbitalPlane, slot: int) -> tuple[float, ...]:
+    """The constants ``_positions`` reads for satellite ``slot`` of ``plane``:
+    radius, slot phase, mean motion, cos and sin of the RAAN, cos and sin of
+    the inclination."""
     inc = math.radians(plane.inclination_deg)
     raan = math.radians(plane.raan_deg)
+    return (
+        plane.radius_km, plane.slot_phase_rad(slot), plane.mean_motion_rad_s,
+        math.cos(raan), math.sin(raan), math.cos(inc), math.sin(inc),
+    )
 
+
+def _positions(orbits: np.ndarray, sat, t_abs: np.ndarray) -> np.ndarray:
+    """ECEF positions in km at the absolute times ``t_abs`` (horizon time plus
+    epoch offset). ``orbits`` holds one row of ``_orbit`` constants per
+    satellite; ``sat`` is one row index, for any shape of ``t_abs``, or an
+    array of them, one per time. Each constant is read by index where it is
+    used, never tiled per time, and the formula is element-wise, so a
+    position is the same float either way."""
+    r, phase, n, cos_raan, sin_raan, cos_inc, sin_inc = orbits.T
+    u = phase[sat] + n[sat] * t_abs
     cu, su = np.cos(u), np.sin(u)
     # inertial frame: rotate the in-plane circle by inclination, then RAAN
-    xi = r * (cu * math.cos(raan) - su * math.cos(inc) * math.sin(raan))
-    yi = r * (cu * math.sin(raan) + su * math.cos(inc) * math.cos(raan))
-    zi = r * (su * math.sin(inc))
+    xi = r[sat] * (cu * cos_raan[sat] - su * cos_inc[sat] * sin_raan[sat])
+    yi = r[sat] * (cu * sin_raan[sat] + su * cos_inc[sat] * cos_raan[sat])
+    zi = r[sat] * (su * sin_inc[sat])
 
     theta = EARTH_ROT_RAD_S * t_abs
     ct, st = np.cos(theta), np.sin(theta)
@@ -250,6 +283,16 @@ def _max_central_angle(radius_km: float, cone_deg: np.ndarray, min_el_deg: np.nd
     return np.where(cone_limits, np.minimum(lam, lam_cone), lam)
 
 
+def _cos_band(lam_max: np.ndarray, min_el_deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos_in, cos_out) per ground point: a point whose cos λ is at least
+    ``cos_in`` is ``visible`` for certain, and one whose cos λ is below
+    ``cos_out`` is not; only the band between needs ``visible``. Points below
+    the horizon (ε < 0) are never visible for certain (module docstring)."""
+    cos_out = np.cos(np.minimum(lam_max + 1e-6, np.pi)) - 1e-6
+    cos_in = np.where(min_el_deg >= 0.0, np.cos(np.maximum(lam_max - 1e-6, 0.0)) + 1e-6, np.inf)
+    return cos_in, cos_out
+
+
 def _unit(pos: np.ndarray) -> np.ndarray:
     return pos / np.linalg.norm(pos, axis=1, keepdims=True)
 
@@ -269,9 +312,8 @@ def _scan(plane: OrbitalPlane, slot: int, times: np.ndarray, points: tuple, epoc
     coarse = np.append(np.arange(0, n - 1, COARSE_STRIDE), n - 1)
     half_gap = 0.5 * np.max(np.diff(times[coarse]), initial=0.0)
     drift = (plane.mean_motion_rad_s + EARTH_ROT_RAD_S) * half_gap
-    # cosines below which λ exceeds λ_max + drift (coarse) and λ_max (fine), padded
-    lam = np.stack([lam_max + drift, lam_max])
-    coarse_min, cos_min = np.cos(np.minimum(lam + 1e-6, np.pi)) - 1e-6
+    coarse_min = _cos_band(lam_max + drift, min_el)[1]
+    cos_in, cos_out = _cos_band(lam_max, min_el)
     near = _unit(propagate(plane, slot, times[coarse], epoch_offset_s)) @ up.T >= coarse_min
     # gap g holds samples coarse[g] up to, not including, coarse[g + 1]; the last one also n - 1
     j, g = np.nonzero((near[:-1] | near[1:]).T)
@@ -284,9 +326,14 @@ def _scan(plane: OrbitalPlane, slot: int, times: np.ndarray, points: tuple, epoc
     take[i] = True
     row = (np.cumsum(take) - 1)[i]
     pos = propagate(plane, slot, times[take], epoch_offset_s)
-    within = np.einsum("ij,ij->i", _unit(pos)[row], up[j]) >= cos_min[j]
-    i, j, row = i[within], j[within], row[within]
-    seen = visible(pos[row], ecef[j], up[j], cone[j], min_el[j])
+    cos_lam = np.einsum("ij,ij->i", _unit(pos)[row], up[j])
+    within = cos_lam >= cos_out[j]
+    i, j, row, cos_lam = i[within], j[within], row[within], cos_lam[within]
+    seen = cos_lam >= cos_in[j]
+    band = np.flatnonzero(~seen)
+    if band.size:  # rarely: the band around λ_max is a few µrad wide
+        jb = j[band]
+        seen[band] = visible(pos[row[band]], ecef[jb], up[jb], cone[jb], min_el[jb])
     i, j = i[seen], j[seen]
     new = np.ones(len(i), dtype=bool)
     new[1:] = (j[1:] != j[:-1]) | (i[1:] != i[:-1] + 1)
@@ -294,43 +341,70 @@ def _scan(plane: OrbitalPlane, slot: int, times: np.ndarray, points: tuple, epoc
     return j[heads], i[heads], np.append(i[heads[1:] - 1], i[-1:])
 
 
-def _satellite_windows(
-    plane: OrbitalPlane, slot: int, points: tuple, times: np.ndarray, epoch_offset_s: float
-) -> list[list[tuple[float, float]]]:
-    """Visibility windows of one satellite over every ground point.
+def _windows(
+    constellation: Constellation, points: tuple, times: np.ndarray, epoch_offset_s: float
+) -> list[list[list[tuple[float, float]]]]:
+    """Visibility windows of every satellite over every ground point, indexed
+    [agent][point].
 
     ``points`` holds row-aligned arrays: ECEF position, unit up vector, cone
-    and minimum elevation. Each edge of each run of visible samples on
-    ``times`` (``_scan``) is bisected in lockstep until its bracket is at most
+    and minimum elevation. Each satellite's runs of visible samples on
+    ``times`` come from its own ``_scan``; then every edge of every run of a
+    block of satellites is bisected in lockstep until its bracket is at most
     1 s wide, keeping its visible end; runs touching the first or last sample
-    end there. Each point's windows are (start, end) pairs, sorted by start
-    and pairwise disjoint: an invisible sample separates consecutive runs,
-    and each bisected edge stays within one grid step of its run.
+    end there. A block is the whole constellation up to ``REFINE_PAIRS``
+    satellite-point pairs; a larger one is refined ``REFINE_PAIRS // points``
+    satellites at a time, which keeps the refinement's arrays near the size
+    of one satellite's scan. Each edge is bisected on its own, so the block
+    size moves no float. Each point's windows are (start, end) pairs, sorted
+    by start and pairwise disjoint: an invisible sample separates consecutive
+    runs, and each bisected edge stays within one grid step of its run.
     """
     ecef, up, cone, min_el = points
-    run_k, first, last = _scan(plane, slot, times, points, epoch_offset_s)
-    # each run's rising edge precedes ``first``, its falling edge follows ``last``:
-    # run by run, the edges are in the (point, grid index) order of np.nonzero
-    edges = np.flatnonzero(np.stack([first > 0, last < len(times) - 1], axis=1))
-    rising, run = edges % 2 == 0, edges // 2
-    k, e = run_k[run], np.where(rising, first[run] - 1, last[run])
-    lo, hi = times[e], times[e + 1]
-    while True:
-        live = np.flatnonzero(hi - lo > 1.0)
-        if not live.size:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        kl = k[live]
-        pos = propagate(plane, slot, mid, epoch_offset_s)
-        to_hi = visible(pos, ecef[kl], up[kl], cone[kl], min_el[kl]) == rising[live]
-        hi[live[to_hi]] = mid[to_hi]
-        lo[live[~to_hi]] = mid[~to_hi]
-    bounds = np.tile([times[0], times[-1]], (len(run_k), 1))
-    np.put(bounds, edges, np.where(rising, hi, lo))
-    windows = [[] for _ in range(len(ecef))]
-    for j, (a, b) in zip(run_k.tolist(), bounds.tolist()):
-        if b > a:
-            windows[j].append((a, b))
+    planes = constellation.planes
+    sats = constellation.satellites()
+    # one row of orbit constants per satellite; bands[plane, :, point] is (cos_in, cos_out)
+    orbits = np.array([_orbit(planes[s.plane_index], s.slot) for s in sats])
+    plane_of = np.array([s.plane_index for s in sats], dtype=np.intp)
+    bands = np.array([_cos_band(_max_central_angle(p.radius_km, cone, min_el), min_el) for p in planes])
+    windows: list[list[list[tuple[float, float]]]] = []
+    block = max(1, REFINE_PAIRS // max(len(ecef), 1))
+    for b in range(0, len(sats), block):
+        scans = [_scan(planes[s.plane_index], s.slot, times, points, epoch_offset_s) for s in sats[b:b + block]]
+        sat = b + np.repeat(np.arange(len(scans)), [len(first) for _, first, _ in scans])
+        run_k, first, last = np.hstack([np.array(scan) for scan in scans])
+        # each run's rising edge precedes ``first``, its falling edge follows ``last``
+        edges = np.flatnonzero(np.stack([first > 0, last < len(times) - 1], axis=1))
+        rising, run = edges % 2 == 0, edges // 2
+        k, e, edge_sat = run_k[run], np.where(rising, first[run] - 1, last[run]), sat[run]
+        edge_plane = plane_of[edge_sat]
+        lo, hi = times[e], times[e + 1]
+        while True:
+            live = np.flatnonzero(hi - lo > 1.0)
+            if not live.size:
+                break
+            mid = 0.5 * (lo[live] + hi[live])
+            kl, pl = k[live], edge_plane[live]
+            pos = _positions(orbits, edge_sat[live], mid + epoch_offset_s)
+            cos_lam = np.einsum("ij,ij->i", _unit(pos), up[kl])
+            seen = cos_lam >= bands[pl, 0, kl]
+            band = np.flatnonzero(~seen & (cos_lam >= bands[pl, 1, kl]))
+            if band.size:
+                kb = kl[band]
+                seen[band] = visible(pos[band], ecef[kb], up[kb], cone[kb], min_el[kb])
+            to_hi = seen == rising[live]
+            hi[live[to_hi]] = mid[to_hi]
+            lo[live[~to_hi]] = mid[~to_hi]
+        bounds = np.tile([times[0], times[-1]], (len(run_k), 1))
+        np.put(bounds, edges, np.where(rising, hi, lo))
+        block_windows = [[[] for _ in range(len(ecef))] for _ in scans]
+        # two flat lists of floats, not a [start, end] list per run: a block's
+        # worth of short-lived lists would drive the cyclic collector into
+        # extra passes that then fall in later phases
+        for s, j, start, end in zip((sat - b).tolist(), run_k.tolist(), *bounds.T.tolist()):
+            if end > start:
+                block_windows[s][j].append((start, end))
+        windows += block_windows
     return windows
 
 
@@ -342,7 +416,7 @@ def batch_windows(
     epoch_offset_s: float = 0.0,
 ) -> tuple[dict[tuple[int, int], list[tuple[float, float]]], dict[int, list[tuple[float, float, float]]]]:
     """Access windows and downlink passes over [0, horizon_s] seconds, from
-    one pass per satellite over every target and station.
+    one pass over the constellation and every target and station.
 
     ``access[(agent, target)]`` holds the maximal (start, end) intervals
     during which the target lies inside the satellite's sensor cone and above
@@ -361,13 +435,12 @@ def batch_windows(
         + [(s.latitude_deg, s.longitude_deg) for s in stations]
     )
     n = len(targets)
+    cone = np.array([constellation.max_off_nadir_deg] * n + [180.0] * len(stations))
     min_el = np.array([0.0] * n + [s.min_elevation_deg for s in stations])
     access: dict[tuple[int, int], list[tuple[float, float]]] = {}
     passes: dict[int, list[tuple[float, float, float]]] = {}
-    for sat in constellation.satellites():
-        cone = np.array([sat.max_off_nadir_deg] * n + [180.0] * len(stations))
-        plane = constellation.planes[sat.plane_index]
-        wins = _satellite_windows(plane, sat.slot, (ecef, up, cone, min_el), times, epoch_offset_s)
+    windows = _windows(constellation, (ecef, up, cone, min_el), times, epoch_offset_s)
+    for sat, wins in zip(constellation.satellites(), windows):
         for target, w in zip(targets, wins):
             access[(sat.agent_id, target.target_id)] = w
         rated = sorted(((a, b, st.downlink_rate_bps) for st, ws in zip(stations, wins[n:]) for a, b in ws),

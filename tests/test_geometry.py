@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cosched import geometry
 from cosched.geometry import (
     DEFAULT_STATIONS,
     EARTH_RADIUS_KM,
@@ -23,7 +24,12 @@ from cosched.geometry import (
     time_grid,
     visible,
     walker_constellation,
+    _cos_band,
+    _ground,
+    _max_central_angle,
     _scan,
+    _unit,
+    _windows,
 )
 from cosched.scenarios import build_constellation, preset, sample_targets
 
@@ -223,10 +229,11 @@ def test_batch_windows_match_dense_sampling_per_pair():
 
 def test_pruned_scan_matches_visible_on_every_sample():
     """The coarse pass and the central-angle prefilter only skip samples
-    ``visible`` rejects, whatever the orbit, point, cone (narrow, wider than
-    the horizon, or a station's 180°), minimum elevation (including below the
-    horizon) and horizon (a day, or not a multiple of the grid step or the
-    coarse stride, down to two samples)."""
+    ``visible`` rejects, and the central angle only admits without
+    ``visible`` samples it accepts, whatever the orbit, point, cone (narrow,
+    wider than the horizon, or a station's 180°), minimum elevation
+    (including below the horizon) and horizon (a day, or not a multiple of
+    the grid step or the coarse stride, down to two samples)."""
     rng = np.random.default_rng(20261018)
     n = 40
     lat = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n)))
@@ -258,6 +265,126 @@ def test_pruned_scan_matches_visible_on_every_sample():
             assert np.array_equal(mask, full)
             seen += full.any()
         assert seen >= 12  # most orbits see some point, even over two samples
+
+
+def test_central_angle_decides_visible_outside_its_band():
+    """Pairs within ±1e-5 rad of λ_max, down to exactly on it: every pair
+    whose cos λ reaches ``cos_in`` is ``visible`` and every pair whose cos λ
+    is below ``cos_out`` is not, for narrow cones, cones wider than the
+    horizon but under 90°, cones of 90° or more and a station's 180°, at
+    minimum elevations above and below the horizon."""
+    rng = np.random.default_rng(20261022)
+    m = 6000
+    decided = np.zeros(2, dtype=int)
+    for altitude_km in (300.0, 500.0, 1200.0, 20000.0):
+        r = EARTH_RADIUS_KM + altitude_km
+        horizon_cone = math.degrees(math.asin(EARTH_RADIUS_KM / r))
+        cone = np.choose(rng.integers(0, 4, m), [
+            rng.uniform(1.0, horizon_cone, m),
+            rng.uniform(horizon_cone, 90.0, m),
+            rng.uniform(90.0, 180.0, m),
+            np.full(m, 180.0),
+        ])
+        min_el = rng.uniform(-20.0, 40.0, m)
+        lam_max = _max_central_angle(r, cone, min_el)
+        # offsets up to 1e-5 rad, of every size down to 1e-16 rad, and none at all
+        offset = np.choose(rng.integers(0, 10, m) // 4, [
+            rng.uniform(-1e-5, 1e-5, m),
+            rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-16.0, -6.0, m),
+            np.zeros(m),
+        ])
+        lam = np.clip(lam_max + offset, 0.0, np.pi)
+        # satellite above u; the point at central angle lam towards w, u ⟂ w
+        u = _unit(rng.normal(size=(m, 3)))
+        w = rng.normal(size=(m, 3))
+        w = _unit(w - np.sum(w * u, axis=1, keepdims=True) * u)
+        up = _unit(np.cos(lam)[:, None] * u + np.sin(lam)[:, None] * w)
+        pos, point = r * u, EARTH_RADIUS_KM * up
+        cos_lam = np.einsum("ij,ij->i", _unit(pos), up)
+        cos_in, cos_out = _cos_band(lam_max, min_el)
+        seen = visible(pos, point, up, cone, min_el)
+        assert seen[cos_lam >= cos_in].all()
+        assert not seen[cos_lam < cos_out].any()
+        decided += (cos_lam >= cos_in).sum(), (cos_lam < cos_out).sum()
+    assert (decided > 1000).all(), decided
+
+
+def reference_satellite_windows(
+    plane: OrbitalPlane, slot: int, points: tuple, times: np.ndarray, epoch_offset_s: float
+) -> list[list[tuple[float, float]]]:
+    """One satellite's windows over every ground point, its edges bisected on
+    their own through ``propagate`` and ``visible``: the refinement as it ran
+    per satellite, which the constellation's lockstep refinement must equal."""
+    ecef, up, cone, min_el = points
+    run_k, first, last = _scan(plane, slot, times, points, epoch_offset_s)
+    edges = np.flatnonzero(np.stack([first > 0, last < len(times) - 1], axis=1))
+    rising, run = edges % 2 == 0, edges // 2
+    k, e = run_k[run], np.where(rising, first[run] - 1, last[run])
+    lo, hi = times[e], times[e + 1]
+    while True:
+        live = np.flatnonzero(hi - lo > 1.0)
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        kl = k[live]
+        pos = propagate(plane, slot, mid, epoch_offset_s)
+        to_hi = visible(pos, ecef[kl], up[kl], cone[kl], min_el[kl]) == rising[live]
+        hi[live[to_hi]] = mid[to_hi]
+        lo[live[~to_hi]] = mid[~to_hi]
+    bounds = np.tile([times[0], times[-1]], (len(run_k), 1))
+    np.put(bounds, edges, np.where(rising, hi, lo))
+    windows = [[] for _ in range(len(ecef))]
+    for j, (a, b) in zip(run_k.tolist(), bounds.tolist()):
+        if b > a:
+            windows[j].append((a, b))
+    return windows
+
+
+@pytest.mark.parametrize("refine_pairs", [geometry.REFINE_PAIRS, 100, 1])
+def test_lockstep_refinement_matches_per_satellite_refinement(monkeypatch, refine_pairs):
+    """The lockstep refinement gives every satellite the windows of its own
+    bisection, bit for bit, over planes of mixed altitude, inclination and
+    size, targets and masked stations, and a horizon that is not a multiple
+    of the grid step: whole-constellation blocks, blocks of two satellites
+    and blocks of one."""
+    monkeypatch.setattr(geometry, "REFINE_PAIRS", refine_pairs)
+    rng = np.random.default_rng(20261023)
+    refined = 0
+    for horizon_s in (21603.7, 4005.0):
+        planes = tuple(
+            OrbitalPlane(
+                inclination_deg=rng.uniform(0.0, 180.0),
+                altitude_km=rng.uniform(300.0, 2500.0),
+                raan_deg=rng.uniform(0.0, 360.0),
+                count=int(rng.integers(1, 4)),
+            )
+            for _ in range(4)
+        )
+        constellation = Constellation(planes, max_off_nadir_deg=rng.uniform(20.0, 70.0), memory_bytes=1.25e11)
+        lat = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 40)))
+        lon = rng.uniform(-180.0, 180.0, 40)
+        targets = [Target(100 + i, a, b) for i, (a, b) in enumerate(zip(lat[:30], lon[:30]))]
+        stations = [
+            GroundStation(f"st{i}", a, b, min_elevation_deg=rng.uniform(-5.0, 30.0), downlink_rate_bps=1e6)
+            for i, (a, b) in enumerate(zip(lat[30:], lon[30:]))
+        ]
+        epoch = rng.uniform(0.0, 86400.0)
+        times = time_grid(horizon_s)
+        ecef, up = _ground([(t.latitude_deg, t.longitude_deg) for t in targets]
+                           + [(s.latitude_deg, s.longitude_deg) for s in stations])
+        cone = np.array([constellation.max_off_nadir_deg] * len(targets) + [180.0] * len(stations))
+        min_el = np.array([0.0] * len(targets) + [s.min_elevation_deg for s in stations])
+        points = (ecef, up, cone, min_el)
+        sats = constellation.satellites()
+        expected = [reference_satellite_windows(planes[s.plane_index], s.slot, points, times, epoch) for s in sats]
+        assert _windows(constellation, points, times, epoch) == expected
+        access, _ = batch_windows(constellation, targets, stations, horizon_s, epoch)
+        assert access == {
+            (s.agent_id, t.target_id): w for s, wins in zip(sats, expected) for t, w in zip(targets, wins)
+        }
+        assert len(sats) >= 6
+        refined += sum(0.0 < a and b < horizon_s for wins in expected for ws in wins for a, b in ws)
+    assert refined >= 200  # windows refined at both ends
 
 
 def test_windows_match_dense_sampling_without_cone_limit():
